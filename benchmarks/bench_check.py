@@ -18,6 +18,11 @@ Each row measures four legs:
 - **diff** — one helper file touched, which must re-analyze only that
   file plus whatever the reverse call graph invalidates.
 
+The cold 1-worker leg also counts, through wrappers on every module
+binding, how often ``ast.parse`` and ``build_cfg`` run: ``parse_per_file``
+and ``cfg_per_function`` are exact counts, independent of the machine.
+A cold run parses each file once and builds each function's CFG once.
+
 Gates (per row):
 
 - zero findings (the repo-wide clean gate, same as CI);
@@ -26,9 +31,14 @@ Gates (per row):
 - warm speedup (cold / warm wall time) at or above that row's floor in
   ``benchmarks/perf_budget.json`` — for ``check_concurrency`` this is
   the budget gate on the tier's warm-cache overhead: a slow warm rerun
-  (i.e. the conc index failing to ride the tree key) sinks the ratio.
+  (i.e. the conc index failing to ride the tree key) sinks the ratio;
+- ``parse_per_file`` and ``cfg_per_function`` at or below the
+  ``check_parse_per_file`` / ``check_cfg_per_function`` ceilings there.
 
 Results land in ``BENCH_check.json`` at the repository root.
+``--before OLD.json`` copies the cold and warm legs of an earlier run
+(say, of the parent revision on the same machine) into each row's
+``before``.
 
 Run standalone (full tree)::
 
@@ -47,9 +57,11 @@ gates)::
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import pathlib
+import platform
 import shutil
 import tempfile
 import time
@@ -95,6 +107,15 @@ def _wire(findings) -> str:
                        for f in findings], sort_keys=True)
 
 
+def _function_count(paths) -> int:
+    from repro.check.lint import _iter_python_files
+
+    return sum(
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for path in _iter_python_files(paths)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
 def _timed(paths, **kwargs):
     from repro.check.driver import check_paths
 
@@ -108,10 +129,20 @@ def load_floor(mode: str, row: str) -> float:
     return budgets[mode][row]
 
 
-def _run_row(paths, row: str, mode: str, extra) -> dict:
+def _run_row(paths, row: str, mode: str, extra, n_files: int,
+             n_functions: int) -> dict:
     """Cold/warm legs for one row (the diff leg is added later)."""
-    cold_1w_s, cold_1w = _timed(paths, workers=1,
-                                cache_dir=f".{row}.c1", **extra)
+    # Import the whole analyzer first: a module first imported inside
+    # ``count_calls`` would bind the counting wrapper for good.
+    import repro.check.driver  # noqa: F401
+    from repro.check.callcount import count_calls
+    from repro.check.cfg import build_cfg
+
+    with count_calls(ast.parse, build_cfg) as (parses, cfgs):
+        cold_1w_s, cold_1w = _timed(paths, workers=1,
+                                    cache_dir=f".{row}.c1", **extra)
+    parse_per_file = len(parses) / n_files
+    cfg_per_function = len(cfgs) / n_functions
     cold_4w_s, cold_4w = _timed(paths, workers=4,
                                 cache_dir=f".{row}.c4", **extra)
     warm_s, warm = _timed(paths, workers=4,
@@ -124,6 +155,11 @@ def _run_row(paths, row: str, mode: str, extra) -> dict:
         "warm_speedup": round(warm_speedup, 2),
         "warm_speedup_floor": load_floor(mode, row),
         "warm_tree_hit": warm.tree_hit,
+        "parse_per_file": round(parse_per_file, 4),
+        "parse_per_file_ceiling": load_floor(mode, "check_parse_per_file"),
+        "cfg_per_function": round(cfg_per_function, 4),
+        "cfg_per_function_ceiling": load_floor(mode,
+                                               "check_cfg_per_function"),
         "findings": len(cold_4w.findings),
         "identical": {
             "cold_1w_vs_cold_4w":
@@ -135,7 +171,7 @@ def _run_row(paths, row: str, mode: str, extra) -> dict:
     }
 
 
-def run_bench(smoke=False, out=DEFAULT_OUT):
+def run_bench(smoke=False, out=DEFAULT_OUT, before=None):
     mode = "smoke" if smoke else "full"
     scratch = pathlib.Path(tempfile.mkdtemp(prefix="bench-check-"))
     prev_cwd = os.getcwd()
@@ -144,8 +180,10 @@ def run_bench(smoke=False, out=DEFAULT_OUT):
                                scratch)
         os.chdir(scratch)  # relative paths -> CLI-identical module names
         paths = ["src", "tests"]
+        n_functions = _function_count(paths)
 
-        rows = {row: _run_row(paths, row, mode, extra)
+        rows = {row: _run_row(paths, row, mode, extra, n_files,
+                              n_functions)
                 for row, extra in ROWS}
 
         # One shared touch serves every row's diff leg: the warm caches
@@ -165,7 +203,16 @@ def run_bench(smoke=False, out=DEFAULT_OUT):
         os.chdir(prev_cwd)
         shutil.rmtree(scratch, ignore_errors=True)
 
-    payload = {"mode": mode, "files": n_files, "rows": rows}
+    if before is not None:
+        old_rows = json.loads(pathlib.Path(before).read_text())["rows"]
+        for row, stats in rows.items():
+            if row in old_rows:
+                stats["before"] = {leg: old_rows[row][leg]
+                                   for leg in ("cold_1w_s", "cold_4w_s", "warm_s")}
+    payload = {"mode": mode, "files": n_files, "functions": n_functions,
+               "host": {"nproc": os.cpu_count(),
+                        "python": platform.python_version()},
+               "rows": rows}
     for row, stats in rows.items():
         print(f"check bench [{row}] ({mode}, {n_files} files): "
               f"cold 1w {stats['cold_1w_s']:.2f}s  "
@@ -173,7 +220,9 @@ def run_bench(smoke=False, out=DEFAULT_OUT):
               f"warm {stats['warm_s']:.3f}s  diff {stats['diff_s']:.2f}s")
         print(f"  warm speedup {stats['warm_speedup']:.1f}x "
               f"(floor {stats['warm_speedup_floor']:.1f}x), "
-              f"diff re-analyzed {stats['diff_reanalyzed']} file(s)")
+              f"diff re-analyzed {stats['diff_reanalyzed']} file(s), "
+              f"parse/file {stats['parse_per_file']:.2f}, "
+              f"cfg/function {stats['cfg_per_function']:.2f}")
     out = pathlib.Path(out)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"[saved to {out}]")
@@ -200,6 +249,12 @@ def check_gate(payload):
                 f"below the {stats['warm_speedup_floor']:.1f}x floor "
                 f"(cold {stats['cold_4w_s']:.2f}s, "
                 f"warm {stats['warm_s']:.3f}s)")
+        for metric in ("parse_per_file", "cfg_per_function"):
+            if stats[metric] > stats[f"{metric}_ceiling"]:
+                failures.append(
+                    f"[{row}] {metric} {stats[metric]:.2f} exceeds the "
+                    f"{stats[f'{metric}_ceiling']:.2f} ceiling: a cold "
+                    f"run re-parses files or rebuilds CFGs")
         if stats["diff_reanalyzed"] >= payload["files"]:
             failures.append(
                 f"[{row}] diff leg re-analyzed every file "
@@ -227,8 +282,13 @@ def main(argv=None):
         "--out", default=str(DEFAULT_OUT),
         help=f"output JSON path (default: {DEFAULT_OUT})",
     )
+    parser.add_argument(
+        "--before", default=None,
+        help="an earlier BENCH_check.json whose cold and warm legs are "
+             "stored under each row's 'before'",
+    )
     args = parser.parse_args(argv)
-    payload = run_bench(smoke=args.smoke, out=args.out)
+    payload = run_bench(smoke=args.smoke, out=args.out, before=args.before)
     failures = check_gate(payload)
     for line in failures:
         print(f"GATE FAIL: {line}")

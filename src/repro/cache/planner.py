@@ -134,6 +134,9 @@ class PrefetchPlanner:
         node = self.copy_engine.cluster.nodes[node_index]
         queue = self._queues[node_index]
         try:
+            # An EDF drain, not a retry loop: each pass pops a distinct
+            # request, and a faulted copy is marked failed, not re-queued.
+            # repro-check: disable=RC205 (drain loop, nothing retried)
             while queue:
                 deadline, _seq, request, block = heapq.heappop(queue)
                 try:

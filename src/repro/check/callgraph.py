@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePath
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "ClassInfo",
@@ -581,20 +581,24 @@ def iter_own_calls(func: "ast.FunctionDef | ast.AsyncFunctionDef"
     return out
 
 
-def build_call_graph(index: ProjectIndex,
-                     sources: Dict[str, "ast.Module"]
-                     ) -> Dict[str, Set[str]]:
+def build_call_graph(
+        index: ProjectIndex,
+        resolvers: Mapping[str, FileResolver],
+        functions: Mapping[
+            str, Dict[str, "ast.FunctionDef | ast.AsyncFunctionDef"]],
+) -> Dict[str, Set[str]]:
     """Function-level edges ``caller qualname -> callee qualnames``.
 
-    Each resolved call is attributed to its innermost enclosing named
-    function; module-level calls have no caller node and are dropped.
+    ``resolvers`` maps each path to its :class:`FileResolver` and
+    ``functions`` to its :func:`collect_function_nodes` result; both are
+    read only.  Each resolved call is attributed to its innermost
+    enclosing named function; module-level calls have no caller node
+    and are dropped.
     """
     edges: Dict[str, Set[str]] = {q: set() for q in index.functions}
-    for path in sorted(sources):
-        tree = sources[path]
-        resolver = FileResolver(index, path, tree)
-        module = module_name_for_path(path)
-        for qualname, func in collect_function_nodes(tree, module).items():
+    for path in sorted(functions):
+        resolver = resolvers[path]
+        for qualname, func in functions[path].items():
             bucket = edges.setdefault(qualname, set())
             for call in iter_own_calls(func):
                 callee = resolver.calls.get(id(call))

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
-__all__ = ["CFG", "CFGNode", "FuncDef", "build_cfg", "iter_functions"]
+__all__ = ["CFG", "CFGNode", "FuncDef", "build_cfg", "iter_functions",
+           "memo_cfg"]
 
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -52,6 +53,14 @@ class CFGNode:
     kind: str  # "entry" | "exit" | "stmt" | "except"
     succs: List[int] = field(default_factory=list)
     preds: List[int] = field(default_factory=list)
+    #: Lazily memoized syntax facts (pure functions of ``ast_node``,
+    #: filled by :mod:`repro.check.rules._flowutil`): the pre-order
+    #: walk of the header expressions and the names nested bodies
+    #: capture.  Dataflow transfers read them on every fixpoint visit.
+    walked: Optional[Tuple[ast.AST, ...]] = field(
+        default=None, repr=False, compare=False)
+    captured: Optional[FrozenSet[str]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def line(self) -> int:
@@ -290,6 +299,15 @@ class _Builder:
 def build_cfg(func: FuncDef) -> CFG:
     """Build the control-flow graph of one function definition."""
     return _Builder(func).build()
+
+
+def memo_cfg(cfgs: Dict[int, CFG], func: FuncDef) -> CFG:
+    """``func``'s graph from ``cfgs`` (keyed by ``id(func)``; the owner
+    keeps the node alive), built on first use."""
+    cfg = cfgs.get(id(func))
+    if cfg is None:
+        cfg = cfgs[id(func)] = build_cfg(func)
+    return cfg
 
 
 def iter_functions(tree: ast.AST) -> Iterator[FuncDef]:

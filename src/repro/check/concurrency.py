@@ -56,10 +56,15 @@ from repro.check.callgraph import (
     FunctionInfo,
     strongly_connected_components,
 )
-from repro.check.cfg import CFG, CFGNode, FuncDef, build_cfg
+from repro.check.cfg import CFG, CFGNode, FuncDef
 from repro.check.dataflow import FixpointDiverged, ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
-from repro.check.rules._flowutil import captured_names, dotted, header_exprs
+from repro.check.rules._flowutil import (
+    captured_names,
+    dotted,
+    header_exprs,
+    node_walk,
+)
 
 __all__ = [
     "ConcEffects",
@@ -768,7 +773,7 @@ class _SiteActions:
         consumed_calls: Set[int] = set()
         driven_ids: Set[int] = set()
         yielded_names: Dict[int, ast.AST] = {}
-        for sub in _walk(exprs):
+        for sub in node_walk(node):
             if isinstance(sub, (ast.YieldFrom, ast.Await)) \
                     and isinstance(sub.value, ast.Call):
                 driven_ids.add(id(sub.value))
@@ -785,7 +790,7 @@ class _SiteActions:
                             getattr(value, "lineno", node.line),
                             getattr(value, "col_offset", node.col), True))
 
-        for sub in _walk(exprs):
+        for sub in node_walk(node):
             if not isinstance(sub, ast.Call) or id(sub) in consumed_calls:
                 continue
             line = getattr(sub, "lineno", node.line)
@@ -961,17 +966,6 @@ class _SiteActions:
                             line, col))
 
 
-def _walk(exprs: Sequence[ast.expr]) -> Iterator[ast.AST]:
-    """Pre-order walk that skips lambda bodies (they run later)."""
-    stack: List[ast.AST] = list(reversed(list(exprs)))
-    while stack:
-        item = stack.pop()
-        yield item
-        if isinstance(item, ast.Lambda):
-            continue
-        stack.extend(reversed(list(ast.iter_child_nodes(item))))
-
-
 def _map_exit(states: FrozenSet[str]) -> Set[str]:
     out: Set[str] = set()
     if HELD in states:
@@ -1023,12 +1017,11 @@ def _apply_actions(actions: Sequence[tuple], env: Env) -> Env:
 
 
 def analyze_function(info: FunctionInfo, func: FuncDef,
-                     view: object) -> ConcEffects:
+                     view: object, cfg: CFG) -> ConcEffects:
     """Compute one function's :class:`ConcEffects` (one solve + one
-    replay over a fresh CFG)."""
+    replay over ``cfg``, the function's graph)."""
     scope = _FuncScope(info, func, view)
     actions = _SiteActions(scope)
-    cfg = build_cfg(func)
     try:
         in_states = solve(cfg, _LockAnalysis(actions))
     except FixpointDiverged:

@@ -1,10 +1,11 @@
 """Incremental, parallel driver for ``repro check --inter``.
 
-The interprocedural tier costs three fixpoint solves per project
-function, so the repo-wide zero-findings CI gate needs the classic
-compiler treatment: cache everything on content hashes, re-analyze only
-what a change can actually affect, and fan the per-file lint out across
-processes.  Three cache levels, all in one JSON file under
+The interprocedural tier costs up to four fixpoint solves per project
+function (typestate, units, taint, lock set), so the repo-wide
+zero-findings CI gate needs the classic compiler treatment: cache
+everything on content hashes, re-analyze only what a change can
+actually affect, and fan the per-file lint out across processes.
+Three cache levels, all in one JSON file under
 ``.repro-check-cache/``:
 
 1. **Tree key** — hash of every ``(path, content hash)`` pair plus the
@@ -22,6 +23,14 @@ processes.  Three cache levels, all in one JSON file under
    flags and the summary digests of every callee the file's calls
    resolve to.
 
+A cold run parses each file once.  The resulting
+:class:`~repro.check.summaries.InterContext` owns every per-file and
+per-function artifact (resolver, view, CFG) and shares it across the
+call-graph, summary, concurrency and lint passes; ``lint_source`` gets
+the context's own tree.  The lint pool forks after the summaries
+exist, so workers inherit the whole context and each task carries only
+a path.
+
 Output is byte-identical regardless of worker count or cache state:
 files are linted independently (any order), then findings are emitted
 in deterministic file order with a per-file sort — the exact order
@@ -38,13 +47,8 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.check.callgraph import (
-    ProjectIndex,
-    build_call_graph,
-    build_index,
-    strongly_connected_components,
-)
-from repro.check.concurrency import ConcIndex, build_conc_index
+from repro.check.callgraph import strongly_connected_components
+from repro.check.concurrency import build_conc_index
 from repro.check.lint import Finding, _iter_python_files, lint_source
 from repro.check.summaries import (
     FunctionSummary,
@@ -196,32 +200,35 @@ def _file_key(path: str, content_hash: str, flow: bool, inter: bool,
                     concurrency, conc_digest, callee_digests])
 
 
-# -- worker-side state (fork start method shares it copy-on-write) ----------
+# -- lint fan-out (workers inherit the run through ``fork``) ---------------
 
-_WORKER: Dict[str, object] = {}
+@dataclass
+class _LintRun:
+    """One run's lint inputs.  Pool workers get it through ``fork``
+    (pool initargs are not pickled under that start method), so each
+    task carries only a path and workers re-parse nothing."""
+
+    texts: Dict[str, str]
+    ctx: Optional[InterContext]
+    flow: bool
+    concurrency: bool
+
+    def lint(self, path: str) -> List[Finding]:
+        tree = self.ctx.trees.get(path) if self.ctx is not None else None
+        return lint_source(self.texts[path], path=path, flow=self.flow,
+                           inter=self.ctx, concurrency=self.concurrency,
+                           tree=tree)
 
 
-def _worker_init(index: ProjectIndex,
-                 summaries: Dict[str, FunctionSummary],
-                 flow: bool,
-                 prim_attrs: Dict[str, str],
-                 conc: Optional[ConcIndex],
-                 concurrency: bool) -> None:
-    shim = InterContext(index, {})
-    shim.summaries = summaries
-    shim.prim_attrs = prim_attrs
-    shim.conc = conc
-    _WORKER["inter"] = shim
-    _WORKER["flow"] = flow
-    _WORKER["concurrency"] = concurrency
+_WORKER: Dict[str, _LintRun] = {}
 
 
-def _worker_lint(task: Tuple[str, str]) -> Tuple[str, List[Dict[str, object]]]:
-    path, text = task
-    findings = lint_source(text, path=path, flow=bool(_WORKER["flow"]),
-                           inter=_WORKER["inter"],
-                           concurrency=bool(_WORKER["concurrency"]))
-    return path, _findings_to_wire(findings)
+def _worker_init(run: _LintRun) -> None:
+    _WORKER["run"] = run
+
+
+def _worker_lint(path: str) -> Tuple[str, List[Dict[str, object]]]:
+    return path, _findings_to_wire(_WORKER["run"].lint(path))
 
 
 def check_paths(paths: Iterable[Union[str, pathlib.Path]],
@@ -274,9 +281,7 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
                 trees[posix] = ast_mod.parse(texts[posix])
             except SyntaxError:
                 continue  # lint_source reports RC000
-        index = build_index(trees)
-        ctx = InterContext(index, trees)
-        ctx.edges = build_call_graph(index, trees)
+        ctx = InterContext.from_trees(trees)
         old_units = cache.get("units")
         if not isinstance(old_units, dict):
             old_units = {}
@@ -302,25 +307,20 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
         new_files[posix] = {"key": key}
 
     if pending:
-        tasks = [(posix, texts[posix]) for posix in pending]
+        run = _LintRun(texts, ctx, flow, concurrency)
         n_workers = workers if workers is not None else 1
-        if n_workers > 1 and len(tasks) > 1 and ctx is not None:
+        if n_workers > 1 and len(pending) > 1 and ctx is not None:
             import multiprocessing
 
             mp = multiprocessing.get_context("fork")
-            with mp.Pool(
-                    processes=min(n_workers, len(tasks)),
-                    initializer=_worker_init,
-                    initargs=(ctx.index, ctx.summaries, flow,
-                              ctx.prim_attrs, ctx.conc,
-                              concurrency)) as pool:
-                for posix, rows in pool.map(_worker_lint, tasks):
+            with mp.Pool(processes=min(n_workers, len(pending)),
+                         initializer=_worker_init,
+                         initargs=(run,)) as pool:
+                for posix, rows in pool.map(_worker_lint, pending):
                     per_file[posix] = _findings_from_wire(rows)
         else:
-            for posix, text in tasks:
-                per_file[posix] = lint_source(text, path=posix, flow=flow,
-                                              inter=ctx,
-                                              concurrency=concurrency)
+            for posix in pending:
+                per_file[posix] = run.lint(posix)
 
     findings: List[Finding] = []
     for posix in order:

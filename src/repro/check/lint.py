@@ -100,14 +100,16 @@ class _Directive:
         return bool(self.reason.strip())
 
 
-def _string_spans(tree: ast.Module) -> List[Tuple[int, int, int, int]]:
+def _string_spans(nodes: Iterable[ast.AST]
+                  ) -> List[Tuple[int, int, int, int]]:
     """(start line, start col, end line, end col) of every *multi-line*
-    string constant — directive-looking text inside one is data, not a
-    directive.  Single-line strings cannot match ``_SUPPRESS_RE`` (the
-    closing quote breaks its end-of-line anchor), so they are skipped.
+    string constant among ``nodes`` (a whole tree's) — directive-looking
+    text inside one is data, not a directive.  Single-line strings
+    cannot match ``_SUPPRESS_RE`` (the closing quote breaks its
+    end-of-line anchor), so they are skipped.
     """
     spans: List[Tuple[int, int, int, int]] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             end_line = node.end_lineno or node.lineno
             if end_line > node.lineno:
@@ -129,12 +131,13 @@ def _in_string(spans: List[Tuple[int, int, int, int]], line: int,
 
 
 def _parse_directives(path: str, lines: Sequence[str],
-                      tree: Optional[ast.Module] = None
+                      nodes: Iterable[ast.AST]
                       ) -> tuple[list[_Directive], list[Finding]]:
-    """Extract suppression directives and the meta-findings they earn."""
+    """Extract suppression directives and the meta-findings they earn;
+    ``nodes`` are the parsed file's (none when it did not parse)."""
     directives: list[_Directive] = []
     meta: list[Finding] = []
-    spans = _string_spans(tree) if tree is not None else []
+    spans = _string_spans(nodes)
     for lineno, text in enumerate(lines, start=1):
         match = _SUPPRESS_RE.search(text)
         if match is None:
@@ -215,7 +218,8 @@ def _orphaned_suppressions(path: str, directives: list[_Directive],
 def lint_source(source: str, path: str = "<string>",
                 flow: bool = False,
                 inter: Optional[object] = None,
-                concurrency: bool = False) -> list[Finding]:
+                concurrency: bool = False,
+                tree: Optional[ast.Module] = None) -> list[Finding]:
     """Lint one file's source text; ``path`` drives rule scoping.
 
     ``flow=True`` additionally runs the flow-sensitive tier (RC4xx
@@ -227,24 +231,27 @@ def lint_source(source: str, path: str = "<string>",
     ``concurrency=True`` additionally runs the conc tier (RC6xx) —
     it needs ``inter`` whose context carries an assembled
     :class:`~repro.check.concurrency.ConcIndex`.
+    ``tree`` is ``source`` already parsed; passing the context's own
+    tree for ``path`` lets the rules reuse its resolver and CFGs.
     """
     path = pathlib.PurePath(path).as_posix()
     lines = source.splitlines()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as err:
-        return _with_fingerprints([Finding(
-            path, err.lineno or 1, (err.offset or 1) - 1, "RC000",
-            f"syntax error: {err.msg}", _META_HINTS["RC000"],
-        )], lines)
-    directives, findings = _parse_directives(path, lines, tree)
+    if tree is None:
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as err:
+            return _with_fingerprints([Finding(
+                path, err.lineno or 1, (err.offset or 1) - 1, "RC000",
+                f"syntax error: {err.msg}", _META_HINTS["RC000"],
+            )], lines)
     file_inter = None
     if inter is not None:
         file_inter = inter.file_view(path, tree)  # type: ignore[attr-defined]
     conc_ready = (concurrency and file_inter is not None
                   and getattr(file_inter, "conc", None) is not None)
     ctx = LintContext(path=path, tree=tree, source=source, lines=lines,
-                      inter=file_inter)
+                      inter=file_inter, cfgs=getattr(file_inter, "cfgs", {}))
+    directives, findings = _parse_directives(path, lines, ctx.nodes)
     raw: List[Tuple[str, int]] = []
     executed: Set[str] = set()
     for rule_id in sorted(RULES):
@@ -297,22 +304,24 @@ def lint_paths(paths: Iterable[Union[str, pathlib.Path]],
     parallel variant of this lives in :mod:`repro.check.driver`.)
     """
     files = _iter_python_files(paths)
-    texts = {fp: fp.read_text(encoding="utf-8") for fp in files}
+    texts = {pathlib.PurePath(str(fp)).as_posix(): fp.read_text(
+        encoding="utf-8") for fp in files}
     context = None
+    trees: Dict[str, ast.Module] = {}
     if concurrency:
         inter = True
     if inter:
         from repro.check.summaries import InterContext
         flow = True
-        context = InterContext.build({
-            pathlib.PurePath(str(fp)).as_posix(): text
-            for fp, text in texts.items()
-        })
+        context = InterContext.build(texts)
+        trees = context.trees
     findings: list[Finding] = []
     for file_path in files:
+        posix = pathlib.PurePath(str(file_path)).as_posix()
         findings.extend(
-            lint_source(texts[file_path], path=str(file_path), flow=flow,
-                        inter=context, concurrency=concurrency)
+            lint_source(texts[posix], path=posix, flow=flow,
+                        inter=context, concurrency=concurrency,
+                        tree=trees.get(posix))
         )
     return findings
 
@@ -326,10 +335,11 @@ def suppression_stats(paths: Iterable[Union[str, pathlib.Path]]
         text = file_path.read_text(encoding="utf-8")
         lines = text.splitlines()
         try:
-            tree: Optional[ast.Module] = ast.parse(text, filename=posix)
+            nodes: Iterable[ast.AST] = ast.walk(
+                ast.parse(text, filename=posix))
         except SyntaxError:
-            tree = None
-        directives, _ = _parse_directives(posix, lines, tree)
+            nodes = ()
+        directives, _ = _parse_directives(posix, lines, nodes)
         for directive in directives:
             entries.append({
                 "path": posix,

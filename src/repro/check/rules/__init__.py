@@ -14,7 +14,7 @@ Scopes
     The rule applies only to the simulation-path packages whose
     determinism the figure gates depend on: ``repro/sim``,
     ``repro/sched``, ``repro/hdf5``, ``repro/faults``,
-    ``repro/platform``.
+    ``repro/platform``, ``repro/cache``.
 
 Tiers
 -----
@@ -58,9 +58,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Type
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Type
 
-from repro.check.cfg import CFG, build_cfg, iter_functions
+from repro.check.cfg import CFG, FuncDef, memo_cfg
 
 __all__ = ["FlowRule", "LintContext", "RULES", "Rule", "all_rules",
            "register"]
@@ -73,6 +74,7 @@ SIM_PATHS = (
     "repro/hdf5/",
     "repro/faults/",
     "repro/platform/",
+    "repro/cache/",
 )
 
 
@@ -89,20 +91,31 @@ class LintContext:
     #: keeps the flow rules on their intraprocedural escape hedge.
     inter: Optional[object] = None
     #: Memoized CFGs, keyed by id() of the function node — flow rules
-    #: analyzing the same file share one graph per function.
-    _cfgs: Dict[int, CFG] = field(default_factory=dict, repr=False)
+    #: analyzing the same file share one graph per function.  When the
+    #: tree is an ``InterContext``'s own parse this is the context's
+    #: dict, so the summary phase's graphs are reused, not rebuilt.
+    cfgs: Dict[int, CFG] = field(default_factory=dict, repr=False)
 
     @property
     def in_sim_path(self) -> bool:
         """Whether the file lives in a determinism-critical package."""
         return any(fragment in self.path for fragment in SIM_PATHS)
 
-    def cfg(self, func: "ast.FunctionDef | ast.AsyncFunctionDef") -> CFG:
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree, in ``ast.walk`` order (walked once
+        per file; the flat rules iterate this instead of re-walking)."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def functions(self) -> List[FuncDef]:
+        """Every ``def``/``async def`` (nested included), walk order."""
+        return [node for node in self.nodes
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    def cfg(self, func: FuncDef) -> CFG:
         """The (memoized) control-flow graph of ``func``."""
-        key = id(func)
-        if key not in self._cfgs:
-            self._cfgs[key] = build_cfg(func)
-        return self._cfgs[key]
+        return memo_cfg(self.cfgs, func)
 
 
 class Rule:
@@ -138,7 +151,7 @@ class FlowRule(Rule):
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
         seen: set[tuple[int, int, str]] = set()
-        for func in iter_functions(ctx.tree):
+        for func in ctx.functions:
             for finding in self.check_function(ctx, ctx.cfg(func)):
                 if finding not in seen:
                     seen.add(finding)

@@ -12,7 +12,7 @@ captured variable simply escapes.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.check.cfg import CFGNode
 
@@ -20,6 +20,7 @@ __all__ = [
     "captured_names",
     "dotted",
     "header_exprs",
+    "node_walk",
     "target_names",
     "walk_exprs",
 ]
@@ -78,10 +79,23 @@ def walk_exprs(exprs: List[ast.expr]) -> Iterator[ast.AST]:
         stack.extend(reversed(list(ast.iter_child_nodes(item))))
 
 
-def captured_names(node: CFGNode) -> Set[str]:
+def node_walk(node: CFGNode) -> Tuple[ast.AST, ...]:
+    """``walk_exprs(header_exprs(node))``, memoized on the node."""
+    if node.walked is None:
+        node.walked = tuple(walk_exprs(header_exprs(node)))
+    return node.walked
+
+
+def captured_names(node: CFGNode) -> FrozenSet[str]:
     """Names a nested ``def``/``lambda`` at this node reads from the
     enclosing scope (approximated as: all Name loads in the body that
-    the body itself never binds)."""
+    the body itself never binds).  Memoized on the node."""
+    if node.captured is None:
+        node.captured = frozenset(_captured_names(node))
+    return node.captured
+
+
+def _captured_names(node: CFGNode) -> Set[str]:
     stmt = node.ast_node
     roots: List[ast.AST] = []
     loads: Set[str] = set()

@@ -56,7 +56,7 @@ from repro.check.rules import FlowRule, LintContext, register
 from repro.check.rules._flowutil import (
     captured_names,
     dotted,
-    header_exprs,
+    node_walk,
     target_names,
     walk_exprs,
 )
@@ -196,7 +196,7 @@ def _apply(node: CFGNode, env: Env,
     stmt = node.ast_node
     if stmt is None:
         return env
-    exprs = header_exprs(node)
+    walked = node_walk(node)
     line, col = node.line, node.col
 
     # -- report phase (reads the IN state only) ---------------------------
@@ -207,7 +207,7 @@ def _apply(node: CFGNode, env: Env,
                 else [stmt.target]
             for target in targets:
                 store_targets.update(target_names(target))
-        for sub in walk_exprs(exprs):
+        for sub in walked:
             if (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
                     and sub.id not in store_targets):
                 states = env.get(sub.id)
@@ -259,12 +259,12 @@ def _apply(node: CFGNode, env: Env,
     # Calls sitting directly under ``yield from``/``await`` are *driven*:
     # a generator/coroutine callee's body actually runs.
     driven_ids = {
-        id(sub.value) for sub in walk_exprs(exprs)
+        id(sub.value) for sub in walked
         if isinstance(sub, (ast.YieldFrom, ast.Await))
         and isinstance(sub.value, ast.Call)
     }
 
-    for sub in walk_exprs(exprs):
+    for sub in walked:
         if not isinstance(sub, ast.Call):
             continue
         # Method calls drive the state machines; a tracked receiver is
@@ -450,7 +450,7 @@ def _analyze(cfg: CFG, inter: Optional[object] = None
                     if isinstance(target, ast.Name):
                         created_at.setdefault(
                             target.id, (stmt.lineno, stmt.col_offset))
-        for sub in walk_exprs(header_exprs(node)):
+        for sub in node_walk(node):
             if (isinstance(sub, ast.Call)
                     and isinstance(sub.func, ast.Attribute)
                     and isinstance(sub.func.value, ast.Name)):

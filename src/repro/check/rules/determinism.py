@@ -62,7 +62,7 @@ class WallClockRule(Rule):
     scope = "sim"
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -108,7 +108,7 @@ class UnseededRandomRule(Rule):
     scope = "sim"
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)

@@ -33,7 +33,7 @@ class BareExceptRule(Rule):
     scope = "repo"
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield (node.lineno, node.col_offset,
                        "bare 'except:' also swallows Interrupted, "
@@ -53,7 +53,7 @@ class GenericRaiseRule(Rule):
     scope = "repo"
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc
@@ -80,7 +80,7 @@ class TaxonomyRule(Rule):
     scope = "sim"
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             for base in node.bases:

@@ -31,7 +31,7 @@ class MutableDefaultRule(Rule):
     scope = "repo"
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.Lambda)):
                 continue
@@ -111,7 +111,7 @@ class FloatTimeEqualityRule(Rule):
     scope = "repo"
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
@@ -146,7 +146,7 @@ class SetIterationRule(Rule):
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
         message = ("set iteration order varies with PYTHONHASHSEED for "
                    "str elements")
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.For) and _is_set_expr(node.iter):
                 yield (node.iter.lineno, node.iter.col_offset, message)
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,

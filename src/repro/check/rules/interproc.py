@@ -30,7 +30,7 @@ from repro.check.cfg import CFG
 from repro.check.dataflow import FixpointDiverged
 from repro.check.domains import UNBOUND
 from repro.check.rules import FlowRule, LintContext, register
-from repro.check.rules._flowutil import header_exprs, walk_exprs
+from repro.check.rules._flowutil import node_walk
 from repro.check.rules.asyncstate import ES_NEW, ES_PENDING
 
 __all__ = ["RC110", "RC111", "RC405"]
@@ -97,7 +97,7 @@ class _TaintFlowRule(FlowRule):
             env = in_states.get(node.index)
             if env is None:
                 continue
-            for sub in walk_exprs(header_exprs(node)):
+            for sub in node_walk(node):
                 if not isinstance(sub, ast.Call):
                     continue
                 qual = inter.resolve(sub)  # type: ignore[attr-defined]

@@ -154,7 +154,7 @@ class RetryDisciplineRule(Rule):
     scope = "sim"
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for loop in ast.walk(ctx.tree):
+        for loop in ctx.nodes:
             if not isinstance(loop, (ast.While, ast.For, ast.AsyncFor)):
                 continue
             caught = self._retrying_taxonomy_catches(loop)

@@ -29,7 +29,7 @@ from repro.check.cfg import CFG, CFGNode
 from repro.check.dataflow import ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
 from repro.check.rules import FlowRule, LintContext, register
-from repro.check.rules._flowutil import header_exprs, target_names, walk_exprs
+from repro.check.rules._flowutil import node_walk, target_names
 
 __all__ = ["RC501", "RC502", "RC503"]
 
@@ -227,10 +227,8 @@ def _apply(node: CFGNode, env: Env,
     stmt = node.ast_node
     if stmt is None:
         return env
-    exprs = header_exprs(node)
-
     if report is not None:
-        for sub in walk_exprs(exprs):
+        for sub in node_walk(node):
             if isinstance(sub, ast.BinOp) \
                     and isinstance(sub.op, (ast.Add, ast.Sub)):
                 left = _definite(_dims(sub.left, env, inter))

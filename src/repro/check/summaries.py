@@ -48,7 +48,7 @@ from repro.check.callgraph import (
     module_name_for_path,
     strongly_connected_components,
 )
-from repro.check.cfg import CFG, CFGNode, FuncDef, build_cfg
+from repro.check.cfg import CFG, CFGNode, FuncDef, memo_cfg
 from repro.check.concurrency import (
     ConcEffects,
     ConcIndex,
@@ -537,9 +537,10 @@ def _return_taint(cfg: CFG,
 
 
 def summarize_function(info: FunctionInfo, func: FuncDef,
-                       view: Optional["FileInter"]) -> FunctionSummary:
-    """One summary from three solves over a fresh CFG."""
-    cfg = build_cfg(func)
+                       view: "FileInter") -> FunctionSummary:
+    """One summary from the typestate, units, taint and lock solves over
+    the function's CFG (the view's shared graph)."""
+    cfg = memo_cfg(view.cfgs, func)
     try:
         ts_in = solve(cfg, _SummaryTypestate(view))
     except FixpointDiverged:
@@ -562,8 +563,7 @@ def summarize_function(info: FunctionInfo, func: FuncDef,
         return_states=return_states, return_from_param=from_param,
         return_dim=_return_dim(func, cfg, view),
         return_taint=_return_taint(cfg, view),
-        conc=(analyze_function(info, func, view)
-              if view is not None else conservative_conc(info)))
+        conc=analyze_function(info, func, view, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -575,17 +575,21 @@ class FileInter:
     callee resolution, summaries and argument->parameter mapping.
 
     Must be constructed over the *same* tree object the rules walk —
-    the resolver's maps are keyed by ``id(node)``.
+    the resolver's maps (and :attr:`cfgs`) are keyed by ``id(node)``.
     """
 
     def __init__(self, index: ProjectIndex,
                  summaries: Dict[str, FunctionSummary],
                  resolver: FileResolver,
-                 ctx: Optional["InterContext"] = None) -> None:
+                 ctx: Optional["InterContext"] = None,
+                 cfgs: Optional[Dict[int, CFG]] = None) -> None:
         self.index = index
         self.summaries = summaries
         self.resolver = resolver
         self._ctx = ctx
+        #: ``id(def node) -> CFG`` memo; the context's shared one for a
+        #: view over the context's own tree.
+        self.cfgs: Dict[int, CFG] = cfgs if cfgs is not None else {}
 
     @property
     def prim_attrs(self) -> Dict[str, str]:
@@ -724,9 +728,10 @@ class FileInter:
 class InterContext:
     """Whole-project interprocedural state: index, call graph, summaries.
 
-    Plain-data members (``index``, ``summaries``) are picklable and
-    shared with worker processes; per-file views are rebuilt wherever
-    the lint actually runs.
+    It also owns the run's per-file and per-function artifacts, each
+    built once and shared by every pass: one :class:`FileResolver` and
+    one :class:`FileInter` per file, one CFG per function node.  Pool
+    workers inherit the whole context through ``fork``.
     """
 
     def __init__(self, index: ProjectIndex,
@@ -740,11 +745,30 @@ class InterContext:
         #: Assembled by :meth:`build` (or the driver) once summaries
         #: exist; ``None`` until then.
         self.conc: Optional[ConcIndex] = None
+        #: Per-run artifacts over :attr:`trees` (which keeps the nodes,
+        #: hence the ids, alive): path -> resolver, path -> ``qualname
+        #: -> def node``, and the ``id(def node) -> CFG`` memo.  The
+        #: CFGs carry syntax memos only while summaries are computed;
+        #: the rule-phase solve caches (``_typestate``, ``_units``,
+        #: ``_taint``) land on them once summaries are final.
+        self.resolvers: Dict[str, FileResolver] = {}
+        self.file_functions: Dict[str, Dict[str, FuncDef]] = {}
+        self.cfgs: Dict[int, CFG] = {}
         self._own_views: Dict[str, FileInter] = {}
         for path in sorted(trees):
-            self.nodes.update(
-                collect_function_nodes(trees[path],
-                                       module_name_for_path(path)))
+            self.resolvers[path] = FileResolver(index, path, trees[path])
+            funcs = collect_function_nodes(trees[path],
+                                           module_name_for_path(path))
+            self.file_functions[path] = funcs
+            self.nodes.update(funcs)
+
+    @classmethod
+    def from_trees(cls, trees: Dict[str, ast.Module]) -> "InterContext":
+        """Index and call graph over parsed trees (no summaries yet)."""
+        ctx = cls(build_index(trees), trees)
+        ctx.edges = build_call_graph(ctx.index, ctx.resolvers,
+                                     ctx.file_functions)
+        return ctx
 
     @classmethod
     def build(cls, sources: Mapping[str, str]) -> "InterContext":
@@ -755,23 +779,25 @@ class InterContext:
                 trees[path] = ast.parse(sources[path])
             except SyntaxError:
                 continue  # RC000 reports it at lint time
-        index = build_index(trees)
-        ctx = cls(index, trees)
-        ctx.edges = build_call_graph(index, trees)
+        ctx = cls.from_trees(trees)
         compute_summaries(ctx)
         ctx.conc = build_conc_index(ctx.summaries, ctx.index.functions)
         return ctx
 
     def own_view(self, path: str) -> FileInter:
         """View over the context's own parse of ``path``."""
-        if path not in self._own_views:
-            resolver = FileResolver(self.index, path, self.trees[path])
-            self._own_views[path] = FileInter(self.index, self.summaries,
-                                              resolver, ctx=self)
-        return self._own_views[path]
+        view = self._own_views.get(path)
+        if view is None:
+            view = self._own_views[path] = FileInter(
+                self.index, self.summaries, self.resolvers[path], ctx=self,
+                cfgs=self.cfgs)
+        return view
 
     def file_view(self, path: str, tree: ast.Module) -> FileInter:
-        """View bound to a caller-supplied tree (the one rules walk)."""
+        """View bound to a caller-supplied tree (the one rules walk);
+        the shared :meth:`own_view` when that is the context's own."""
+        if self.trees.get(path) is tree:
+            return self.own_view(path)
         return FileInter(self.index, self.summaries,
                          FileResolver(self.index, path, tree), ctx=self)
 

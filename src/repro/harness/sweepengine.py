@@ -24,14 +24,19 @@ Crash isolation reuses the :mod:`repro.faults` taxonomy: a task that
 raises a :class:`~repro.faults.FaultError` records that class name with
 family ``"fault"``; any other exception is recorded with family
 ``"crash"`` — morally a :class:`~repro.faults.WorkerCrashError`: the
-worker died, the sweep survives, the point is marked failed.
+worker died, the sweep survives, the point is marked failed.  A crash
+also keeps its formatted traceback, with paths inside the ``repro``
+package written relative to it so the artifact is the same in any
+checkout.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
+import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
@@ -264,13 +269,25 @@ def _run_sched_point(task: SweepTask) -> dict:
     return asdict(metrics)
 
 
+#: Directory holding the ``repro`` package; stripped from traceback paths.
+_PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+
+def _portable_traceback(exc: BaseException) -> str:
+    """``exc``'s formatted traceback (chained causes included), with
+    ``File "<...>/repro/x.py"`` written as ``File "repro/x.py"``."""
+    text = "".join(traceback.format_exception(exc))
+    return text.replace(f'File "{_PACKAGE_PARENT}{os.sep}', 'File "')
+
+
 def run_point(task: SweepTask) -> dict:
     """Run one grid point with crash isolation; never raises.
 
     The returned dict is JSON-ready.  Failures are recorded, not
     propagated: fault-taxonomy errors keep their class name (family
     ``"fault"``), everything else is a worker crash (family
-    ``"crash"``).
+    ``"crash"``, with its traceback).
     """
     point = {
         "index": task.index,
@@ -303,6 +320,7 @@ def run_point(task: SweepTask) -> dict:
             "family": "crash",
             "kind": type(exc).__name__,
             "message": str(exc),
+            "traceback": _portable_traceback(exc),
         }
     return point
 

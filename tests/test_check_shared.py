@@ -1,0 +1,208 @@
+"""Parse once, walk once: the per-run artifacts ``repro check`` shares.
+
+A cold :func:`repro.check.driver.check_paths` run builds each file's
+tree and resolver, and each function's CFG, exactly once; the index,
+call graph, summary, concurrency and lint passes all reuse them.  These
+tests count the builds with wrappers installed on every module binding
+(:func:`repro.check.callcount.count_calls`), check that handing
+:func:`repro.check.lint_source` a pre-parsed tree never changes a
+finding on any rule fixture of the other ``test_check*`` modules, and
+pin the RC000 and worker-count contracts the shared seam must keep.
+"""
+
+import ast
+import inspect
+import pathlib
+
+import pytest
+
+from repro.check import callgraph, cfg, lint_paths, lint_source
+from repro.check.callcount import count_calls
+from repro.check.driver import check_paths
+from repro.check.lint import findings_to_json
+from repro.check.rules import LintContext
+
+from tests import (
+    test_check,
+    test_check_concurrency,
+    test_check_flow,
+    test_check_inter,
+)
+
+# A small project: a cross-file call chain, a class with methods, a
+# nested def, a class nested in a function (linted but never indexed)
+# and a mutually recursive pair (its summaries iterate to a fixpoint).
+PROJECT = {
+    "pkg/__init__.py": "",
+    "pkg/helper.py": """\
+def start_batch(engine):
+    es = EventSet(engine)
+    es.add(engine.event())
+    return es
+
+
+def ping(n):
+    return pong(n - 1) if n else 0
+
+
+def pong(n):
+    return ping(n - 1) if n else 1
+""",
+    "pkg/caller.py": """\
+from pkg.helper import ping, start_batch
+
+
+class Driver:
+    def __init__(self, engine):
+        self.engine = engine
+
+    def run(self):
+        start_batch(self.engine)
+
+        def inner(x):
+            return ping(x)
+
+        return inner(3)
+
+
+def build():
+    class Local:
+        def go(self):
+            return 1
+
+    return Local()
+""",
+}
+
+
+@pytest.fixture
+def project(tmp_path, monkeypatch):
+    for rel, src in PROJECT.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(src)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def function_count(sources):
+    return sum(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for src in sources for node in ast.walk(ast.parse(src)))
+
+
+# ---------------------------------------------------------------------------
+# build counts on a cold serial run
+# ---------------------------------------------------------------------------
+
+def test_cold_check_builds_every_artifact_once(project):
+    with count_calls(ast.parse, cfg.build_cfg,
+                     callgraph.FileResolver) as (parses, cfgs, resolvers):
+        result = check_paths(["pkg"], workers=1, use_cache=False,
+                             cache_dir=".cache", concurrency=True)
+    assert not result.tree_hit and result.stats["analyzed"] == len(PROJECT)
+    assert len(parses) == len(PROJECT)
+    assert len(resolvers) == len(PROJECT)
+    assert len(cfgs) == function_count(PROJECT.values())
+    assert len(set(cfgs)) == len(cfgs)  # distinct def nodes
+
+
+def test_lint_paths_inter_parses_each_file_once(project):
+    with count_calls(ast.parse, cfg.build_cfg) as (parses, cfgs):
+        lint_paths(["pkg"], concurrency=True)
+    assert len(parses) == len(PROJECT)
+    assert len(cfgs) == function_count(PROJECT.values())
+
+
+def test_findings_identical_for_one_and_two_workers(project):
+    runs = [check_paths(["pkg"], workers=workers, use_cache=False,
+                        cache_dir=f".c{workers}", concurrency=True)
+            for workers in (1, 2)]
+    assert runs[0].findings, "the fixture should produce findings"
+    assert findings_to_json(runs[0].findings) == \
+        findings_to_json(runs[1].findings)
+
+
+def test_syntax_error_still_reports_rc000(project):
+    pathlib.Path("pkg/broken.py").write_text("def oops(:\n    pass\n")
+    for workers in (1, 2):
+        result = check_paths(["pkg"], workers=workers, use_cache=False,
+                             cache_dir=f".c{workers}", concurrency=True)
+        broken = [f for f in result.findings if f.path == "pkg/broken.py"]
+        assert [f.rule_id for f in broken] == ["RC000"]
+        assert any(f.path == "pkg/caller.py" for f in result.findings)
+    assert [f.rule_id for f in lint_source("def oops(:\n", "x.py")] == \
+        ["RC000"]
+
+
+# ---------------------------------------------------------------------------
+# the pre-parsed tree seam never changes a finding
+# ---------------------------------------------------------------------------
+
+FIXTURE_MODULES = (test_check, test_check_flow, test_check_inter,
+                   test_check_concurrency)
+
+
+def _reaches_lint_source(fn, module, depth=2):
+    """Whether ``fn`` calls the module's ``lint_source`` (directly or
+    through a module-level helper such as ``inter_lint``)."""
+    names = fn.__code__.co_names
+    if "lint_source" in names:
+        return True
+    if depth == 0:
+        return False
+    return any(
+        inspect.isfunction(helper) and helper.__module__ == module.__name__
+        and _reaches_lint_source(helper, module, depth - 1)
+        for helper in (getattr(module, name, None) for name in names))
+
+
+def _fixture_tests():
+    for module in FIXTURE_MODULES:
+        for name, fn in sorted(vars(module).items()):
+            if (name.startswith("test_") and inspect.isfunction(fn)
+                    and not inspect.signature(fn).parameters
+                    and _reaches_lint_source(fn, module)):
+                yield pytest.param(module, name,
+                                   id=f"{module.__name__[6:]}::{name}")
+
+
+@pytest.mark.parametrize("module, name", _fixture_tests())
+def test_pre_parsed_tree_gives_identical_findings(monkeypatch, module, name):
+    """Re-run a rule-fixture test with ``lint_source`` checked against
+    itself: no tree, a fresh parse, and (under ``inter``) the context's
+    own tree, which also shares the summary phase's CFGs."""
+    real = module.lint_source
+    calls = []
+
+    def differential(source, path="<string>", flow=False, inter=None,
+                     concurrency=False):
+        own = real(source, path, flow=flow, inter=inter,
+                   concurrency=concurrency)
+        calls.append(path)
+        try:
+            tree = ast.parse(source)
+        except SyntaxError:
+            return own  # RC000: the own-parse path is the only one
+        trees = [tree]
+        shared = getattr(inter, "trees", {}).get(
+            pathlib.PurePath(path).as_posix())
+        if shared is not None and ast.dump(shared) == ast.dump(tree):
+            trees.append(shared)
+        for pre_parsed in trees:
+            assert real(source, path, flow=flow, inter=inter,
+                        concurrency=concurrency, tree=pre_parsed) == own
+        return own
+
+    monkeypatch.setattr(module, "lint_source", differential)
+    getattr(module, name)()
+    assert calls
+
+
+# ---------------------------------------------------------------------------
+# scope
+# ---------------------------------------------------------------------------
+
+def test_cache_package_is_a_sim_path():
+    ctx = LintContext(path="src/repro/cache/planner.py",
+                      tree=ast.parse(""), source="")
+    assert ctx.in_sim_path

@@ -11,6 +11,7 @@ produce well-formed artifacts.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -120,6 +121,22 @@ def test_crashed_point_is_isolated():
     # Failed points contribute no observations downstream.
     points = merged_sweep_points(serial.merged)
     assert len(points) == 1
+
+
+def test_crashed_point_keeps_a_portable_traceback(monkeypatch):
+    def exploding_point(task):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setattr(sweepengine, "_run_workload_point", exploding_point)
+    point = run_point(expand_grid(SMALL)[0])
+    error = point["error"]
+    assert error["family"] == "crash" and error["kind"] == "RuntimeError"
+    trace = error["traceback"]
+    assert "in exploding_point" in trace
+    assert trace.rstrip().endswith("RuntimeError: kaboom")
+    # Package paths are relative, so the artifact is checkout-independent.
+    assert 'File "repro/harness/sweepengine.py"' in trace
+    assert str(pathlib.Path(sweepengine.__file__).parent) not in trace
 
 
 def test_fault_taxonomy_errors_keep_their_class(monkeypatch):
