@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import PurePath
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.check.astutil import dotted
+
 __all__ = [
     "ClassInfo",
     "FileResolver",
@@ -131,9 +133,9 @@ def _decorator_names(node: ast.AST) -> Tuple[str, ...]:
     names: List[str] = []
     for dec in getattr(node, "decorator_list", []):
         target = dec.func if isinstance(dec, ast.Call) else dec
-        dotted = _dotted(target)
-        if dotted is not None:
-            names.append(dotted)
+        name = dotted(target)
+        if name is not None:
+            names.append(name)
     return tuple(names)
 
 
@@ -149,18 +151,6 @@ def _is_generator(node: "ast.FunctionDef | ast.AsyncFunctionDef") -> bool:
             return True
         stack.extend(ast.iter_child_nodes(child))
     return False
-
-
-def _dotted(expr: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def collect_imports(tree: ast.Module, module: str,
@@ -219,7 +209,7 @@ class _IndexWalker:
     def _class(self, node: ast.ClassDef, qualname: str) -> None:
         info = ClassInfo(
             qualname=qualname, module=self.module,
-            bases=tuple(b for b in (_dotted(base) for base in node.bases)
+            bases=tuple(b for b in (dotted(base) for base in node.bases)
                         if b is not None),
         )
         self.index.classes[qualname] = info
@@ -292,12 +282,12 @@ def _resolve_bases(index: ProjectIndex) -> None:
             if head in defs and not rest:
                 target = defs[head]
             elif head in imports:
-                dotted = imports[head] + (f".{rest}" if rest else "")
-                if dotted in index.classes:
-                    target = dotted
+                full = imports[head] + (f".{rest}" if rest else "")
+                if full in index.classes:
+                    target = full
                 else:
                     # ``from m import C`` where C lives in m's defs.
-                    mod, _, name = dotted.rpartition(".")
+                    mod, _, name = full.rpartition(".")
                     candidate = index.module_defs.get(mod, {}).get(name)
                     if candidate in index.classes:
                         target = candidate
@@ -351,19 +341,19 @@ class FileResolver:
         """Class qualname a ``Name = ClassName(...)`` RHS constructs."""
         if not isinstance(call, ast.Call):
             return None
-        dotted = _dotted(call.func)
-        if dotted is None:
+        ref = dotted(call.func)
+        if ref is None:
             return None
-        resolved = self._resolve_dotted(dotted, scopes)
+        resolved = self._resolve_dotted(ref, scopes)
         if resolved is not None and resolved[0] in self.index.classes:
             return resolved[0]
         return None
 
-    def _resolve_dotted(self, dotted: str,
+    def _resolve_dotted(self, ref: str,
                         scopes: List[Dict[str, Tuple[str, str]]]
                         ) -> Optional[Tuple[str, str]]:
         """``(qualname, receiver kind)`` for a dotted reference."""
-        head, _, rest = dotted.partition(".")
+        head, _, rest = ref.partition(".")
         spec = self._lookup(scopes, head)
         if spec is None:
             return None
@@ -519,11 +509,11 @@ class FileResolver:
 
     def _resolve_call(self, call: ast.Call,
                       scopes: List[Dict[str, Tuple[str, str]]]) -> None:
-        dotted = _dotted(call.func)
-        if dotted is None:
+        ref = dotted(call.func)
+        if ref is None:
             self.opaque += 1
             return
-        resolved = self._resolve_dotted(dotted, scopes)
+        resolved = self._resolve_dotted(ref, scopes)
         if resolved is not None and resolved[0] in self.index.functions:
             self.calls[id(call)] = resolved[0]
             self.receivers[id(call)] = resolved[1]

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
+from repro.check.astutil import dotted, target_names
 from repro.check.callgraph import (
     FunctionInfo,
     strongly_connected_components,
@@ -61,7 +62,6 @@ from repro.check.dataflow import FixpointDiverged, ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
 from repro.check.rules._flowutil import (
     captured_names,
-    dotted,
     header_exprs,
     node_walk,
 )
@@ -493,15 +493,15 @@ def _stmt_bound_names(node: ast.AST) -> Iterator[str]:
     """Names (re)bound by a non-tokenizing statement."""
     if isinstance(node, ast.Assign):
         for target in node.targets:
-            yield from _target_names(target)
+            yield from target_names(target)
     elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-        yield from _target_names(node.target)
+        yield from target_names(node.target)
     elif isinstance(node, (ast.For, ast.AsyncFor)):
-        yield from _target_names(node.target)
+        yield from target_names(node.target)
     elif isinstance(node, (ast.With, ast.AsyncWith)):
         for item in node.items:
             if item.optional_vars is not None:
-                yield from _target_names(item.optional_vars)
+                yield from target_names(item.optional_vars)
     elif isinstance(node, ast.excepthandler) and node.name:
         yield node.name
     elif isinstance(node, (ast.Global, ast.Nonlocal)):
@@ -509,16 +509,6 @@ def _stmt_bound_names(node: ast.AST) -> Iterator[str]:
     elif isinstance(node, ast.NamedExpr) \
             and isinstance(node.target, ast.Name):
         yield node.target.id
-
-
-def _target_names(target: ast.expr) -> Iterator[str]:
-    if isinstance(target, ast.Name):
-        yield target.id
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _target_names(element)
-    elif isinstance(target, ast.Starred):
-        yield from _target_names(target.value)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ Three cache levels, all in one JSON file under
 A cold run parses each file once.  The resulting
 :class:`~repro.check.summaries.InterContext` owns every per-file and
 per-function artifact (resolver, view, CFG) and shares it across the
-call-graph, summary, concurrency and lint passes; ``lint_source`` gets
+call-graph, summary, concurrency and lint passes; ``lint_source`` walks
 the context's own tree.  The lint pool forks after the summaries
 exist, so workers inherit the whole context and each task carries only
 a path.
@@ -214,10 +214,8 @@ class _LintRun:
     concurrency: bool
 
     def lint(self, path: str) -> List[Finding]:
-        tree = self.ctx.trees.get(path) if self.ctx is not None else None
         return lint_source(self.texts[path], path=path, flow=self.flow,
-                           inter=self.ctx, concurrency=self.concurrency,
-                           tree=tree)
+                           inter=self.ctx, concurrency=self.concurrency)
 
 
 _WORKER: Dict[str, _LintRun] = {}

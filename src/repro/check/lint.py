@@ -25,10 +25,13 @@ import json
 import pathlib
 import re
 from dataclasses import dataclass, replace
-from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from repro.check.rules import RULES, LintContext
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.check.summaries import InterContext
 
 __all__ = ["Finding", "findings_to_json", "findings_to_sarif",
            "lint_paths", "lint_source", "render_findings",
@@ -217,9 +220,8 @@ def _orphaned_suppressions(path: str, directives: list[_Directive],
 
 def lint_source(source: str, path: str = "<string>",
                 flow: bool = False,
-                inter: Optional[object] = None,
-                concurrency: bool = False,
-                tree: Optional[ast.Module] = None) -> list[Finding]:
+                inter: Optional["InterContext"] = None,
+                concurrency: bool = False) -> list[Finding]:
     """Lint one file's source text; ``path`` drives rule scoping.
 
     ``flow=True`` additionally runs the flow-sensitive tier (RC4xx
@@ -227,15 +229,17 @@ def lint_source(source: str, path: str = "<string>",
     function, so it costs more than the flat tier and is opt-in.
     ``inter`` (an :class:`~repro.check.summaries.InterContext`) enables
     the interprocedural tier: RC405/RC110/RC111 run and the flow rules
-    consult callee summaries instead of the escape hedge.
+    consult callee summaries instead of the escape hedge.  The rules
+    then walk the context's own tree for ``path`` (``source`` must be
+    the text it was parsed from) and share its resolver and CFGs; a
+    file the context could not parse is reported as RC000.
     ``concurrency=True`` additionally runs the conc tier (RC6xx) —
     it needs ``inter`` whose context carries an assembled
     :class:`~repro.check.concurrency.ConcIndex`.
-    ``tree`` is ``source`` already parsed; passing the context's own
-    tree for ``path`` lets the rules reuse its resolver and CFGs.
     """
     path = pathlib.PurePath(path).as_posix()
     lines = source.splitlines()
+    tree = inter.trees.get(path) if inter is not None else None
     if tree is None:
         try:
             tree = ast.parse(source, filename=path)
@@ -244,13 +248,15 @@ def lint_source(source: str, path: str = "<string>",
                 path, err.lineno or 1, (err.offset or 1) - 1, "RC000",
                 f"syntax error: {err.msg}", _META_HINTS["RC000"],
             )], lines)
-    file_inter = None
-    if inter is not None:
-        file_inter = inter.file_view(path, tree)  # type: ignore[attr-defined]
+        if inter is not None:
+            raise ValueError(f"{path} parses but is not in the "
+                             f"interprocedural context")
+    file_inter = inter.own_view(path) if inter is not None else None
     conc_ready = (concurrency and file_inter is not None
-                  and getattr(file_inter, "conc", None) is not None)
+                  and file_inter.conc is not None)
     ctx = LintContext(path=path, tree=tree, source=source, lines=lines,
-                      inter=file_inter, cfgs=getattr(file_inter, "cfgs", {}))
+                      inter=file_inter,
+                      cfgs=file_inter.cfgs if file_inter is not None else {})
     directives, findings = _parse_directives(path, lines, ctx.nodes)
     raw: List[Tuple[str, int]] = []
     executed: Set[str] = set()
@@ -292,37 +298,17 @@ def _iter_python_files(paths: Iterable[Union[str, pathlib.Path]]
 
 
 def lint_paths(paths: Iterable[Union[str, pathlib.Path]],
-               flow: bool = False, inter: bool = False,
-               concurrency: bool = False) -> list[Finding]:
-    """Lint every ``*.py`` file under ``paths`` (files or directories).
-
-    ``inter=True`` implies ``flow`` and builds one project-wide
-    :class:`~repro.check.summaries.InterContext` over all the files
-    first, so the rules see cross-file summaries.
-    ``concurrency=True`` implies ``inter`` and additionally runs the
-    RC6xx conc tier over the assembled ``ConcIndex``.  (The cached
-    parallel variant of this lives in :mod:`repro.check.driver`.)
+               flow: bool = False) -> list[Finding]:
+    """Lint every ``*.py`` file under ``paths`` (files or directories)
+    file by file: the flat tier, plus the flow tier with ``flow=True``.
+    The whole-project tiers run through
+    :func:`repro.check.driver.check_paths`.
     """
-    files = _iter_python_files(paths)
-    texts = {pathlib.PurePath(str(fp)).as_posix(): fp.read_text(
-        encoding="utf-8") for fp in files}
-    context = None
-    trees: Dict[str, ast.Module] = {}
-    if concurrency:
-        inter = True
-    if inter:
-        from repro.check.summaries import InterContext
-        flow = True
-        context = InterContext.build(texts)
-        trees = context.trees
     findings: list[Finding] = []
-    for file_path in files:
-        posix = pathlib.PurePath(str(file_path)).as_posix()
-        findings.extend(
-            lint_source(texts[posix], path=posix, flow=flow,
-                        inter=context, concurrency=concurrency,
-                        tree=trees.get(posix))
-        )
+    for file_path in _iter_python_files(paths):
+        findings.extend(lint_source(
+            file_path.read_text(encoding="utf-8"),
+            path=pathlib.PurePath(str(file_path)).as_posix(), flow=flow))
     return findings
 
 

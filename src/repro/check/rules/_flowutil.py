@@ -12,31 +12,16 @@ captured variable simply escapes.
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterator, List, Set, Tuple
 
 from repro.check.cfg import CFGNode
 
 __all__ = [
     "captured_names",
-    "dotted",
     "header_exprs",
     "node_walk",
-    "target_names",
     "walk_exprs",
 ]
-
-
-def dotted(expr: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def header_exprs(node: CFGNode) -> List[ast.expr]:
@@ -126,16 +111,3 @@ def _captured_names(node: CFGNode) -> Set[str]:
                         bound.add(sub.id)
     return loads - bound
 
-
-def target_names(target: ast.expr) -> List[str]:
-    """Plain names bound by an assignment/loop/``with`` target."""
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: List[str] = []
-        for element in target.elts:
-            names.extend(target_names(element))
-        return names
-    if isinstance(target, ast.Starred):
-        return target_names(target.value)
-    return []

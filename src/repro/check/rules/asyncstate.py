@@ -49,15 +49,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.check.astutil import dotted, target_names
 from repro.check.cfg import CFG, CFGNode
 from repro.check.dataflow import ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
 from repro.check.rules import FlowRule, LintContext, register
 from repro.check.rules._flowutil import (
     captured_names,
-    dotted,
     node_walk,
-    target_names,
     walk_exprs,
 )
 

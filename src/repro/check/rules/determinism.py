@@ -10,23 +10,12 @@ generator (``random.Random(seed)`` / ``np.random.default_rng(seed)``).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
+from repro.check.astutil import dotted
 from repro.check.rules import LintContext, Rule, register
 
-__all__ = ["UnseededRandomRule", "WallClockRule", "dotted_name"]
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+__all__ = ["UnseededRandomRule", "WallClockRule"]
 
 
 #: Host-clock and OS-entropy calls that must never appear in sim paths.
@@ -65,7 +54,7 @@ class WallClockRule(Rule):
         for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            name = dotted_name(node.func)
+            name = dotted(node.func)
             if name is None:
                 continue
             if (
@@ -111,7 +100,7 @@ class UnseededRandomRule(Rule):
         for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            name = dotted_name(node.func)
+            name = dotted(node.func)
             if name is None:
                 continue
             if name in {f"random.{fn}" for fn in _GLOBAL_RANDOM_FNS}:

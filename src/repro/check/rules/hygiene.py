@@ -12,8 +12,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.check.astutil import dotted
 from repro.check.rules import LintContext, Rule, register
-from repro.check.rules.determinism import dotted_name
 
 __all__ = ["FloatTimeEqualityRule", "MutableDefaultRule", "SetIterationRule"]
 
@@ -41,7 +41,7 @@ class MutableDefaultRule(Rule):
             for default in defaults:
                 if isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
                     isinstance(default, ast.Call)
-                    and dotted_name(default.func) in _MUTABLE_CALLS
+                    and dotted(default.func) in _MUTABLE_CALLS
                 ):
                     yield (default.lineno, default.col_offset,
                            "mutable default is shared across every call "
@@ -88,7 +88,7 @@ _TOLERANT_CALLS = {
 
 def _is_tolerant(node: ast.AST) -> bool:
     return (isinstance(node, ast.Call)
-            and dotted_name(node.func) in _TOLERANT_CALLS)
+            and dotted(node.func) in _TOLERANT_CALLS)
 
 
 @register
@@ -131,7 +131,7 @@ def _is_set_expr(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     return (isinstance(node, ast.Call)
-            and dotted_name(node.func) in ("set", "frozenset"))
+            and dotted(node.func) in ("set", "frozenset"))
 
 
 @register

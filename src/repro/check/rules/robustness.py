@@ -16,8 +16,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.check.astutil import dotted
 from repro.check.rules import LintContext, Rule, register
-from repro.check.rules.determinism import dotted_name
 
 __all__ = ["RetryDisciplineRule"]
 
@@ -68,9 +68,9 @@ def _handler_names(handler: ast.ExceptHandler) -> list[str]:
              else [handler.type])
     names = []
     for node in types:
-        dotted = dotted_name(node)
-        if dotted is not None:
-            names.append(dotted.rsplit(".", 1)[-1])
+        name = dotted(node)
+        if name is not None:
+            names.append(name.rsplit(".", 1)[-1])
     return names
 
 
@@ -100,7 +100,7 @@ def _has_attempt_bound(loop: ast.AST) -> bool:
     if isinstance(loop, (ast.For, ast.AsyncFor)):
         call = loop.iter
         if isinstance(call, ast.Call):
-            name = dotted_name(call.func)
+            name = dotted(call.func)
             if name is not None and name.rsplit(".", 1)[-1] in (
                     "range", "enumerate"):
                 return True
@@ -129,7 +129,7 @@ def _has_backoff(loop: ast.AST) -> bool:
     or a backoff/jitter/delay-named value anywhere in the loop."""
     for child in _shallow_walk(loop):
         if isinstance(child, ast.Call):
-            name = dotted_name(child.func)
+            name = dotted(child.func)
             if name is not None:
                 last = name.rsplit(".", 1)[-1]
                 if any(h in last for h in _DELAY_CALL_HINTS):

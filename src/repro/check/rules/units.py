@@ -25,11 +25,12 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
+from repro.check.astutil import target_names
 from repro.check.cfg import CFG, CFGNode
 from repro.check.dataflow import ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
 from repro.check.rules import FlowRule, LintContext, register
-from repro.check.rules._flowutil import node_walk, target_names
+from repro.check.rules._flowutil import node_walk
 
 __all__ = ["RC501", "RC502", "RC503"]
 

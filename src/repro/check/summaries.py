@@ -38,6 +38,7 @@ import json
 from dataclasses import dataclass
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Set, Tuple)
 
+from repro.check.astutil import dotted
 from repro.check.callgraph import (
     FileResolver,
     FunctionInfo,
@@ -80,7 +81,6 @@ from repro.check.rules.determinism import (
     _GLOBAL_RANDOM_FNS,
     _WALL_CLOCK_CALLS,
     _WALL_CLOCK_SUFFIXES,
-    dotted_name,
 )
 from repro.check.rules.units import (
     _UnitsAnalysis,
@@ -225,7 +225,7 @@ _CLOCK_SUFFIXES = tuple("." + s for s in _WALL_CLOCK_SUFFIXES)
 
 def _call_source_taint(call: ast.Call) -> FrozenSet[str]:
     """Taint introduced directly by one call (RC101/RC102 tables)."""
-    name = dotted_name(call.func)
+    name = dotted(call.func)
     if name is None:
         return frozenset()
     out: Set[str] = set()
@@ -574,32 +574,28 @@ class FileInter:
     """One file's interprocedural view: ``ast.Call`` (by identity) to
     callee resolution, summaries and argument->parameter mapping.
 
-    Must be constructed over the *same* tree object the rules walk —
-    the resolver's maps (and :attr:`cfgs`) are keyed by ``id(node)``.
+    Built by :meth:`InterContext.own_view` over the context's own tree
+    — the resolver's maps (and :attr:`cfgs`) are keyed by ``id(node)``.
     """
 
-    def __init__(self, index: ProjectIndex,
-                 summaries: Dict[str, FunctionSummary],
-                 resolver: FileResolver,
-                 ctx: Optional["InterContext"] = None,
-                 cfgs: Optional[Dict[int, CFG]] = None) -> None:
-        self.index = index
-        self.summaries = summaries
+    def __init__(self, ctx: "InterContext",
+                 resolver: FileResolver) -> None:
+        self.index = ctx.index
+        self.summaries = ctx.summaries
         self.resolver = resolver
         self._ctx = ctx
-        #: ``id(def node) -> CFG`` memo; the context's shared one for a
-        #: view over the context's own tree.
-        self.cfgs: Dict[int, CFG] = cfgs if cfgs is not None else {}
+        #: ``id(def node) -> CFG`` memo, shared with the whole context.
+        self.cfgs: Dict[int, CFG] = ctx.cfgs
 
     @property
     def prim_attrs(self) -> Dict[str, str]:
         """Project-wide ``"<class>.<attr>" -> kind`` primitive map."""
-        return self._ctx.prim_attrs if self._ctx is not None else {}
+        return self._ctx.prim_attrs
 
     @property
     def conc(self) -> Optional["ConcIndex"]:
         """Whole-project concurrency verdicts, when assembled."""
-        return self._ctx.conc if self._ctx is not None else None
+        return self._ctx.conc
 
     def resolve(self, call: ast.Call) -> Optional[str]:
         """Callee qualname, or ``None`` for opaque calls."""
@@ -788,18 +784,9 @@ class InterContext:
         """View over the context's own parse of ``path``."""
         view = self._own_views.get(path)
         if view is None:
-            view = self._own_views[path] = FileInter(
-                self.index, self.summaries, self.resolvers[path], ctx=self,
-                cfgs=self.cfgs)
+            view = self._own_views[path] = FileInter(self,
+                                                     self.resolvers[path])
         return view
-
-    def file_view(self, path: str, tree: ast.Module) -> FileInter:
-        """View bound to a caller-supplied tree (the one rules walk);
-        the shared :meth:`own_view` when that is the context's own."""
-        if self.trees.get(path) is tree:
-            return self.own_view(path)
-        return FileInter(self.index, self.summaries,
-                         FileResolver(self.index, path, tree), ctx=self)
 
 
 def compute_summaries(ctx: InterContext,

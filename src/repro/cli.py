@@ -32,6 +32,10 @@ Commands
 
         python -m repro sched --policy all --jobs 25 --load 2 4
 
+    ``--seeds`` runs each (load, policy) under several streams, one
+    after another; fan such a grid across worker processes with
+    ``sweep --kind sched``.
+
 ``sweep``
     Fan a declarative (machine × mode × scale × seed) grid across
     worker processes and write one merged JSON artifact — byte
@@ -67,8 +71,8 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
-from repro.platform import cori_haswell, summit, testbed
 from repro.harness import figures as figures_mod
+from repro.harness import registry
 from repro.harness.experiment import run_experiment
 
 __all__ = ["main"]
@@ -102,62 +106,12 @@ _FIGURE_MAKERS = {
     "mb-gpu": figures_mod.microbench_gpu,
 }
 
-_MACHINES = {
-    "summit": summit,
-    "cori": cori_haswell,
-    "cori-haswell": cori_haswell,
-    "testbed": testbed,
-}
-
-
-def _workload_table():
-    """name -> (program_factory, config_factory, prepopulate, op, description)."""
-    from repro.workloads import (
-        BDCATSConfig, CastroConfig, CosmoflowConfig, NyxConfig, SW4Config,
-        VPICConfig, bdcats_program, castro_program, cosmoflow_program,
-        nyx_program, prepopulate_vpic_file, sw4_program, vpic_program,
-    )
-
-    return {
-        "vpic": (vpic_program, lambda: VPICConfig(steps=3), None, "write",
-                 "VPIC-IO particle dump kernel (weak-scaling writes)"),
-        "bdcats": (
-            bdcats_program,
-            lambda: BDCATSConfig(steps=3),
-            lambda cfg: (lambda lib, n: prepopulate_vpic_file(lib, cfg, n)),
-            "read",
-            "BD-CATS-IO clustering kernel (reads a VPIC-IO file)",
-        ),
-        "nyx-small": (nyx_program, lambda: NyxConfig.small(n_plotfiles=3),
-                      None, "write",
-                      "Nyx cosmology, 256^3 AMR plotfiles every 20 steps"),
-        "nyx-large": (nyx_program, lambda: NyxConfig.large(n_plotfiles=3),
-                      None, "write",
-                      "Nyx cosmology, 2048^3 AMR plotfiles every 50 steps"),
-        "castro": (castro_program, lambda: CastroConfig(n_plotfiles=3),
-                   None, "write",
-                   "Castro astrophysics, multifab + particle plotfiles"),
-        "sw4": (sw4_program, lambda: SW4Config(n_checkpoints=3), None,
-                "write",
-                "SW4/EQSIM seismology checkpoints (strong-scaling writes)"),
-        "cosmoflow": (
-            cosmoflow_program,
-            lambda: CosmoflowConfig(epochs=2, batches_per_rank=4),
-            lambda cfg: (lambda lib, n: cfg.prepopulate(lib, n)),
-            "read",
-            "Cosmoflow training loader (per-rank shard reads)",
-        ),
-    }
-
-
-def _workload_entry(name: str):
-    """(program_factory, config_factory, prepopulate, op) per workload."""
-    table = _workload_table()
-    if name not in table:
-        raise SystemExit(
-            f"unknown workload {name!r}; choose from {sorted(table)}"
-        )
-    return table[name][:4]
+def _workload(name: str) -> registry.Workload:
+    """The registry entry for ``name``; unknown names exit with usage."""
+    try:
+        return registry.workload(name)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
 
 
 def _cmd_list(_args) -> int:
@@ -170,15 +124,15 @@ def _cmd_list(_args) -> int:
         print(f"  {fid:{width}s}  {doc}")
     print()
     print("workloads (for 'run' and 'profile'):")
-    for name, entry in sorted(_workload_table().items()):
-        print(f"  {name:{width}s}  {entry[4]} [{entry[3]}]")
+    for name, entry in sorted(registry.WORKLOADS.items()):
+        print(f"  {name:{width}s}  {entry.description} [{entry.op}]")
     print()
     print("micro-benchmarks:")
     for fid in _MICROBENCH_IDS:
         doc = (_FIGURE_MAKERS[fid].__doc__ or "").strip().splitlines()[0]
         print(f"  {fid:{width}s}  {doc}")
     print()
-    print("sweepable grids (for 'sweep'; also via 'run'/'sched' --seeds):")
+    print("sweepable grids (for 'sweep'; also via 'run'/'cache' --seeds):")
     from repro.harness.sweepengine import sweepable_grids
     for name, desc in sweepable_grids():
         print(f"  {name:{width}s}  {desc}")
@@ -236,22 +190,20 @@ def _run_workload_raw(args):
     from repro.platform import Cluster
     from repro.hdf5 import H5Library
 
-    machine = _MACHINES[args.machine]()
-    program_factory, config_factory, prepopulate_factory, op = (
-        _workload_entry(args.workload)
-    )
-    config = config_factory()
+    machine = registry.machine_spec(args.machine)
+    entry = _workload(args.workload)
+    config = entry.config()
     engine = Engine()
     rpn = machine.default_ranks_per_node
     cluster = Cluster(engine, machine, math.ceil(args.ranks / rpn))
     lib = H5Library(cluster)
     from repro.harness.experiment import build_vol
     vol = build_vol(args.mode)
-    if prepopulate_factory is not None:
-        prepopulate_factory(config)(lib, args.ranks)
+    if entry.prepopulate is not None:
+        entry.prepopulate(config)(lib, args.ranks)
     job = MPIJob(cluster, args.ranks)
-    results = job.run(program_factory(lib, vol, config))
-    return vol, max(results), op, engine
+    results = job.run(entry.program(lib, vol, config))
+    return vol, max(results), entry.op, engine
 
 
 def _cmd_profile(args) -> int:
@@ -278,12 +230,14 @@ def _sweep_progress(done: int, total: int, point: dict) -> None:
 
 
 def _cmd_sched(args) -> int:
+    from dataclasses import asdict
+
+    from repro.faults import chaos_config
     from repro.harness.report import FigureData
-    from repro.harness.sched import run_fleet, sched_testbed
+    from repro.harness.sched import run_fleet
     from repro.sched import StreamConfig
 
-    machine = (sched_testbed() if args.machine == "sched-testbed"
-               else _MACHINES[args.machine]())
+    machine = registry.machine_spec(args.machine)
     policies = (["fifo", "backfill", "io-aware"] if args.policy == "all"
                 else [args.policy])
     seeds = args.seeds if args.seeds else [args.seed]
@@ -299,60 +253,29 @@ def _cmd_sched(args) -> int:
                   f"{'off' if args.no_checkpoint else 'on'}")
         columns += ["kills", "requeue", "lost s"]
     fig = FigureData(name="sched", title=title, columns=columns)
-
-    def add_row(load, policy, seed, m) -> None:
-        row = [
-            load, policy, seed, m["completed"], m["timeouts"], m["n_async"],
-            m["goodput_jobs_per_hour"], m["wait_p95"], m["completion_p50"],
-            m["completion_p95"], m["completion_p99"], m["makespan"],
-            m["pfs_utilization"],
-        ]
-        if chaos:
-            row += [m["node_kills"], m["requeues"], m["lost_work_seconds"]]
-        fig.add_row(*row)
-
-    if args.seeds and args.workers > 1:
-        # Grid mode: fan (policy x load x seed) across worker processes.
-        from repro.harness.sweepengine import SweepSpec, run_sweep
-
-        spec = SweepSpec(
-            kind="sched", workload="sched",
-            machines=(args.machine,), modes=tuple(policies),
-            scales=tuple(args.load), seeds=tuple(seeds), jobs=args.jobs,
-            faults=(args.fault_rate,), fault_seed=args.fault_seed,
-            checkpoint=not args.no_checkpoint,
-        )
-        outcome = run_sweep(spec, workers=args.workers,
-                            progress=_sweep_progress)
-        for p in outcome.merged["points"]:
-            if not p["ok"]:
-                print(f"  point {p['index']} failed: "
-                      f"{p['error']['kind']}: {p['error']['message']}",
-                      file=sys.stderr)
-                continue
-            add_row(p["scale"], p["mode"], p["seed"], p["metrics"])
-    else:
-        from dataclasses import asdict
-
-        from repro.faults import chaos_config
-
-        for load in args.load:
-            for policy in policies:
-                for seed in seeds:
-                    cfg = StreamConfig(
-                        n_jobs=args.jobs, seed=seed, mean_interarrival=load,
-                        rank_choices=(8, 16, 32),
-                        size_scale=args.size_scale,
-                    )
-                    fault = chaos_config(
-                        args.fault_rate,
-                        seed=args.fault_seed + 7919 * seed,
-                    )
-                    add_row(load, policy, seed,
-                            asdict(run_fleet(
-                                machine, cfg, policy, fault_config=fault,
-                                checkpoint_restart=not args.no_checkpoint,
-                            )))
+    for load in args.load:
+        for policy in policies:
+            for seed in seeds:
+                cfg = StreamConfig(
+                    n_jobs=args.jobs, seed=seed, mean_interarrival=load,
+                    rank_choices=(8, 16, 32), size_scale=args.size_scale,
+                )
+                fault = chaos_config(args.fault_rate,
+                                     seed=args.fault_seed + 7919 * seed)
+                m = asdict(run_fleet(
+                    machine, cfg, policy, fault_config=fault,
+                    checkpoint_restart=not args.no_checkpoint,
+                ))
+                row = [
+                    load, policy, seed, m["completed"], m["timeouts"],
+                    m["n_async"], m["goodput_jobs_per_hour"], m["wait_p95"],
+                    m["completion_p50"], m["completion_p95"],
+                    m["completion_p99"], m["makespan"], m["pfs_utilization"],
+                ]
+                if chaos:
+                    row += [m["node_kills"], m["requeues"],
+                            m["lost_work_seconds"]]
+                fig.add_row(*row)
     print(fig.to_text())
     return 0
 
@@ -366,7 +289,7 @@ def _cmd_sweep(args) -> int:
         modes = tuple(args.policies)
         scales = tuple(args.loads)
     else:
-        _workload_entry(args.workload)  # validate early
+        _workload(args.workload)  # validate early
         modes = tuple(args.modes)
         scales = tuple(float(s) for s in args.scales)
     spec = SweepSpec(
@@ -418,7 +341,7 @@ def _runtime_smoke_text() -> str:
     from repro.hdf5.async_vol import AsyncVOL
     from repro.workloads import VPICConfig, vpic_program
 
-    machine = _MACHINES["testbed"]()
+    machine = registry.machine_spec("testbed")
     nranks = 4
     config = VPICConfig(particles_per_rank=1 << 14, steps=2,
                         compute_seconds=1.0)
@@ -553,7 +476,7 @@ def _cmd_cache(args) -> int:
         # a worker-count-invariant artifact (the CI cache-smoke gate).
         from repro.harness.sweepengine import SweepSpec, run_sweep
 
-        _workload_entry(args.workload)  # validate early
+        _workload(args.workload)  # validate early
         spec = SweepSpec(
             kind="workload", workload=args.workload,
             machines=(args.machine,), modes=("async",),
@@ -581,24 +504,22 @@ def _cmd_cache(args) -> int:
 
     from repro.cache import tier_preset
 
-    machine = _MACHINES[args.machine]()
+    machine = registry.machine_spec(args.machine)
     tiers = None if args.tiers == "auto" else tier_preset(args.tiers)
-    program_factory, config_factory, prepopulate_factory, op = (
-        _workload_entry(args.workload)
-    )
-    config = config_factory()
-    prepopulate = (prepopulate_factory(config)
-                   if prepopulate_factory is not None else None)
+    entry = _workload(args.workload)
+    config = entry.config()
+    prepopulate = (entry.prepopulate(config)
+                   if entry.prepopulate is not None else None)
     # The VOL's own heuristic prefetcher is disabled so the planner's
     # declared-read schedule is the only read-ahead in play.
     result = run_experiment(
-        machine, args.workload, program_factory, config, mode="async",
-        nranks=args.ranks, prepopulate=prepopulate, op=op,
+        machine, args.workload, entry.program, config, mode="async",
+        nranks=args.ranks, prepopulate=prepopulate, op=entry.op,
         vol_kwargs={"prefetcher": None}, cache_mode=cache_mode,
         cache_tiers=tiers,
     )
     stats = result.cache_stats or {}
-    print(f"workload        {result.workload} ({op})")
+    print(f"workload        {result.workload} ({entry.op})")
     print(f"machine         {result.machine}")
     print(f"tiers           {args.tiers}")
     print(f"prefetch        {args.prefetch}")
@@ -625,7 +546,7 @@ def _cmd_run(args) -> int:
             SweepSpec, merged_sweep_points, run_sweep,
         )
 
-        _workload_entry(args.workload)  # validate early
+        _workload(args.workload)  # validate early
         spec = SweepSpec(
             kind="workload", workload=args.workload,
             machines=(args.machine,), modes=(args.mode,),
@@ -646,18 +567,16 @@ def _cmd_run(args) -> int:
             print(f"best of {len(sp.all_peaks)} seed(s): "
                   f"{sp.peak_gbs:.2f} GB/s ({sp.mode}, {sp.nranks} ranks)")
         return 0
-    machine = _MACHINES[args.machine]()
-    program_factory, config_factory, prepopulate_factory, op = (
-        _workload_entry(args.workload)
-    )
-    config = config_factory()
-    prepopulate = (prepopulate_factory(config)
-                   if prepopulate_factory is not None else None)
+    machine = registry.machine_spec(args.machine)
+    entry = _workload(args.workload)
+    config = entry.config()
+    prepopulate = (entry.prepopulate(config)
+                   if entry.prepopulate is not None else None)
     result = run_experiment(
-        machine, args.workload, program_factory, config, mode=args.mode,
-        nranks=args.ranks, prepopulate=prepopulate, op=op,
+        machine, args.workload, entry.program, config, mode=args.mode,
+        nranks=args.ranks, prepopulate=prepopulate, op=entry.op,
     )
-    print(f"workload        {result.workload} ({op})")
+    print(f"workload        {result.workload} ({entry.op})")
     print(f"machine         {result.machine}")
     print(f"mode            {result.mode}")
     print(f"ranks / nodes   {result.nranks} / {result.nnodes}")
@@ -700,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--workload", required=True,
                        help="vpic | bdcats | nyx-small | nyx-large | castro "
                             "| sw4 | cosmoflow")
-    p_run.add_argument("--machine", choices=sorted(_MACHINES), default="summit")
+    p_run.add_argument("--machine", choices=sorted(registry.MACHINES), default="summit")
     p_run.add_argument("--mode", choices=["sync", "async"], default="sync")
     p_run.add_argument("--ranks", type=int, default=96)
     p_run.add_argument("--seeds", type=int, nargs="+", default=None,
@@ -713,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser("profile",
                             help="run a workload and print an I/O profile")
     p_prof.add_argument("--workload", required=True)
-    p_prof.add_argument("--machine", choices=sorted(_MACHINES),
+    p_prof.add_argument("--machine", choices=sorted(registry.MACHINES),
                         default="summit")
     p_prof.add_argument("--mode", choices=["sync", "async"], default="sync")
     p_prof.add_argument("--ranks", type=int, default=96)
@@ -727,8 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--policy",
                          choices=["fifo", "backfill", "io-aware", "all"],
                          default="all")
-    p_sched.add_argument("--machine",
-                         choices=sorted(_MACHINES) + ["sched-testbed"],
+    p_sched.add_argument("--machine", choices=sorted(registry.MACHINES),
                          default="sched-testbed")
     p_sched.add_argument("--jobs", type=int, default=25,
                          help="jobs per stream")
@@ -740,8 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--seeds", type=int, nargs="+", default=None,
                          help="run every (policy, load) under each seed "
                               "(overrides --seed)")
-    p_sched.add_argument("--workers", type=int, default=1,
-                         help="worker processes for --seeds grids")
     p_sched.add_argument("--fault-rate", type=float, default=0.0,
                          help="chaos axis: expected node crashes per node "
                               "per 1000 sim-seconds (0 = off)")
@@ -802,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--workload", default="bdcats",
                          help="workload name (read workloads benefit; "
                               "see 'list')")
-    p_cache.add_argument("--machine", choices=sorted(_MACHINES),
+    p_cache.add_argument("--machine", choices=sorted(registry.MACHINES),
                          default="summit")
     p_cache.add_argument("--ranks", type=int, default=8)
     p_cache.add_argument("--tiers", default="auto",

@@ -42,6 +42,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.faults import FaultError
 from repro.harness.experiment import ExperimentResult, run_experiment
+from repro.harness.registry import WORKLOADS, machine_spec, workload
 from repro.harness.sweep import SweepPoint, best_by_config
 from repro.platform import ContentionModel
 
@@ -209,41 +210,18 @@ def expand_grid(spec: SweepSpec) -> list[SweepTask]:
     return tasks
 
 
-def _machine_spec(name: str):
-    from repro.harness.sched import sched_testbed
-    from repro.platform import cori_haswell, summit, testbed
-
-    table = {
-        "summit": summit,
-        "cori": cori_haswell,
-        "cori-haswell": cori_haswell,
-        "testbed": testbed,
-        "sched-testbed": sched_testbed,
-    }
-    if name not in table:
-        raise ValueError(
-            f"unknown machine {name!r}; choose from {sorted(table)}"
-        )
-    return table[name]()
-
-
 def _run_workload_point(task: SweepTask) -> dict:
-    from repro.cli import _workload_entry
-
-    machine = _machine_spec(task.machine)
-    program_factory, config_factory, prepopulate_factory, op = (
-        _workload_entry(task.workload)
-    )
-    config = config_factory()
-    prepopulate = (
-        prepopulate_factory(config) if prepopulate_factory is not None
-        else None
-    )
+    machine = machine_spec(task.machine)
+    entry = workload(task.workload)
+    config = entry.config()
+    prepopulate = (entry.prepopulate(config)
+                   if entry.prepopulate is not None else None)
     cache_mode = None if task.cache == "none" else task.cache
     result = run_experiment(
-        machine, task.workload, program_factory, config, mode=task.mode,
+        machine, task.workload, entry.program, config, mode=task.mode,
         nranks=int(task.scale), day=task.seed,
-        contention=ContentionModel(seed=0), prepopulate=prepopulate, op=op,
+        contention=ContentionModel(seed=0), prepopulate=prepopulate,
+        op=entry.op,
         cache_mode=cache_mode,
     )
     return asdict(result)
@@ -254,7 +232,7 @@ def _run_sched_point(task: SweepTask) -> dict:
     from repro.harness.sched import run_fleet
     from repro.sched import StreamConfig
 
-    machine = _machine_spec(task.machine)
+    machine = machine_spec(task.machine)
     cfg = StreamConfig(
         n_jobs=task.jobs, seed=task.seed, mean_interarrival=task.scale,
         rank_choices=(4, 8, 16),
@@ -405,12 +383,10 @@ def merged_sweep_points(merged: dict) -> list[SweepPoint]:
 
 def sweepable_grids() -> list[tuple[str, str]]:
     """(name, description) of the grids ``repro sweep`` can enumerate."""
-    from repro.cli import _workload_table
-
     grids = [
         (f"workload:{name}",
-         f"machines x (sync|async) x ranks x seeds — {entry[4]}")
-        for name, entry in sorted(_workload_table().items())
+         f"machines x (sync|async) x ranks x seeds — {entry.description}")
+        for name, entry in sorted(WORKLOADS.items())
     ]
     grids.append((
         "sched",

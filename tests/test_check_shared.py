@@ -4,10 +4,10 @@ A cold :func:`repro.check.driver.check_paths` run builds each file's
 tree and resolver, and each function's CFG, exactly once; the index,
 call graph, summary, concurrency and lint passes all reuse them.  These
 tests count the builds with wrappers installed on every module binding
-(:func:`repro.check.callcount.count_calls`), check that handing
-:func:`repro.check.lint_source` a pre-parsed tree never changes a
-finding on any rule fixture of the other ``test_check*`` modules, and
-pin the RC000 and worker-count contracts the shared seam must keep.
+(:func:`repro.check.callcount.count_calls`), check that every rule
+fixture of the other ``test_check*`` modules lints through that path
+(a context's own tree, never a second parse), and pin the RC000 and
+worker-count contracts the shared seam must keep.
 """
 
 import ast
@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.check import callgraph, cfg, lint_paths, lint_source
+from repro.check import callgraph, cfg, lint_source
 from repro.check.callcount import count_calls
 from repro.check.driver import check_paths
 from repro.check.lint import findings_to_json
@@ -106,13 +106,6 @@ def test_cold_check_builds_every_artifact_once(project):
     assert len(set(cfgs)) == len(cfgs)  # distinct def nodes
 
 
-def test_lint_paths_inter_parses_each_file_once(project):
-    with count_calls(ast.parse, cfg.build_cfg) as (parses, cfgs):
-        lint_paths(["pkg"], concurrency=True)
-    assert len(parses) == len(PROJECT)
-    assert len(cfgs) == function_count(PROJECT.values())
-
-
 def test_findings_identical_for_one_and_two_workers(project):
     runs = [check_paths(["pkg"], workers=workers, use_cache=False,
                         cache_dir=f".c{workers}", concurrency=True)
@@ -135,7 +128,7 @@ def test_syntax_error_still_reports_rc000(project):
 
 
 # ---------------------------------------------------------------------------
-# the pre-parsed tree seam never changes a finding
+# every rule fixture lints through the shared path
 # ---------------------------------------------------------------------------
 
 FIXTURE_MODULES = (test_check, test_check_flow, test_check_inter,
@@ -167,35 +160,37 @@ def _fixture_tests():
 
 
 @pytest.mark.parametrize("module, name", _fixture_tests())
-def test_pre_parsed_tree_gives_identical_findings(monkeypatch, module, name):
-    """Re-run a rule-fixture test with ``lint_source`` checked against
-    itself: no tree, a fresh parse, and (under ``inter``) the context's
-    own tree, which also shares the summary phase's CFGs."""
+def test_fixture_lints_parse_each_source_once(monkeypatch, module, name):
+    """Re-run a rule-fixture test with ``lint_source`` watched: without
+    a context it parses the source once; with one it walks the tree the
+    context already parsed and parses nothing."""
     real = module.lint_source
     calls = []
 
-    def differential(source, path="<string>", flow=False, inter=None,
-                     concurrency=False):
-        own = real(source, path, flow=flow, inter=inter,
-                   concurrency=concurrency)
+    def watched(source, path="<string>", flow=False, inter=None,
+                concurrency=False):
+        before = len(parses)
+        findings = real(source, path, flow=flow, inter=inter,
+                        concurrency=concurrency)
+        if inter is not None:
+            assert path in inter.trees
+        assert len(parses) - before == (0 if inter is not None else 1)
         calls.append(path)
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            return own  # RC000: the own-parse path is the only one
-        trees = [tree]
-        shared = getattr(inter, "trees", {}).get(
-            pathlib.PurePath(path).as_posix())
-        if shared is not None and ast.dump(shared) == ast.dump(tree):
-            trees.append(shared)
-        for pre_parsed in trees:
-            assert real(source, path, flow=flow, inter=inter,
-                        concurrency=concurrency, tree=pre_parsed) == own
-        return own
+        return findings
 
-    monkeypatch.setattr(module, "lint_source", differential)
-    getattr(module, name)()
+    monkeypatch.setattr(module, "lint_source", watched)
+    with count_calls(ast.parse) as (parses,):
+        getattr(module, name)()
     assert calls
+
+
+def test_lint_source_rejects_a_file_outside_the_context():
+    ctx = test_check_inter.build({"a.py": "x = 1\n"})
+    with pytest.raises(ValueError, match="not in the interprocedural"):
+        lint_source("y = 2\n", "b.py", flow=True, inter=ctx)
+    assert [f.rule_id for f in lint_source("def oops(:\n", "b.py",
+                                           flow=True, inter=ctx)] == \
+        ["RC000"]
 
 
 # ---------------------------------------------------------------------------

@@ -618,6 +618,50 @@ def test_cli_sched_command(capsys):
     assert "io-aware" in out and "compl p95" in out
 
 
+def test_cli_sched_seed_grid_rows_match_run_fleet(capsys):
+    """``sched --seeds`` prints one row per (load, policy, seed), each
+    equal to ``run_fleet`` under the CLI's own stream settings."""
+    from dataclasses import asdict
+
+    from repro.cli import main
+    from repro.faults import chaos_config
+    from repro.harness.report import FigureData
+    from repro.harness.sched import run_fleet, sched_testbed
+
+    assert main(["sched", "--policy", "all", "--jobs", "4", "--load", "5",
+                 "--seeds", "0", "1", "--size-scale", "2",
+                 "--fault-rate", "10", "--fault-seed", "3"]) == 0
+    printed = capsys.readouterr().out.strip().splitlines()[1:]
+
+    keys = ["completed", "timeouts", "n_async", "goodput_jobs_per_hour",
+            "wait_p95", "completion_p50", "completion_p95",
+            "completion_p99", "makespan", "pfs_utilization", "node_kills",
+            "requeues", "lost_work_seconds"]
+    expected = FigureData(name="sched", title="",
+                          columns=printed[0].replace(" ", "").split("|"))
+    for policy in ("fifo", "backfill", "io-aware"):
+        for seed in (0, 1):
+            cfg = StreamConfig(n_jobs=4, seed=seed, mean_interarrival=5.0,
+                               rank_choices=(8, 16, 32), size_scale=2.0)
+            m = asdict(run_fleet(
+                sched_testbed(), cfg, policy,
+                fault_config=chaos_config(10.0, seed=3 + 7919 * seed)))
+            expected.add_row(5.0, policy, seed, *(m[k] for k in keys))
+
+    def cells(lines):
+        return [[c.strip() for c in line.split("|")] for line in lines]
+
+    assert cells(printed[2:]) == cells(expected.to_text().splitlines()[3:])
+
+
+def test_cli_sched_has_no_workers_flag(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit):
+        main(["sched", "--seeds", "0", "1", "--workers", "2"])
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
 def test_cli_profile_stats_flag(capsys):
     from repro.cli import main
 

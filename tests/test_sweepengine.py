@@ -11,7 +11,11 @@ produce well-formed artifacts.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -123,6 +127,16 @@ def test_crashed_point_is_isolated():
     assert len(points) == 1
 
 
+def test_unknown_workload_is_a_crashed_point_not_an_exit():
+    outcome = run_sweep(SweepSpec(workload="nope", modes=("sync",)),
+                        workers=1)
+    (point,) = outcome.merged["points"]
+    assert not point["ok"] and point["metrics"] is None
+    assert point["error"]["family"] == "crash"
+    assert point["error"]["kind"] == "ValueError"
+    assert "unknown workload 'nope'" in point["error"]["message"]
+
+
 def test_crashed_point_keeps_a_portable_traceback(monkeypatch):
     def exploding_point(task):
         raise RuntimeError("kaboom")
@@ -206,3 +220,28 @@ def test_sweepable_grids_lists_workloads_and_sched():
     names = [name for name, _desc in sweepable_grids()]
     assert "workload:vpic" in names
     assert "sched" in names
+
+
+# ---------------------------------------------------------------------------
+# Layering: sweep workers never need the CLI
+# ---------------------------------------------------------------------------
+
+
+def test_sweep_points_run_without_importing_the_cli():
+    script = textwrap.dedent("""
+        import sys
+        from repro.harness.sweepengine import SweepSpec, run_sweep
+
+        for spec in (
+            SweepSpec(workload="vpic", modes=("sync",), scales=(4.0,)),
+            SweepSpec(kind="sched", machines=("sched-testbed",),
+                      modes=("fifo",), scales=(2.0,), jobs=2),
+        ):
+            assert all(p["ok"] for p in run_sweep(spec).merged["points"])
+        assert "repro.cli" not in sys.modules, "repro.cli was imported"
+    """)
+    src = pathlib.Path(sweepengine.__file__).resolve().parents[2]
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
