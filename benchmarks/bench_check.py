@@ -19,9 +19,14 @@ Each row measures four legs:
   file plus whatever the reverse call graph invalidates.
 
 The cold 1-worker leg also counts, through wrappers on every module
-binding, how often ``ast.parse`` and ``build_cfg`` run: ``parse_per_file``
-and ``cfg_per_function`` are exact counts, independent of the machine.
-A cold run parses each file once and builds each function's CFG once.
+binding, how often ``ast.parse``, ``build_cfg`` and
+``ast.iter_child_nodes`` run: ``parse_per_file``, ``cfg_per_function``
+and ``child_iter_per_node`` are exact counts, independent of the
+machine.  A cold run parses each file once, builds each function's CFG
+once and walks each tree once (``ast.walk`` calls ``iter_child_nodes``
+once per node, so one walk is 1.0 per node).  Every timed leg starts
+after a full ``gc.collect()``, so no leg pays for the previous one's
+garbage.
 
 Gates (per row):
 
@@ -32,8 +37,9 @@ Gates (per row):
   ``benchmarks/perf_budget.json`` — for ``check_concurrency`` this is
   the budget gate on the tier's warm-cache overhead: a slow warm rerun
   (i.e. the conc index failing to ride the tree key) sinks the ratio;
-- ``parse_per_file`` and ``cfg_per_function`` at or below the
-  ``check_parse_per_file`` / ``check_cfg_per_function`` ceilings there.
+- ``parse_per_file``, ``cfg_per_function`` and ``child_iter_per_node``
+  at or below the ``check_parse_per_file`` / ``check_cfg_per_function``
+  / ``check_child_iter_per_node`` ceilings there.
 
 Results land in ``BENCH_check.json`` at the repository root.
 ``--before OLD.json`` copies the cold and warm legs of an earlier run
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import gc
 import json
 import os
 import pathlib
@@ -107,18 +114,23 @@ def _wire(findings) -> str:
                        for f in findings], sort_keys=True)
 
 
-def _function_count(paths) -> int:
+def _tree_counts(paths):
+    """``(functions, AST nodes)`` over every file under ``paths``."""
     from repro.check.lint import _iter_python_files
 
-    return sum(
-        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for path in _iter_python_files(paths)
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    functions = nodes = 0
+    for path in _iter_python_files(paths):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            nodes += 1
+            functions += isinstance(node, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+    return functions, nodes
 
 
 def _timed(paths, **kwargs):
     from repro.check.driver import check_paths
 
+    gc.collect()
     start = time.perf_counter()
     result = check_paths(paths, **kwargs)
     return time.perf_counter() - start, result
@@ -130,7 +142,7 @@ def load_floor(mode: str, row: str) -> float:
 
 
 def _run_row(paths, row: str, mode: str, extra, n_files: int,
-             n_functions: int) -> dict:
+             n_functions: int, n_nodes: int) -> dict:
     """Cold/warm legs for one row (the diff leg is added later)."""
     # Import the whole analyzer first: a module first imported inside
     # ``count_calls`` would bind the counting wrapper for good.
@@ -138,11 +150,13 @@ def _run_row(paths, row: str, mode: str, extra, n_files: int,
     from repro.check.callcount import count_calls
     from repro.check.cfg import build_cfg
 
-    with count_calls(ast.parse, build_cfg) as (parses, cfgs):
+    with count_calls(ast.parse, build_cfg,
+                     ast.iter_child_nodes) as (parses, cfgs, child_iters):
         cold_1w_s, cold_1w = _timed(paths, workers=1,
                                     cache_dir=f".{row}.c1", **extra)
     parse_per_file = len(parses) / n_files
     cfg_per_function = len(cfgs) / n_functions
+    child_iter_per_node = len(child_iters) / n_nodes
     cold_4w_s, cold_4w = _timed(paths, workers=4,
                                 cache_dir=f".{row}.c4", **extra)
     warm_s, warm = _timed(paths, workers=4,
@@ -160,6 +174,9 @@ def _run_row(paths, row: str, mode: str, extra, n_files: int,
         "cfg_per_function": round(cfg_per_function, 4),
         "cfg_per_function_ceiling": load_floor(mode,
                                                "check_cfg_per_function"),
+        "child_iter_per_node": round(child_iter_per_node, 4),
+        "child_iter_per_node_ceiling": load_floor(
+            mode, "check_child_iter_per_node"),
         "findings": len(cold_4w.findings),
         "identical": {
             "cold_1w_vs_cold_4w":
@@ -180,10 +197,10 @@ def run_bench(smoke=False, out=DEFAULT_OUT, before=None):
                                scratch)
         os.chdir(scratch)  # relative paths -> CLI-identical module names
         paths = ["src", "tests"]
-        n_functions = _function_count(paths)
+        n_functions, n_nodes = _tree_counts(paths)
 
         rows = {row: _run_row(paths, row, mode, extra, n_files,
-                              n_functions)
+                              n_functions, n_nodes)
                 for row, extra in ROWS}
 
         # One shared touch serves every row's diff leg: the warm caches
@@ -210,6 +227,7 @@ def run_bench(smoke=False, out=DEFAULT_OUT, before=None):
                 stats["before"] = {leg: old_rows[row][leg]
                                    for leg in ("cold_1w_s", "cold_4w_s", "warm_s")}
     payload = {"mode": mode, "files": n_files, "functions": n_functions,
+               "nodes": n_nodes,
                "host": {"nproc": os.cpu_count(),
                         "python": platform.python_version()},
                "rows": rows}
@@ -222,7 +240,8 @@ def run_bench(smoke=False, out=DEFAULT_OUT, before=None):
               f"(floor {stats['warm_speedup_floor']:.1f}x), "
               f"diff re-analyzed {stats['diff_reanalyzed']} file(s), "
               f"parse/file {stats['parse_per_file']:.2f}, "
-              f"cfg/function {stats['cfg_per_function']:.2f}")
+              f"cfg/function {stats['cfg_per_function']:.2f}, "
+              f"child iter/node {stats['child_iter_per_node']:.2f}")
     out = pathlib.Path(out)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"[saved to {out}]")
@@ -249,12 +268,14 @@ def check_gate(payload):
                 f"below the {stats['warm_speedup_floor']:.1f}x floor "
                 f"(cold {stats['cold_4w_s']:.2f}s, "
                 f"warm {stats['warm_s']:.3f}s)")
-        for metric in ("parse_per_file", "cfg_per_function"):
+        for metric in ("parse_per_file", "cfg_per_function",
+                       "child_iter_per_node"):
             if stats[metric] > stats[f"{metric}_ceiling"]:
                 failures.append(
                     f"[{row}] {metric} {stats[metric]:.2f} exceeds the "
                     f"{stats[f'{metric}_ceiling']:.2f} ceiling: a cold "
-                    f"run re-parses files or rebuilds CFGs")
+                    f"run re-parses files, rebuilds CFGs or re-walks "
+                    f"trees")
         if stats["diff_reanalyzed"] >= payload["files"]:
             failures.append(
                 f"[{row}] diff leg re-analyzed every file "

@@ -31,9 +31,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePath
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union, cast
 
 from repro.check.astutil import dotted
+from repro.check.nodetable import NodeTable
 
 __all__ = [
     "ClassInfo",
@@ -43,12 +44,12 @@ __all__ = [
     "build_index",
     "build_call_graph",
     "collect_function_nodes",
-    "iter_own_calls",
     "module_name_for_path",
     "strongly_connected_components",
 ]
 
 LOCALS = "<locals>"
+_Def = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 def module_name_for_path(path: str) -> str:
@@ -139,26 +140,12 @@ def _decorator_names(node: ast.AST) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def _is_generator(node: "ast.FunctionDef | ast.AsyncFunctionDef") -> bool:
-    """Whether the function body (nested defs excluded) yields."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.Lambda, ast.ClassDef)):
-            continue
-        if isinstance(child, (ast.Yield, ast.YieldFrom)):
-            return True
-        stack.extend(ast.iter_child_nodes(child))
-    return False
-
-
-def collect_imports(tree: ast.Module, module: str,
+def collect_imports(table: NodeTable, module: str,
                     is_package: bool) -> Dict[str, str]:
     """Map each locally bound import alias to its dotted target."""
     out: Dict[str, str] = {}
     package = module if is_package else module.rpartition(".")[0]
-    for node in ast.walk(tree):
+    for node in table.imports:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname is not None:
@@ -188,32 +175,37 @@ def collect_imports(tree: ast.Module, module: str,
 class _IndexWalker:
     """Collect definitions of one file into a :class:`ProjectIndex`."""
 
-    def __init__(self, index: ProjectIndex, path: str,
-                 module: str) -> None:
+    def __init__(self, index: ProjectIndex, path: str, module: str,
+                 table: NodeTable) -> None:
         self.index = index
         self.path = path
         self.module = module
+        self.table = table
 
-    def walk(self, tree: ast.Module) -> None:
+    def walk(self) -> None:
         defs = self.index.module_defs.setdefault(self.module, {})
-        for stmt in tree.body:
+        nodes = self.table.nodes
+        for pos in self.table.body(0):
+            stmt = nodes[pos]
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{self.module}.{stmt.name}"
                 defs[stmt.name] = qualname
-                self._function(stmt, qualname, kind="function")
+                self._function(pos, qualname, kind="function")
             elif isinstance(stmt, ast.ClassDef):
                 qualname = f"{self.module}.{stmt.name}"
                 defs[stmt.name] = qualname
-                self._class(stmt, qualname)
+                self._class(pos, qualname)
 
-    def _class(self, node: ast.ClassDef, qualname: str) -> None:
+    def _class(self, pos: int, qualname: str) -> None:
+        node = cast(ast.ClassDef, self.table.nodes[pos])
         info = ClassInfo(
             qualname=qualname, module=self.module,
             bases=tuple(b for b in (dotted(base) for base in node.bases)
                         if b is not None),
         )
         self.index.classes[qualname] = info
-        for stmt in node.body:
+        for member in self.table.body(pos):
+            stmt = self.table.nodes[member]
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 decorators = _decorator_names(stmt)
                 kind = "method"
@@ -228,10 +220,11 @@ class _IndexWalker:
                     continue  # attribute access, not a call target
                 method_qualname = f"{qualname}.{stmt.name}"
                 info.methods[stmt.name] = method_qualname
-                self._function(stmt, method_qualname, kind=kind)
+                self._function(member, method_qualname, kind=kind)
 
-    def _function(self, node: "ast.FunctionDef | ast.AsyncFunctionDef",
-                  qualname: str, kind: str) -> None:
+    def _function(self, pos: int, qualname: str, kind: str) -> None:
+        table = self.table
+        node = cast(_Def, table.nodes[pos])
         args = node.args
         params = tuple(a.arg for a in
                        (args.posonlyargs + args.args + args.kwonlyargs))
@@ -242,30 +235,33 @@ class _IndexWalker:
             has_kwarg=args.kwarg is not None,
             lineno=node.lineno,
             deferred=(isinstance(node, ast.AsyncFunctionDef)
-                      or _is_generator(node)),
+                      or table.yields(pos)),
         )
         # Nested defs are callable within the enclosing scope only.
-        for stmt in ast.walk(node):
-            if stmt is node:
-                continue
+        # Every def below this one (through nested defs and classes)
+        # gets a ``<locals>`` name here, breadth-first, so the
+        # shallowest of two same-named defs wins.
+        nested = sorted(table.scopes_within(pos), key=lambda s: s[1])
+        for inner, _depth in nested:
+            stmt = table.nodes[inner]
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested = f"{qualname}.{LOCALS}.{stmt.name}"
-                if nested not in self.index.functions:
-                    self._function(stmt, nested, kind="function")
+                name = f"{qualname}.{LOCALS}.{stmt.name}"
+                if name not in self.index.functions:
+                    self._function(inner, name, kind="function")
 
 
-def build_index(sources: Dict[str, "ast.Module"]) -> ProjectIndex:
-    """Index every definition in ``{posix path: parsed tree}``."""
+def build_index(tables: Mapping[str, NodeTable]) -> ProjectIndex:
+    """Index every definition in ``{posix path: node table}``."""
     index = ProjectIndex()
-    for path in sorted(sources):
-        tree = sources[path]
+    for path in sorted(tables):
+        table = tables[path]
         module = module_name_for_path(path)
         if not module:
             continue
         index.modules[module] = path
         is_package = PurePath(path).name == "__init__.py"
-        index.imports[module] = collect_imports(tree, module, is_package)
-        _IndexWalker(index, path, module).walk(tree)
+        index.imports[module] = collect_imports(table, module, is_package)
+        _IndexWalker(index, path, module, table).walk()
     _resolve_bases(index)
     return index
 
@@ -299,16 +295,17 @@ def _resolve_bases(index: ProjectIndex) -> None:
 class FileResolver:
     """Resolve each ``ast.Call`` in one file to a project qualname.
 
-    One instance per (file, tree); :attr:`calls` maps ``id(call_node)``
-    to the callee qualname for every call it could resolve, and
-    :attr:`opaque` counts the ones it could not (lambdas, dynamic
-    attributes, unknown names) — those stay conservative.
+    One instance per (file, node table); :attr:`calls` maps
+    ``id(call_node)`` to the callee qualname for every call it could
+    resolve.  The rest (lambdas, dynamic attributes, unknown names)
+    stays opaque, hence conservative.
     """
 
     def __init__(self, index: ProjectIndex, path: str,
-                 tree: ast.Module) -> None:
+                 table: NodeTable) -> None:
         self.index = index
         self.path = path
+        self.table = table
         self.module = module_name_for_path(path)
         self.calls: Dict[int, str] = {}
         #: id(call) -> how the callee was reached: ``"instance"``
@@ -316,14 +313,13 @@ class FileResolver:
         #: (``Cls.m(obj)``) or ``"plain"`` (module-level function).  The
         #: summary tier uses this to map arguments onto parameters.
         self.receivers: Dict[int, str] = {}
-        self.opaque: int = 0
         module_scope: Dict[str, Tuple[str, str]] = {}
         for alias, target in index.imports.get(self.module, {}).items():
             module_scope[alias] = ("import", target)
         for name, qualname in index.module_defs.get(self.module,
                                                     {}).items():
             module_scope[name] = ("def", qualname)
-        self._walk_body(tree.body, [module_scope], enclosing_class=None,
+        self._walk_body(0, [module_scope], enclosing_class=None,
                         enclosing_func=None)
 
     # -- scope machinery --------------------------------------------------
@@ -407,31 +403,35 @@ class FileResolver:
         return None
 
     # -- tree walk --------------------------------------------------------
-    def _walk_body(self, body: Sequence[ast.stmt],
+    def _walk_body(self, pos: int,
                    scopes: List[Dict[str, Tuple[str, str]]],
                    enclosing_class: Optional[str],
                    enclosing_func: Optional[str]) -> None:
-        for stmt in body:
+        for stmt in self.table.body(pos):
             self._stmt(stmt, scopes, enclosing_class, enclosing_func)
 
-    def _stmt(self, stmt: ast.stmt,
+    def _stmt(self, pos: int,
               scopes: List[Dict[str, Tuple[str, str]]],
               enclosing_class: Optional[str],
               enclosing_func: Optional[str]) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._enter_function(stmt, scopes, enclosing_class,
-                                 enclosing_func)
-            return
-        if isinstance(stmt, ast.ClassDef):
-            self._enter_class(stmt, scopes, enclosing_func)
-            return
-        for expr in ast.walk(stmt):
-            if isinstance(expr, ast.Call):
-                self._resolve_call(expr, scopes)
-            elif isinstance(expr, ast.Lambda):
-                self.opaque += 1
-        # Flow-insensitive local typing: single-assignment constructor
-        # bindings were pre-scanned at function entry; nothing to do here.
+        """Resolve the calls of one statement; a ``def``/``class``
+        anywhere in it (compound bodies included) opens its own scope."""
+        nodes, ends = self.table.nodes, self.table.ends
+        i, end = pos, ends[pos]
+        while i < end:
+            node = nodes[i]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._enter_function(i, scopes, enclosing_class,
+                                     enclosing_func)
+                i = ends[i]
+                continue
+            if isinstance(node, ast.ClassDef):
+                self._enter_class(i, scopes, enclosing_func)
+                i = ends[i]
+                continue
+            if isinstance(node, ast.Call):
+                self._resolve_call(node, scopes)
+            i += 1
 
     def _qualname_for(self, name: str, enclosing_class: Optional[str],
                       enclosing_func: Optional[str]) -> str:
@@ -441,22 +441,24 @@ class FileResolver:
             return f"{enclosing_class}.{name}"
         return f"{self.module}.{name}"
 
-    def _enter_class(self, node: ast.ClassDef,
+    def _enter_class(self, pos: int,
                      scopes: List[Dict[str, Tuple[str, str]]],
                      enclosing_func: Optional[str]) -> None:
+        node = cast(ast.ClassDef, self.table.nodes[pos])
         for dec in node.decorator_list:
             if isinstance(dec, ast.Call):
                 self._resolve_call(dec, scopes)
         if enclosing_func is not None:
             return  # classes inside functions are out of scope
         qualname = f"{self.module}.{node.name}"
-        self._walk_body(node.body, scopes + [{}],
+        self._walk_body(pos, scopes + [{}],
                         enclosing_class=qualname, enclosing_func=None)
 
-    def _enter_function(self, node: "ast.FunctionDef | ast.AsyncFunctionDef",
+    def _enter_function(self, pos: int,
                         scopes: List[Dict[str, Tuple[str, str]]],
                         enclosing_class: Optional[str],
                         enclosing_func: Optional[str]) -> None:
+        node = cast(_Def, self.table.nodes[pos])
         for dec in node.decorator_list:
             if isinstance(dec, ast.Call):
                 self._resolve_call(dec, scopes)
@@ -475,15 +477,14 @@ class FileResolver:
                 and info.kind in ("method", "classmethod")):
             local[named[0].arg] = ("instance", enclosing_class)
         # Pre-scan: sibling nested defs (mutual recursion) and
-        # single-type constructor locals.
+        # single-type constructor locals (flow-insensitive, over the
+        # whole subtree).
         assigned_types: Dict[str, Optional[str]] = {}
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 local[stmt.name] = (
                     "def", f"{qualname}.{LOCALS}.{stmt.name}")
-        for stmt in ast.walk(node):
-            if stmt is node:
-                continue
+        for stmt in self.table.subtree(pos)[1:]:
             if isinstance(stmt, ast.Assign) \
                     and len(stmt.targets) == 1 \
                     and isinstance(stmt.targets[0], ast.Name):
@@ -496,78 +497,58 @@ class FileResolver:
             elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)) \
                     and isinstance(stmt.target, ast.Name):
                 assigned_types[stmt.target.id] = None
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.With,
-                                   ast.AsyncWith)):
-                pass  # loop/with targets never get constructor typing
         for name, cls in assigned_types.items():
             if cls is not None and name not in local:
                 local[name] = ("instance", cls)
             elif name not in local:
                 local[name] = ("opaque", "")
-        self._walk_body(node.body, scopes + [local],
+        self._walk_body(pos, scopes + [local],
                         enclosing_class=None, enclosing_func=qualname)
 
     def _resolve_call(self, call: ast.Call,
                       scopes: List[Dict[str, Tuple[str, str]]]) -> None:
         ref = dotted(call.func)
         if ref is None:
-            self.opaque += 1
             return
         resolved = self._resolve_dotted(ref, scopes)
         if resolved is not None and resolved[0] in self.index.functions:
             self.calls[id(call)] = resolved[0]
             self.receivers[id(call)] = resolved[1]
-        else:
-            self.opaque += 1
 
 
 def collect_function_nodes(
-        tree: ast.Module,
+        table: NodeTable,
         module: str) -> Dict[str, "ast.FunctionDef | ast.AsyncFunctionDef"]:
-    """``qualname -> def node`` for every function in one file's tree."""
-    out: Dict[str, "ast.FunctionDef | ast.AsyncFunctionDef"] = {}
+    """``qualname -> def node`` for every function in one file's table.
 
-    def visit(node: ast.AST, owner: Optional[str],
-              class_ctx: Optional[str]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if owner is not None:
-                    qualname = f"{owner}.{LOCALS}.{child.name}"
-                elif class_ctx is not None:
-                    qualname = f"{class_ctx}.{child.name}"
-                else:
-                    qualname = f"{module}.{child.name}"
-                out.setdefault(qualname, child)
-                visit(child, qualname, None)
-            elif isinstance(child, ast.ClassDef):
-                if owner is None and class_ctx is None:
-                    visit(child, None, f"{module}.{child.name}")
-                else:
-                    visit(child, owner, class_ctx)
-            else:
-                visit(child, owner, class_ctx)
-
-    visit(tree, None, None)
-    return out
-
-
-def iter_own_calls(func: "ast.FunctionDef | ast.AsyncFunctionDef"
-                   ) -> List[ast.Call]:
-    """Calls lexically in ``func`` but not in a nested ``def``/class.
-
-    Lambdas are *included* (they have no qualname of their own, so the
-    innermost named function owns their calls).
+    A def nested in a def is ``outer.<locals>.inner``; methods of a
+    top-level class are ``Class.method``; any other class is
+    transparent (its methods take the enclosing def's or class's
+    prefix).  The first of two same-named defs in source order wins.
     """
-    out: List[ast.Call] = []
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
+    out: Dict[str, "ast.FunctionDef | ast.AsyncFunctionDef"] = {}
+    ends = table.ends
+    # (end of the scope's subtree, owner def qualname, class qualname)
+    open_scopes: List[Tuple[int, Optional[str], Optional[str]]] = []
+    for pos, _depth in table.scopes_within(0):
+        while open_scopes and open_scopes[-1][0] <= pos:
+            open_scopes.pop()
+        owner, class_ctx = (open_scopes[-1][1:] if open_scopes
+                            else (None, None))
+        node = cast(Union[_Def, ast.ClassDef], table.nodes[pos])
+        if isinstance(node, ast.ClassDef):
+            if owner is None and class_ctx is None:
+                class_ctx = f"{module}.{node.name}"
+            open_scopes.append((ends[pos], owner, class_ctx))
             continue
-        if isinstance(node, ast.Call):
-            out.append(node)
-        stack.extend(ast.iter_child_nodes(node))
+        if owner is not None:
+            qualname = f"{owner}.{LOCALS}.{node.name}"
+        elif class_ctx is not None:
+            qualname = f"{class_ctx}.{node.name}"
+        else:
+            qualname = f"{module}.{node.name}"
+        out.setdefault(qualname, node)
+        open_scopes.append((ends[pos], qualname, None))
     return out
 
 
@@ -579,18 +560,19 @@ def build_call_graph(
 ) -> Dict[str, Set[str]]:
     """Function-level edges ``caller qualname -> callee qualnames``.
 
-    ``resolvers`` maps each path to its :class:`FileResolver` and
-    ``functions`` to its :func:`collect_function_nodes` result; both are
-    read only.  Each resolved call is attributed to its innermost
-    enclosing named function; module-level calls have no caller node
-    and are dropped.
+    ``resolvers`` maps each path to its :class:`FileResolver` (whose
+    node table supplies each function's own calls) and ``functions``
+    to its :func:`collect_function_nodes` result; both are read only.
+    Each resolved call is attributed to its innermost enclosing named
+    function; module-level calls have no caller node and are dropped.
     """
     edges: Dict[str, Set[str]] = {q: set() for q in index.functions}
     for path in sorted(functions):
         resolver = resolvers[path]
+        table = resolver.table
         for qualname, func in functions[path].items():
             bucket = edges.setdefault(qualname, set())
-            for call in iter_own_calls(func):
+            for call in table.own_calls(table.position(func)):
                 callee = resolver.calls.get(id(call))
                 if callee is not None:
                     bucket.add(callee)

@@ -29,17 +29,22 @@ Design notes
   for the may-analyses built on top.
 - Nested ``def``/``class``/``lambda`` bodies are *not* inlined; the
   nested definition is a single statement node and nested functions are
-  analyzed with their own CFGs (see :func:`iter_functions`).
+  analyzed with their own CFGs.
+- Each node carries the syntax facts the transfer functions read,
+  sliced from the file's :class:`~repro.check.nodetable.NodeTable`
+  when the graph is built (see :class:`CFGNode`).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
-__all__ = ["CFG", "CFGNode", "FuncDef", "build_cfg", "iter_functions",
-           "memo_cfg"]
+from repro.check.nodetable import NodeTable
+
+__all__ = ["CFG", "CFGNode", "FuncDef", "build_cfg", "memo_cfg"]
 
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -53,14 +58,22 @@ class CFGNode:
     kind: str  # "entry" | "exit" | "stmt" | "except"
     succs: List[int] = field(default_factory=list)
     preds: List[int] = field(default_factory=list)
-    #: Lazily memoized syntax facts (pure functions of ``ast_node``,
-    #: filled by :mod:`repro.check.rules._flowutil`): the pre-order
-    #: walk of the header expressions and the names nested bodies
-    #: capture.  Dataflow transfers read them on every fixpoint visit.
-    walked: Optional[Tuple[ast.AST, ...]] = field(
-        default=None, repr=False, compare=False)
-    captured: Optional[FrozenSet[str]] = field(
-        default=None, repr=False, compare=False)
+    #: Position of ``ast_node`` in the CFG's :class:`NodeTable` (-1 for
+    #: entry/exit), recorded when the graph is built.
+    pos: int = -1
+    #: Syntax facts, pure functions of ``ast_node`` filled when the
+    #: graph is built: the table positions of the expressions evaluated
+    #: here (for a compound statement its header only, never the suite),
+    #: their pre-order walk (lambda bodies run later, so they are not
+    #: entered) and the names nested ``def``/``lambda`` bodies capture
+    #: (all Name loads in the body that the body itself never binds: a
+    #: captured tracked value escapes).  Dataflow transfers read them on
+    #: every fixpoint visit.
+    roots: Tuple[int, ...] = field(default=(), repr=False, compare=False)
+    walked: Tuple[ast.AST, ...] = field(
+        default=(), repr=False, compare=False)
+    captured: FrozenSet[str] = field(
+        default=frozenset(), repr=False, compare=False)
 
     @property
     def line(self) -> int:
@@ -81,6 +94,9 @@ class CFG:
     nodes: List[CFGNode]
     entry: int
     exit: int
+    #: The node table of the tree ``func`` belongs to; ``CFGNode.pos``
+    #: and ``CFGNode.roots`` index it.
+    table: NodeTable = field(repr=False, compare=False)
 
     def stmt_nodes(self) -> Iterator[CFGNode]:
         """Real statement/handler nodes (skips entry/exit)."""
@@ -109,15 +125,28 @@ class _Frames:
 
 
 class _Builder:
-    def __init__(self, func: FuncDef) -> None:
+    def __init__(self, func: FuncDef, table: NodeTable) -> None:
         self.func = func
+        self.table = table
         self.nodes: List[CFGNode] = []
-        self.entry = self._new(None, "entry")
-        self.exit = self._new(None, "exit")
+        self.entry = self._new(-1, "entry")
+        self.exit = self._new(-1, "exit")
 
     # -- graph primitives -------------------------------------------------
-    def _new(self, ast_node: Optional[ast.AST], kind: str = "stmt") -> int:
-        node = CFGNode(index=len(self.nodes), ast_node=ast_node, kind=kind)
+    def _new(self, pos: int, kind: str = "stmt") -> int:
+        """A node for the statement (or handler) at table position
+        ``pos``; -1 makes a synthetic entry/exit node."""
+        if pos < 0:
+            node = CFGNode(index=len(self.nodes), ast_node=None, kind=kind)
+        else:
+            table = self.table
+            roots = _header_roots(table, pos)
+            node = CFGNode(
+                index=len(self.nodes), ast_node=table.nodes[pos],
+                kind=kind, pos=pos, roots=roots,
+                walked=tuple(sub for root in roots
+                             for sub in table.walk(root)),
+                captured=_captured(table, pos))
         self.nodes.append(node)
         return node.index
 
@@ -130,35 +159,51 @@ class _Builder:
         for src in preds:
             self._edge(src, dst)
 
+    def _suite(self, parent: int, stmts: Sequence[ast.AST]) -> List[int]:
+        """Table positions of ``stmts``, a list field of the node at
+        ``parent`` (consecutive children there)."""
+        if not stmts:
+            return []
+        nodes, ends = self.table.nodes, self.table.ends
+        pos = next(child for child in self.table.children(parent)
+                   if nodes[child] is stmts[0])
+        out = [pos]
+        for _ in range(len(stmts) - 1):
+            pos = ends[pos]
+            out.append(pos)
+        return out
+
     # -- construction -----------------------------------------------------
     def build(self) -> CFG:
         frames = _Frames()
-        out = self._block(self.func.body, [self.entry], frames)
+        out = self._block(self.table.position(self.func), self.func.body,
+                          [self.entry], frames)
         self._wire(out, self.exit)
         self._wire(frames.returns, self.exit)
         self._wire(frames.raise_stack[0], self.exit)
         return CFG(func=self.func, nodes=self.nodes, entry=self.entry,
-                   exit=self.exit)
+                   exit=self.exit, table=self.table)
 
-    def _block(self, stmts: List[ast.stmt], preds: List[int],
+    def _block(self, parent: int, stmts: List[ast.stmt], preds: List[int],
                frames: _Frames) -> List[int]:
-        for stmt in stmts:
-            preds = self._stmt(stmt, preds, frames)
+        for pos in self._suite(parent, stmts):
+            preds = self._stmt(pos, preds, frames)
         return preds
 
-    def _stmt(self, stmt: ast.stmt, preds: List[int],
+    def _stmt(self, pos: int, preds: List[int],
               frames: _Frames) -> List[int]:
+        stmt = self.table.nodes[pos]
         if isinstance(stmt, ast.If):
-            return self._if(stmt, preds, frames)
+            return self._if(stmt, pos, preds, frames)
         if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-            return self._loop(stmt, preds, frames)
+            return self._loop(stmt, pos, preds, frames)
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            return self._with(stmt, preds, frames)
+            return self._with(stmt, pos, preds, frames)
         if isinstance(stmt, ast.Try):
-            return self._try(stmt, preds, frames)
+            return self._try(stmt, pos, preds, frames)
         if isinstance(stmt, ast.Match):
-            return self._match(stmt, preds, frames)
-        node = self._new(stmt)
+            return self._match(stmt, pos, preds, frames)
+        node = self._new(pos)
         self._wire(preds, node)
         if isinstance(stmt, ast.Return):
             frames.returns.append(node)
@@ -176,26 +221,26 @@ class _Builder:
             return []
         return [node]
 
-    def _if(self, stmt: ast.If, preds: List[int],
+    def _if(self, stmt: ast.If, pos: int, preds: List[int],
             frames: _Frames) -> List[int]:
-        test = self._new(stmt)
+        test = self._new(pos)
         self._wire(preds, test)
-        then_out = self._block(stmt.body, [test], frames)
+        then_out = self._block(pos, stmt.body, [test], frames)
         if stmt.orelse:
-            else_out = self._block(stmt.orelse, [test], frames)
+            else_out = self._block(pos, stmt.orelse, [test], frames)
         else:
             else_out = [test]
         return then_out + else_out
 
     def _loop(self, stmt: Union[ast.While, ast.For, ast.AsyncFor],
-              preds: List[int], frames: _Frames) -> List[int]:
-        header = self._new(stmt)
+              pos: int, preds: List[int], frames: _Frames) -> List[int]:
+        header = self._new(pos)
         self._wire(preds, header)
         breaks: List[int] = []
         continues: List[int] = []
         frames.break_stack.append(breaks)
         frames.continue_stack.append(continues)
-        body_out = self._block(stmt.body, [header], frames)
+        body_out = self._block(pos, stmt.body, [header], frames)
         frames.break_stack.pop()
         frames.continue_stack.pop()
         self._wire(body_out, header)
@@ -203,27 +248,28 @@ class _Builder:
         # Normal termination (test false / iterator exhausted) runs the
         # loop ``else`` suite; ``break`` skips it.
         if stmt.orelse:
-            else_out = self._block(stmt.orelse, [header], frames)
+            else_out = self._block(pos, stmt.orelse, [header], frames)
         else:
             else_out = [header]
         return else_out + breaks
 
-    def _with(self, stmt: Union[ast.With, ast.AsyncWith],
+    def _with(self, stmt: Union[ast.With, ast.AsyncWith], pos: int,
               preds: List[int], frames: _Frames) -> List[int]:
-        header = self._new(stmt)
+        header = self._new(pos)
         self._wire(preds, header)
-        return self._block(stmt.body, [header], frames)
+        return self._block(pos, stmt.body, [header], frames)
 
-    def _match(self, stmt: ast.Match, preds: List[int],
+    def _match(self, stmt: ast.Match, pos: int, preds: List[int],
                frames: _Frames) -> List[int]:
-        header = self._new(stmt)
+        header = self._new(pos)
         self._wire(preds, header)
         outs: List[int] = [header]  # conservatively: no case may match
-        for case in stmt.cases:
-            outs.extend(self._block(case.body, [header], frames))
+        for case_pos, case in zip(self._suite(pos, stmt.cases),
+                                  stmt.cases):
+            outs.extend(self._block(case_pos, case.body, [header], frames))
         return outs
 
-    def _try(self, stmt: ast.Try, preds: List[int],
+    def _try(self, stmt: ast.Try, pos: int, preds: List[int],
              frames: _Frames) -> List[int]:
         has_finally = bool(stmt.finalbody)
         # Intercept every abrupt channel that could cross the finally.
@@ -249,16 +295,17 @@ class _Builder:
         if stmt.handlers:
             frames.raise_stack.append([])
         start = len(self.nodes)
-        body_out = self._block(stmt.body, preds, frames)
+        body_out = self._block(pos, stmt.body, preds, frames)
         end = len(self.nodes)
         if stmt.handlers:
             caught = frames.raise_stack.pop()
             handler_entries: List[int] = []
-            for handler in stmt.handlers:
-                h_node = self._new(handler, "except")
+            for h_pos, handler in zip(self._suite(pos, stmt.handlers),
+                                      stmt.handlers):
+                h_node = self._new(h_pos, "except")
                 handler_entries.append(h_node)
                 handler_outs.extend(
-                    self._block(handler.body, [h_node], frames))
+                    self._block(h_pos, handler.body, [h_node], frames))
             # Any statement in the try body may raise into any handler;
             # explicit raises collected above land there too.
             for index in range(start, end):
@@ -269,7 +316,7 @@ class _Builder:
                 for h_node in handler_entries:
                     self._edge(index, h_node)
         if stmt.orelse:
-            body_out = self._block(stmt.orelse, body_out, frames)
+            body_out = self._block(pos, stmt.orelse, body_out, frames)
         normal_out = body_out + handler_outs
 
         if not has_finally:
@@ -288,30 +335,104 @@ class _Builder:
             rest = rest[1:]
         if frames.continue_stack and rest:
             frames.continue_stack[-1] = rest[0][1]
-        out = self._block(stmt.finalbody, normal_out, frames)
+        out = self._block(pos, stmt.finalbody, normal_out, frames)
         for collected, original in pairs:
             if collected:
-                clone_out = self._block(stmt.finalbody, collected, frames)
+                clone_out = self._block(pos, stmt.finalbody, collected,
+                                        frames)
                 original.extend(clone_out)
         return out
 
 
-def build_cfg(func: FuncDef) -> CFG:
-    """Build the control-flow graph of one function definition."""
-    return _Builder(func).build()
+def build_cfg(func: FuncDef, table: NodeTable) -> CFG:
+    """Build the control-flow graph of one function definition;
+    ``table`` is the node table of the tree ``func`` belongs to."""
+    return _Builder(func, table).build()
 
 
-def memo_cfg(cfgs: Dict[int, CFG], func: FuncDef) -> CFG:
+def memo_cfg(cfgs: Dict[int, CFG], func: FuncDef,
+             table: NodeTable) -> CFG:
     """``func``'s graph from ``cfgs`` (keyed by ``id(func)``; the owner
     keeps the node alive), built on first use."""
     cfg = cfgs.get(id(func))
     if cfg is None:
-        cfg = cfgs[id(func)] = build_cfg(func)
+        cfg = cfgs[id(func)] = build_cfg(func, table)
     return cfg
 
 
-def iter_functions(tree: ast.AST) -> Iterator[FuncDef]:
-    """Every ``def``/``async def`` in ``tree``, including nested ones."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+# ---------------------------------------------------------------------------
+# Per-node syntax facts
+# ---------------------------------------------------------------------------
+
+def _header_roots(table: NodeTable, pos: int) -> Tuple[int, ...]:
+    """Positions of the expressions evaluated when control reaches the
+    statement at ``pos``: for compound statements the header only (the
+    ``if`` test, the ``for`` iterable, the ``with`` items), never the
+    suite, whose statements are separate nodes."""
+    stmt = table.nodes[pos]
+    exprs: List[ast.AST]
+    if isinstance(stmt, ast.excepthandler):
+        exprs = [stmt.type] if stmt.type is not None else []
+    elif isinstance(stmt, (ast.If, ast.While)):
+        exprs = [stmt.test]
+    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+        exprs = [stmt.iter]
+    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+        exprs = [item.context_expr for item in stmt.items]
+    elif isinstance(stmt, ast.Match):
+        exprs = [stmt.subject]
+    elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.ClassDef)):
+        # Decorators and parameter defaults run at definition time; the
+        # body does not (captures are handled via ``captured``).
+        exprs = list(stmt.decorator_list)
+        if not isinstance(stmt, ast.ClassDef):
+            exprs.extend(stmt.args.defaults)
+            exprs.extend(d for d in stmt.args.kw_defaults if d is not None)
+    else:
+        # Simple statement: every expression it contains.
+        return tuple(child for child in table.children(pos)
+                     if isinstance(table.nodes[child], ast.expr))
+    return tuple(table.find(expr, pos) for expr in exprs)
+
+
+#: Shared by every node whose nested bodies capture nothing (most).
+_NO_NAMES: FrozenSet[str] = frozenset()
+
+
+def _captured(table: NodeTable, pos: int) -> FrozenSet[str]:
+    """Names a nested ``def``/``lambda`` at ``pos`` reads from the
+    enclosing scope (approximated as: all Name loads in the body that
+    the body itself never binds)."""
+    nodes, ends = table.nodes, table.ends
+    stmt = nodes[pos]
+    bodies: List[Tuple[int, int]] = []
+    bound: set = set()
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        args = stmt.args
+        bound.update(arg.arg for arg in
+                     (args.args + args.posonlyargs + args.kwonlyargs))
+        for extra in (args.vararg, args.kwarg):
+            if extra is not None:
+                bound.add(extra.arg)
+        body = list(table.body(pos))
+        if body:
+            bodies.append((body[0], ends[body[-1]]))
+    else:
+        for i in range(pos, ends[pos]):
+            lam = nodes[i]
+            if isinstance(lam, ast.Lambda):
+                bound.update(arg.arg for arg in lam.args.args)
+                bound.update(arg.arg for arg in lam.args.kwonlyargs)
+                start = ends[i + 1]  # after the arguments: the body
+                bodies.append((start, ends[start]))
+    loads: set = set()
+    for start, end in bodies:
+        for sub in nodes[start:end]:
+            if isinstance(sub, ast.Name):
+                if isinstance(sub.ctx, ast.Load):
+                    loads.add(sub.id)
+                else:
+                    bound.add(sub.id)
+    captured = loads - bound
+    return frozenset(captured) if captured else _NO_NAMES

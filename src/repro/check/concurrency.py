@@ -60,11 +60,7 @@ from repro.check.callgraph import (
 from repro.check.cfg import CFG, CFGNode, FuncDef
 from repro.check.dataflow import FixpointDiverged, ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
-from repro.check.rules._flowutil import (
-    captured_names,
-    header_exprs,
-    node_walk,
-)
+from repro.check.nodetable import NodeTable
 
 __all__ = [
     "ConcEffects",
@@ -341,7 +337,7 @@ def _ctor_kind(value: ast.expr) -> Optional[str]:
     return None
 
 
-def collect_prim_attrs(trees: Mapping[str, ast.Module]) -> Dict[str, str]:
+def collect_prim_attrs(tables: Mapping[str, NodeTable]) -> Dict[str, str]:
     """``"<class qualname>.<attr>" -> kind`` for every primitive bound
     to ``self`` anywhere in a top-level class body.  Attributes with
     conflicting bindings (two kinds, or a non-constructor reassignment)
@@ -349,13 +345,16 @@ def collect_prim_attrs(trees: Mapping[str, ast.Module]) -> Dict[str, str]:
     from repro.check.callgraph import module_name_for_path
 
     seen: Dict[str, Optional[str]] = {}
-    for path in sorted(trees):
+    for path in sorted(tables):
         module = module_name_for_path(path)
-        for stmt in trees[path].body:
+        table = tables[path]
+        for cls_pos in table.body(0):
+            stmt = table.nodes[cls_pos]
             if not isinstance(stmt, ast.ClassDef):
                 continue
             cls_qual = f"{module}.{stmt.name}"
-            for method in stmt.body:
+            for method_pos in table.body(cls_pos):
+                method = table.nodes[method_pos]
                 if not isinstance(method, (ast.FunctionDef,
                                            ast.AsyncFunctionDef)):
                     continue
@@ -364,7 +363,7 @@ def collect_prim_attrs(trees: Mapping[str, ast.Module]) -> Dict[str, str]:
                 if not named:
                     continue
                 self_name = named[0].arg
-                for node in ast.walk(method):
+                for node in table.subtree(method_pos):
                     if not (isinstance(node, ast.Assign)
                             and len(node.targets) == 1):
                         continue
@@ -413,9 +412,12 @@ class _FuncScope:
 
     def _prescan(self) -> None:
         assigns: Dict[str, List[Optional[str]]] = {}
-        stack: List[ast.AST] = list(ast.iter_child_nodes(self.func))
+        table: NodeTable = self.view.table  # type: ignore[attr-defined]
+        nodes = table.nodes
+        stack: List[int] = list(table.children(table.position(self.func)))
         while stack:
-            node = stack.pop()
+            pos = stack.pop()
+            node = nodes[pos]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.Lambda, ast.ClassDef)):
                 # Nested bodies run later; their bindings are not ours
@@ -423,7 +425,7 @@ class _FuncScope:
                 for name in _bound_names(node):
                     assigns.setdefault(name, []).append(None)
                 continue
-            stack.extend(ast.iter_child_nodes(node))
+            stack.extend(table.children(pos))
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Name):
                 name = node.targets[0].id
@@ -533,32 +535,36 @@ def _stmt_bound_names(node: ast.AST) -> Iterator[str]:
 #   ("init", token, state)             binding-site lock state
 
 
-def _iter_occurrences(scope: _FuncScope, exprs: Sequence[ast.expr]
+def _iter_occurrences(scope: _FuncScope, node: CFGNode,
+                      exprs: Sequence[ast.expr]
                       ) -> Iterator[Tuple[ast.AST, str, str]]:
-    """Token occurrences in ``exprs``: attribute access on a token does
-    not count (reading ``sem.engine`` leaks nothing), nested lambda
-    bodies are skipped (captures are handled via :func:`captured_names`)."""
-    stack: List[Tuple[ast.AST, bool]] = [(e, False) for e in
-                                         reversed(list(exprs))]
+    """Token occurrences in ``exprs`` (evaluated at ``node``): attribute
+    access on a token does not count (reading ``sem.engine`` leaks
+    nothing), nested lambda bodies are skipped (captures are handled
+    via ``CFGNode.captured``)."""
+    table: NodeTable = scope.view.table  # type: ignore[attr-defined]
+    stack: List[Tuple[int, bool]] = [(table.find(e, node.pos), False)
+                                     for e in reversed(list(exprs))]
     while stack:
-        node, under_attr = stack.pop()
-        if isinstance(node, ast.Attribute):
-            found = scope.token_for(node)
+        k, under_attr = stack.pop()
+        expr = table.nodes[k]
+        if isinstance(expr, ast.Attribute):
+            found = scope.token_for(expr)
             if found is not None:
-                yield node, found[0], found[1]
+                yield expr, found[0], found[1]
                 continue
-            stack.append((node.value, True))
+            stack.append((k + 1, True))  # the attribute's value
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(expr, ast.Name):
             if under_attr:
                 continue
-            found = scope.token_for(node)
+            found = scope.token_for(expr)
             if found is not None:
-                yield node, found[0], found[1]
+                yield expr, found[0], found[1]
             continue
-        if isinstance(node, ast.Lambda):
+        if isinstance(expr, ast.Lambda):
             continue
-        for child in reversed(list(ast.iter_child_nodes(node))):
+        for child in reversed(list(table.children(k))):
             stack.append((child, False))
 
 
@@ -647,7 +653,8 @@ class _SiteActions:
             return found[0] if found is not None else None
         return endpoint
 
-    def _apply_callee(self, out: List[tuple], call: ast.Call,
+    def _apply_callee(self, out: List[tuple], node: CFGNode,
+                      call: ast.Call,
                       info: FunctionInfo, conc: ConcEffects,
                       mapping: Dict[int, ast.expr],
                       handled: Set[int], line: int, col: int,
@@ -659,7 +666,8 @@ class _SiteActions:
             found = scope.token_for(expr)
             if found is None:
                 # Tokens buried inside a structured argument escape.
-                for leaf, token, _kind in _iter_occurrences(scope, [expr]):
+                for leaf, token, _kind in _iter_occurrences(scope, node,
+                                                            [expr]):
                     if id(leaf) not in handled:
                         handled.add(id(leaf))
                         out.append(("escape", token))
@@ -749,9 +757,10 @@ class _SiteActions:
         out: List[tuple] = []
         if stmt is None:
             return out
-        exprs = header_exprs(node)
+        exprs = [scope.view.table.nodes[root]  # type: ignore[attr-defined]
+                 for root in node.roots]
 
-        for name in captured_names(node):
+        for name in node.captured:
             found = scope.locals.get(name)
             if found is not None:
                 out.append(("escape", found[0]))
@@ -763,7 +772,7 @@ class _SiteActions:
         consumed_calls: Set[int] = set()
         driven_ids: Set[int] = set()
         yielded_names: Dict[int, ast.AST] = {}
-        for sub in node_walk(node):
+        for sub in node.walked:
             if isinstance(sub, (ast.YieldFrom, ast.Await)) \
                     and isinstance(sub.value, ast.Call):
                 driven_ids.add(id(sub.value))
@@ -780,7 +789,7 @@ class _SiteActions:
                             getattr(value, "lineno", node.line),
                             getattr(value, "col_offset", node.col), True))
 
-        for sub in node_walk(node):
+        for sub in node.walked:
             if not isinstance(sub, ast.Call) or id(sub) in consumed_calls:
                 continue
             line = getattr(sub, "lineno", node.line)
@@ -795,15 +804,16 @@ class _SiteActions:
                 resolved = self._summary_conc(inner)
                 if resolved is not None:
                     info, conc, mapping = resolved
-                    self._apply_callee(out, inner, info, conc, mapping,
-                                       handled, line, col, spawned=True,
+                    self._apply_callee(out, node, inner, info, conc,
+                                       mapping, handled, line, col,
+                                       spawned=True,
                                        skip_receiver_index=None)
                     out.append(("task", line, col, info.qualname,
                                 self._substituted_writes(conc, mapping,
                                                          line, col),
                                 conc.has_sync))
                 else:
-                    for leaf, token, _k in _iter_occurrences(scope,
+                    for leaf, token, _k in _iter_occurrences(scope, node,
                                                              [inner]):
                         if id(leaf) not in handled:
                             handled.add(id(leaf))
@@ -869,7 +879,7 @@ class _SiteActions:
                                 and receiver_token is not None:
                             continue
                         for leaf, token, kind in _iter_occurrences(
-                                scope, [expr]):
+                                scope, node, [expr]):
                             if id(leaf) in handled:
                                 continue
                             handled.add(id(leaf))
@@ -882,8 +892,9 @@ class _SiteActions:
                 else:
                     skip = receiver_index if receiver_token is not None \
                         and not receiver_token.startswith(_PARAM) else None
-                    self._apply_callee(out, sub, info, conc, mapping,
-                                       handled, line, col, spawned=False,
+                    self._apply_callee(out, node, sub, info, conc,
+                                       mapping, handled, line, col,
+                                       spawned=False,
                                        skip_receiver_index=skip)
                     out.append(("writes",
                                 self._substituted_writes(conc, mapping,
@@ -897,7 +908,8 @@ class _SiteActions:
                 out.append(("loose", sub.func.attr))
             arg_exprs: List[ast.expr] = list(sub.args)
             arg_exprs.extend(kw.value for kw in sub.keywords)
-            for leaf, token, kind in _iter_occurrences(scope, arg_exprs):
+            for leaf, token, kind in _iter_occurrences(scope, node,
+                                                       arg_exprs):
                 if id(leaf) in handled:
                     continue
                 handled.add(id(leaf))
@@ -925,7 +937,7 @@ class _SiteActions:
                     out.append(("init", bound[0], init))
 
         # -- every other occurrence escapes -------------------------------
-        for leaf, token, kind in _iter_occurrences(scope, exprs):
+        for leaf, token, kind in _iter_occurrences(scope, node, exprs):
             if id(leaf) in handled:
                 continue
             if kind == _PARAM_KIND:

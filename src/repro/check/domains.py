@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 
-__all__ = ["Env", "UNBOUND"]
+__all__ = ["Env", "UNBOUND", "UNBOUND_ONLY"]
 
 #: Abstract value meaning "possibly unbound on some path into this join".
 UNBOUND = "?"
+#: ``{UNBOUND}``, built once: joins and taint reads add/strip it.
+UNBOUND_ONLY = frozenset({UNBOUND})
 
 States = FrozenSet[str]
 
@@ -39,6 +41,13 @@ class Env:
 
     def __init__(self, mapping: Optional[Mapping[str, States]] = None) -> None:
         self._map: Dict[str, States] = dict(mapping or {})
+
+    @classmethod
+    def _wrap(cls, mapping: Dict[str, States]) -> "Env":
+        """An Env owning ``mapping`` (a fresh dict nobody else holds)."""
+        env = cls.__new__(cls)
+        env._map = mapping
+        return env
 
     # -- reads ------------------------------------------------------------
     def get(self, name: str) -> Optional[States]:
@@ -59,7 +68,7 @@ class Env:
         """A copy with ``name`` bound to ``states``."""
         mapping = dict(self._map)
         mapping[name] = frozenset(states)
-        return Env(mapping)
+        return Env._wrap(mapping)
 
     def remove(self, name: str) -> "Env":
         """A copy with ``name`` untracked (no-op when absent)."""
@@ -67,27 +76,32 @@ class Env:
             return self
         mapping = dict(self._map)
         del mapping[name]
-        return Env(mapping)
+        return Env._wrap(mapping)
 
     # -- lattice ----------------------------------------------------------
     def join(self, other: "Env") -> "Env":
-        """Pointwise union; one-sided keys gain :data:`UNBOUND`."""
-        mapping: Dict[str, States] = {}
-        for name, states in self._map.items():
-            theirs = other._map.get(name)
-            if theirs is None:
-                mapping[name] = states | {UNBOUND}
-            else:
+        """Pointwise union; one-sided keys gain :data:`UNBOUND`.  An Env
+        is immutable, so ``self`` is returned when nothing grows; the
+        map is copied on the first key that does."""
+        mine, theirs_map = self._map, other._map
+        mapping: Optional[Dict[str, States]] = None
+        for name, states in mine.items():
+            theirs = theirs_map.get(name, UNBOUND_ONLY)
+            if not theirs <= states:
+                if mapping is None:
+                    mapping = dict(mine)
                 mapping[name] = states | theirs
-        for name, states in other._map.items():
-            if name not in self._map:
-                mapping[name] = states | {UNBOUND}
-        return Env(mapping)
+        for name, states in theirs_map.items():
+            if name not in mine:
+                if mapping is None:
+                    mapping = dict(mine)
+                mapping[name] = states | UNBOUND_ONLY
+        return self if mapping is None else Env._wrap(mapping)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Env):
             return NotImplemented
-        return self._map == other._map
+        return other is self or self._map == other._map
 
     def __hash__(self) -> int:  # pragma: no cover - envs are not dict keys
         return hash(frozenset(self._map.items()))

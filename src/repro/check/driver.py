@@ -59,7 +59,7 @@ from repro.check.summaries import (
 __all__ = ["CheckResult", "check_paths"]
 
 #: Bump to invalidate every cache entry (rule or summary format change).
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 CACHE_FILE = "cache.json"
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple, Union)
 
+from repro.check.nodetable import NodeTable
 from repro.check.rules import RULES, LintContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -256,7 +257,9 @@ def lint_source(source: str, path: str = "<string>",
                   and file_inter.conc is not None)
     ctx = LintContext(path=path, tree=tree, source=source, lines=lines,
                       inter=file_inter,
-                      cfgs=file_inter.cfgs if file_inter is not None else {})
+                      cfgs=file_inter.cfgs if file_inter is not None else {},
+                      table=(file_inter.table if file_inter is not None
+                             else NodeTable(tree)))
     directives, findings = _parse_directives(path, lines, ctx.nodes)
     raw: List[Tuple[str, int]] = []
     executed: Set[str] = set()
@@ -321,8 +324,8 @@ def suppression_stats(paths: Iterable[Union[str, pathlib.Path]]
         text = file_path.read_text(encoding="utf-8")
         lines = text.splitlines()
         try:
-            nodes: Iterable[ast.AST] = ast.walk(
-                ast.parse(text, filename=posix))
+            nodes: Iterable[ast.AST] = NodeTable(
+                ast.parse(text, filename=posix)).nodes
         except SyntaxError:
             nodes = ()
         directives, _ = _parse_directives(posix, lines, nodes)

@@ -62,6 +62,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Type
 
 from repro.check.cfg import CFG, FuncDef, memo_cfg
+from repro.check.nodetable import NodeTable
 
 __all__ = ["FlowRule", "LintContext", "RULES", "Rule", "all_rules",
            "register"]
@@ -85,6 +86,9 @@ class LintContext:
     path: str  # normalized to posix separators
     tree: ast.Module
     source: str
+    #: The tree's one traversal (the context's table for the tree when
+    #: the inter tier is on).
+    table: NodeTable
     lines: list[str] = field(default_factory=list)
     #: Per-file interprocedural view (``FileInter`` from
     #: :mod:`repro.check.summaries`) when the inter tier is on; ``None``
@@ -101,21 +105,20 @@ class LintContext:
         """Whether the file lives in a determinism-critical package."""
         return any(fragment in self.path for fragment in SIM_PATHS)
 
-    @cached_property
+    @property
     def nodes(self) -> List[ast.AST]:
-        """Every node of the tree, in ``ast.walk`` order (walked once
-        per file; the flat rules iterate this instead of re-walking)."""
-        return list(ast.walk(self.tree))
+        """Every node of the tree, in pre-order (the table's; the flat
+        rules iterate this instead of re-walking)."""
+        return self.table.nodes
 
     @cached_property
     def functions(self) -> List[FuncDef]:
-        """Every ``def``/``async def`` (nested included), walk order."""
-        return [node for node in self.nodes
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        """Every ``def``/``async def`` (nested included), pre-order."""
+        return self.table.functions()
 
     def cfg(self, func: FuncDef) -> CFG:
         """The (memoized) control-flow graph of ``func``."""
-        return memo_cfg(self.cfgs, func)
+        return memo_cfg(self.cfgs, func, self.table)
 
 
 class Rule:

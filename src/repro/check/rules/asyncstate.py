@@ -53,12 +53,8 @@ from repro.check.astutil import dotted, target_names
 from repro.check.cfg import CFG, CFGNode
 from repro.check.dataflow import ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
+from repro.check.nodetable import NodeTable
 from repro.check.rules import FlowRule, LintContext, register
-from repro.check.rules._flowutil import (
-    captured_names,
-    node_walk,
-    walk_exprs,
-)
 
 __all__ = ["RC401", "RC402", "RC403", "RC404"]
 
@@ -182,20 +178,21 @@ class _TypestateAnalysis(ForwardAnalysis):
         self.inter = inter
 
     def transfer(self, cfg: CFG, node: CFGNode, env: Env) -> Env:
-        return _apply(node, env, report=None, inter=self.inter)
+        return _apply(cfg.table, node, env, report=None, inter=self.inter)
 
     def initial(self, cfg: CFG) -> Env:
         return Env()
 
 
-def _apply(node: CFGNode, env: Env,
+def _apply(table: NodeTable, node: CFGNode, env: Env,
            report: Optional[List[Violation]],
            inter: Optional[object] = None) -> Env:
-    """OUT state of ``node``; optionally record RC401/RC402/RC403."""
+    """OUT state of ``node`` (a node of a graph over ``table``);
+    optionally record RC401/RC402/RC403."""
     stmt = node.ast_node
     if stmt is None:
         return env
-    walked = node_walk(node)
+    walked = node.walked
     line, col = node.line, node.col
 
     # -- report phase (reads the IN state only) ---------------------------
@@ -250,7 +247,7 @@ def _apply(node: CFGNode, env: Env,
     out = env
 
     # Closure capture escapes everything the nested body reads.
-    for name in captured_names(node):
+    for name in node.captured:
         if name in out:
             out = out.set(name, frozenset(
                 {ARG_ESCAPED if _is_arg(out.get(name)) else ESCAPED}))
@@ -319,7 +316,7 @@ def _apply(node: CFGNode, env: Env,
                                     out = out.set(
                                         rname, frozenset({RES_READY}))
                 else:
-                    for leaf in walk_exprs([arg_expr]):
+                    for leaf in table.walk(table.find(arg_expr, node.pos)):
                         if isinstance(leaf, ast.Name) and leaf.id in out \
                                 and leaf.id != protocol_receiver:
                             out = out.set(leaf.id, frozenset({ESCAPED}))
@@ -336,7 +333,7 @@ def _apply(node: CFGNode, env: Env,
         escaping: List[ast.expr] = list(sub.args)
         escaping.extend(kw.value for kw in sub.keywords if kw.arg != "es")
         for arg in escaping:
-            for leaf in walk_exprs([arg]):
+            for leaf in table.walk(table.find(arg, node.pos)):
                 if isinstance(leaf, ast.Name) and leaf.id in out:
                     states = out.get(leaf.id)
                     out = out.set(leaf.id, frozenset(
@@ -356,13 +353,14 @@ def _apply(node: CFGNode, env: Env,
     summarized: set = set()
     if inter is not None:
         for root in escape_roots:
-            for sub in walk_exprs([root]):
+            start = table.find(root, node.pos)
+            for sub in table.walk(start):
                 if isinstance(sub, ast.Call) and inter.call_effects(  # type: ignore[attr-defined]
                         sub, driven=id(sub) in driven_ids) is not None:
-                    summarized.update(
-                        id(leaf) for leaf in walk_exprs([sub]))
+                    summarized.update(id(leaf) for leaf in table.walk(
+                        table.find(sub, start)))
     for root in escape_roots:
-        for leaf in walk_exprs([root]):
+        for leaf in table.walk(table.find(root, node.pos)):
             if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load) \
                     and leaf.id in out and id(leaf) not in summarized:
                 states = out.get(leaf.id)
@@ -449,14 +447,14 @@ def _analyze(cfg: CFG, inter: Optional[object] = None
                     if isinstance(target, ast.Name):
                         created_at.setdefault(
                             target.id, (stmt.lineno, stmt.col_offset))
-        for sub in node_walk(node):
+        for sub in node.walked:
             if (isinstance(sub, ast.Call)
                     and isinstance(sub.func, ast.Attribute)
                     and isinstance(sub.func.value, ast.Name)):
                 vol_used[sub.func.value.id] = True
         if node.index in in_states:
-            _apply(node, in_states[node.index], report=findings,
-                   inter=inter)
+            _apply(cfg.table, node, in_states[node.index],
+                   report=findings, inter=inter)
     result = (in_states, findings, created_at, vol_used)
     cfg._typestate = result  # type: ignore[attr-defined]
     return result

@@ -10,7 +10,7 @@ floating-point association order; iterating a set of strings feeds
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.check.astutil import dotted
 from repro.check.rules import LintContext, Rule, register
@@ -73,10 +73,8 @@ def _is_time_name(name: str) -> bool:
     )
 
 
-def _mentions_time(node: ast.AST) -> bool:
-    return any(
-        _is_time_name(_terminal_name(sub)) for sub in ast.walk(node)
-    )
+def _mentions_time(nodes: Iterable[ast.AST]) -> bool:
+    return any(_is_time_name(_terminal_name(sub)) for sub in nodes)
 
 
 #: Comparator calls that already apply a tolerance — the sanctioned fix.
@@ -111,7 +109,8 @@ class FloatTimeEqualityRule(Rule):
     scope = "repo"
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for node in ctx.nodes:
+        table = ctx.table
+        for pos, node in enumerate(ctx.nodes):
             if not isinstance(node, ast.Compare):
                 continue
             if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
@@ -119,7 +118,9 @@ class FloatTimeEqualityRule(Rule):
             sides = [node.left, *node.comparators]
             if any(_is_tolerant(side) for side in sides):
                 continue
-            if not any(_mentions_time(side) for side in sides):
+            # Below the comparison: the sides' subtrees and the
+            # operator nodes, which name nothing.
+            if not _mentions_time(table.subtree(pos)[1:]):
                 continue
             if any(isinstance(side, ast.BinOp) for side in sides):
                 yield (node.lineno, node.col_offset,

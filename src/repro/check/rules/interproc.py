@@ -30,7 +30,6 @@ from repro.check.cfg import CFG
 from repro.check.dataflow import FixpointDiverged
 from repro.check.domains import UNBOUND
 from repro.check.rules import FlowRule, LintContext, register
-from repro.check.rules._flowutil import node_walk
 from repro.check.rules.asyncstate import ES_NEW, ES_PENDING
 
 __all__ = ["RC110", "RC111", "RC405"]
@@ -97,7 +96,7 @@ class _TaintFlowRule(FlowRule):
             env = in_states.get(node.index)
             if env is None:
                 continue
-            for sub in node_walk(node):
+            for sub in node.walked:
                 if not isinstance(sub, ast.Call):
                     continue
                 qual = inter.resolve(sub)  # type: ignore[attr-defined]
@@ -110,7 +109,8 @@ class _TaintFlowRule(FlowRule):
                 if inter.callee_in_sim(qual):  # type: ignore[attr-defined]
                     for idx, expr in sorted(mapping.items()) if mapping \
                             else []:
-                        taint = _expr_taint(expr, env, inter)
+                        taint = _expr_taint(cfg.table, node, expr, env,
+                                            inter)
                         if self.token in taint:
                             param = summary.params[idx] \
                                 if idx < len(summary.params) else str(idx)
@@ -125,7 +125,8 @@ class _TaintFlowRule(FlowRule):
                             idx = int(token[len(_PARAM):])
                             expr = mapping.get(idx) if mapping else None
                             if expr is not None:
-                                effective |= _expr_taint(expr, env, inter)
+                                effective |= _expr_taint(
+                                    cfg.table, node, expr, env, inter)
                         else:
                             effective.add(token)
                     if self.token in effective:

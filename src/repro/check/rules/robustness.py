@@ -14,9 +14,10 @@ attempt bound *and* a backoff delay.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.check.astutil import dotted
+from repro.check.nodetable import NodeTable
 from repro.check.rules import LintContext, Rule, register
 
 __all__ = ["RetryDisciplineRule"]
@@ -47,17 +48,15 @@ _STOP = (ast.While, ast.For, ast.AsyncFor,
          ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
-def _shallow_walk(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``node``'s subtree without descending into nested loops or
-    function definitions — a retry loop's bound and delay must live in
-    *that* loop, not in some inner one."""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if isinstance(child, _STOP):
-            continue
-        stack.extend(ast.iter_child_nodes(child))
+def _shallow_walk(table: NodeTable, pos: int) -> Iterator[int]:
+    """Positions in the subtree at ``pos`` (below it), not descending
+    into nested loops or function definitions — a retry loop's bound
+    and delay must live in *that* loop, not in some inner one."""
+    nodes, ends = table.nodes, table.ends
+    i, end = pos + 1, ends[pos]
+    while i < end:
+        yield i
+        i = ends[i] if isinstance(nodes[i], _STOP) else i + 1
 
 
 def _handler_names(handler: ast.ExceptHandler) -> list[str]:
@@ -85,18 +84,19 @@ def _handler_retries(handler: ast.ExceptHandler) -> bool:
     return not isinstance(last, (ast.Raise, ast.Break, ast.Return))
 
 
-def _ident_fragments(node: ast.AST) -> Iterator[str]:
-    for child in _shallow_walk(node):
+def _ident_fragments(nodes: Iterable[ast.AST]) -> Iterator[str]:
+    for child in nodes:
         if isinstance(child, ast.Name):
             yield child.id.lower()
         elif isinstance(child, ast.Attribute):
             yield child.attr.lower()
 
 
-def _has_attempt_bound(loop: ast.AST) -> bool:
+def _has_attempt_bound(table: NodeTable, pos: int) -> bool:
     """A ``for`` over ``range(...)``/``enumerate(range(...))``, or any
     comparison against an attempt/retry/budget-named value in the loop
     (its own test included)."""
+    loop = table.nodes[pos]
     if isinstance(loop, (ast.For, ast.AsyncFor)):
         call = loop.iter
         if isinstance(call, ast.Call):
@@ -104,30 +104,22 @@ def _has_attempt_bound(loop: ast.AST) -> bool:
             if name is not None and name.rsplit(".", 1)[-1] in (
                     "range", "enumerate"):
                 return True
-    for child in _shallow_walk(loop):
-        if not isinstance(child, ast.Compare):
+    for i in _shallow_walk(table, pos):
+        if not isinstance(table.nodes[i], ast.Compare):
             continue
-        for operand in (child.left, *child.comparators):
-            for frag in _ident_fragments_one(operand):
-                if any(h in frag for h in _BOUND_HINTS):
-                    return True
+        # The operands in full (the comparison's other children are
+        # operators): they are small and hold no nested loops.
+        for frag in _ident_fragments(table.subtree(i)[1:]):
+            if any(h in frag for h in _BOUND_HINTS):
+                return True
     return False
 
 
-def _ident_fragments_one(node: ast.AST) -> Iterator[str]:
-    """Identifier fragments of one expression (full walk: operands are
-    small and contain no nested loops worth skipping)."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            yield child.id.lower()
-        elif isinstance(child, ast.Attribute):
-            yield child.attr.lower()
-
-
-def _has_backoff(loop: ast.AST) -> bool:
+def _has_backoff(table: NodeTable, pos: int) -> bool:
     """A delay-ish call (``engine.timeout``, ``sleep``, ``*_backoff*``)
     or a backoff/jitter/delay-named value anywhere in the loop."""
-    for child in _shallow_walk(loop):
+    nodes = [table.nodes[i] for i in _shallow_walk(table, pos)]
+    for child in nodes:
         if isinstance(child, ast.Call):
             name = dotted(child.func)
             if name is not None:
@@ -136,7 +128,7 @@ def _has_backoff(loop: ast.AST) -> bool:
                     return True
     return any(
         any(h in frag for h in _DELAY_NAME_HINTS)
-        for frag in _ident_fragments(loop)
+        for frag in _ident_fragments(nodes)
     )
 
 
@@ -154,30 +146,33 @@ class RetryDisciplineRule(Rule):
     scope = "sim"
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for loop in ctx.nodes:
+        table = ctx.table
+        for pos, loop in enumerate(ctx.nodes):
             if not isinstance(loop, (ast.While, ast.For, ast.AsyncFor)):
                 continue
-            caught = self._retrying_taxonomy_catches(loop)
+            caught = self._retrying_taxonomy_catches(table, pos)
             if not caught:
                 continue
             names = ", ".join(sorted(set(caught)))
-            if not _has_attempt_bound(loop):
+            if not _has_attempt_bound(table, pos):
                 yield (loop.lineno, loop.col_offset,
                        f"retry loop around {names} has no bounded "
                        f"attempt count; a persistent fault spins it "
                        f"forever")
-            if not _has_backoff(loop):
+            if not _has_backoff(table, pos):
                 yield (loop.lineno, loop.col_offset,
                        f"retry loop around {names} has no backoff "
                        f"delay between attempts; it hammers the "
                        f"faulted resource")
 
     @staticmethod
-    def _retrying_taxonomy_catches(loop: ast.AST) -> list[str]:
-        """Taxonomy exception names caught-and-retried in this loop
-        (innermost loop only)."""
+    def _retrying_taxonomy_catches(table: NodeTable,
+                                   pos: int) -> list[str]:
+        """Taxonomy exception names caught-and-retried in the loop at
+        ``pos`` (innermost loop only)."""
         caught: list[str] = []
-        for child in _shallow_walk(loop):
+        for i in _shallow_walk(table, pos):
+            child = table.nodes[i]
             if not isinstance(child, ast.Try):
                 continue
             for handler in child.handlers:

@@ -30,7 +30,6 @@ from repro.check.cfg import CFG, CFGNode
 from repro.check.dataflow import ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
 from repro.check.rules import FlowRule, LintContext, register
-from repro.check.rules._flowutil import node_walk
 
 __all__ = ["RC501", "RC502", "RC503"]
 
@@ -229,7 +228,7 @@ def _apply(node: CFGNode, env: Env,
     if stmt is None:
         return env
     if report is not None:
-        for sub in node_walk(node):
+        for sub in node.walked:
             if isinstance(sub, ast.BinOp) \
                     and isinstance(sub.op, (ast.Add, ast.Sub)):
                 left = _definite(_dims(sub.left, env, inter))

@@ -61,7 +61,8 @@ from repro.check.concurrency import (
     optimistic_conc,
 )
 from repro.check.dataflow import FixpointDiverged, ForwardAnalysis, solve
-from repro.check.domains import UNBOUND, Env
+from repro.check.domains import UNBOUND, UNBOUND_ONLY, Env
+from repro.check.nodetable import NodeTable
 from repro.check.rules.asyncstate import (
     ARG,
     ARG_CLOSED,
@@ -243,23 +244,31 @@ def _call_source_taint(call: ast.Call) -> FrozenSet[str]:
     return frozenset(out)
 
 
-def _sub_exprs(node: ast.AST) -> List[ast.expr]:
-    """Immediate child expressions, looking through non-expr wrappers
-    (keywords, comprehension clauses, slices)."""
-    out: List[ast.expr] = []
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.expr):
+def _sub_exprs(table: NodeTable, k: int) -> List[int]:
+    """Positions of the immediate child expressions of the node at
+    ``k``, looking through non-expr wrappers (keywords, comprehension
+    clauses)."""
+    out: List[int] = []
+    for child in table.children(k):
+        if isinstance(table.nodes[child], ast.expr):
             out.append(child)
         else:
-            out.extend(_sub_exprs(child))
+            out.extend(_sub_exprs(table, child))
     return out
 
 
-def _expr_taint(expr: ast.expr, env: Env,
+def _expr_taint(table: NodeTable, node: CFGNode, expr: ast.expr, env: Env,
                 inter: Optional["FileInter"]) -> FrozenSet[str]:
-    """Taint tokens ``expr`` may carry under ``env``."""
+    """Taint tokens ``expr`` (evaluated at ``node``, a node of a graph
+    over ``table``) may carry under ``env``."""
+    return _taint_at(table, table.find(expr, node.pos), env, inter)
+
+
+def _taint_at(table: NodeTable, k: int, env: Env,
+              inter: Optional["FileInter"]) -> FrozenSet[str]:
+    expr = table.nodes[k]
     if isinstance(expr, ast.Name):
-        return (env.get(expr.id) or frozenset()) - {UNBOUND}
+        return (env.get(expr.id) or frozenset()) - UNBOUND_ONLY
     if isinstance(expr, (ast.Lambda, ast.Constant)):
         return frozenset()
     if isinstance(expr, ast.Call):
@@ -271,61 +280,65 @@ def _expr_taint(expr: ast.expr, env: Env,
                 if token.startswith(PARAM):
                     idx = int(token[len(PARAM):])
                     if mapping is not None and idx in mapping:
-                        out |= _expr_taint(mapping[idx], env, inter)
+                        arg = table.find(mapping[idx], k)
+                        out |= _taint_at(table, arg, env, inter)
                     else:
-                        for sub in _sub_exprs(expr):
-                            out |= _expr_taint(sub, env, inter)
+                        for sub in _sub_exprs(table, k):
+                            out |= _taint_at(table, sub, env, inter)
                 else:
                     out.add(token)
         else:
             # Unresolved call: taint flows through arbitrarily.
-            for sub in _sub_exprs(expr):
-                out |= _expr_taint(sub, env, inter)
+            for sub in _sub_exprs(table, k):
+                out |= _taint_at(table, sub, env, inter)
         return frozenset(out)
     result: FrozenSet[str] = frozenset()
-    for sub in _sub_exprs(expr):
-        result |= _expr_taint(sub, env, inter)
+    for sub in _sub_exprs(table, k):
+        result |= _taint_at(table, sub, env, inter)
     return result
 
 
-def _taint_apply(node: CFGNode, env: Env,
+def _bind(env: Env, target: ast.expr, taint: FrozenSet[str]) -> Env:
+    """``env`` with the names ``target`` binds carrying ``taint``."""
+    if isinstance(target, ast.Name):
+        if taint:
+            return env.set(target.id, taint)
+        return env.remove(target.id)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            env = _bind(env, element, taint)
+    return env
+
+
+def _taint_apply(table: NodeTable, node: CFGNode, env: Env,
                  inter: Optional["FileInter"]) -> Env:
     """Forward taint transfer for one CFG node."""
     stmt = node.ast_node
     if stmt is None:
         return env
     out = env
-
-    def bind(target: ast.expr, taint: FrozenSet[str]) -> None:
-        nonlocal out
-        if isinstance(target, ast.Name):
-            if taint:
-                out = out.set(target.id, taint)
-            else:
-                out = out.remove(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                bind(element, taint)
-
     if isinstance(stmt, (ast.Assign, ast.AnnAssign)) \
             and stmt.value is not None:
-        taint = _expr_taint(stmt.value, env, inter)
+        taint = _expr_taint(table, node, stmt.value, env, inter)
         targets = stmt.targets if isinstance(stmt, ast.Assign) \
             else [stmt.target]
         for target in targets:
-            bind(target, taint)
+            out = _bind(out, target, taint)
     elif isinstance(stmt, ast.AugAssign):
-        taint = _expr_taint(stmt.value, env, inter)
+        taint = _expr_taint(table, node, stmt.value, env, inter)
         if isinstance(stmt.target, ast.Name):
-            existing = (env.get(stmt.target.id) or frozenset()) - {UNBOUND}
-            bind(stmt.target, existing | taint)
+            existing = (env.get(stmt.target.id) or frozenset()) \
+                - UNBOUND_ONLY
+            out = _bind(out, stmt.target, existing | taint)
     elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        bind(stmt.target, _expr_taint(stmt.iter, env, inter))
+        out = _bind(out, stmt.target,
+                    _expr_taint(table, node, stmt.iter, env, inter))
     elif isinstance(stmt, (ast.With, ast.AsyncWith)):
         for item in stmt.items:
             if item.optional_vars is not None:
-                bind(item.optional_vars,
-                     _expr_taint(item.context_expr, env, inter))
+                out = _bind(out, item.optional_vars,
+                            _expr_taint(table, node, item.context_expr, env,
+                                        inter))
     elif isinstance(stmt, ast.Delete):
         for target in stmt.targets:
             if isinstance(target, ast.Name):
@@ -350,7 +363,7 @@ class _TaintAnalysis(ForwardAnalysis):
         return env
 
     def transfer(self, cfg: CFG, node: CFGNode, env: Env) -> Env:
-        return _taint_apply(node, env, self.inter)
+        return _taint_apply(cfg.table, node, env, self.inter)
 
 
 def taint_states(cfg: CFG,
@@ -383,7 +396,8 @@ class _SummaryTypestate(ForwardAnalysis):
         return env
 
     def transfer(self, cfg: CFG, node: CFGNode, env: Env) -> Env:
-        return _typestate_apply(node, env, report=None, inter=self.inter)
+        return _typestate_apply(cfg.table, node, env, report=None,
+                                inter=self.inter)
 
 
 def _abstract_param(states: Optional[FrozenSet[str]]) -> FrozenSet[str]:
@@ -532,7 +546,7 @@ def _return_taint(cfg: CFG,
             continue
         env = in_states.get(node.index)
         if env is not None:
-            out |= _expr_taint(stmt.value, env, inter)
+            out |= _expr_taint(cfg.table, node, stmt.value, env, inter)
     return frozenset(out)
 
 
@@ -540,7 +554,7 @@ def summarize_function(info: FunctionInfo, func: FuncDef,
                        view: "FileInter") -> FunctionSummary:
     """One summary from the typestate, units, taint and lock solves over
     the function's CFG (the view's shared graph)."""
-    cfg = memo_cfg(view.cfgs, func)
+    cfg = memo_cfg(view.cfgs, func, view.table)
     try:
         ts_in = solve(cfg, _SummaryTypestate(view))
     except FixpointDiverged:
@@ -576,6 +590,8 @@ class FileInter:
 
     Built by :meth:`InterContext.own_view` over the context's own tree
     — the resolver's maps (and :attr:`cfgs`) are keyed by ``id(node)``.
+    The view points at the context; the context keeps no views, so a
+    finished run is freed by reference counting.
     """
 
     def __init__(self, ctx: "InterContext",
@@ -583,6 +599,7 @@ class FileInter:
         self.index = ctx.index
         self.summaries = ctx.summaries
         self.resolver = resolver
+        self.table: NodeTable = resolver.table
         self._ctx = ctx
         #: ``id(def node) -> CFG`` memo, shared with the whole context.
         self.cfgs: Dict[int, CFG] = ctx.cfgs
@@ -725,43 +742,44 @@ class InterContext:
     """Whole-project interprocedural state: index, call graph, summaries.
 
     It also owns the run's per-file and per-function artifacts, each
-    built once and shared by every pass: one :class:`FileResolver` and
-    one :class:`FileInter` per file, one CFG per function node.  Pool
-    workers inherit the whole context through ``fork``.
+    built once and shared by every pass: one :class:`NodeTable` (the
+    file's only traversal) and one :class:`FileResolver` per file, one
+    CFG per function node.  Pool workers inherit the whole context
+    through ``fork``.
     """
 
-    def __init__(self, index: ProjectIndex,
-                 trees: Dict[str, ast.Module]) -> None:
-        self.index = index
+    def __init__(self, trees: Dict[str, ast.Module]) -> None:
         self.trees = trees
+        #: Per-run artifacts over :attr:`trees` (which keeps the nodes,
+        #: hence the ids, alive): path -> node table, path -> resolver,
+        #: path -> ``qualname -> def node``, and the ``id(def node) ->
+        #: CFG`` memo.  The CFGs carry only syntax facts while
+        #: summaries are computed; the rule-phase solve caches
+        #: (``_typestate``, ``_units``, ``_taint``) land on them once
+        #: summaries are final.
+        self.tables: Dict[str, NodeTable] = {
+            path: NodeTable(trees[path]) for path in sorted(trees)}
+        self.index: ProjectIndex = build_index(self.tables)
         self.summaries: Dict[str, FunctionSummary] = {}
         self.edges: Dict[str, Set[str]] = {}
         self.nodes: Dict[str, FuncDef] = {}
-        self.prim_attrs: Dict[str, str] = collect_prim_attrs(trees)
+        self.prim_attrs: Dict[str, str] = collect_prim_attrs(self.tables)
         #: Assembled by :meth:`build` (or the driver) once summaries
         #: exist; ``None`` until then.
         self.conc: Optional[ConcIndex] = None
-        #: Per-run artifacts over :attr:`trees` (which keeps the nodes,
-        #: hence the ids, alive): path -> resolver, path -> ``qualname
-        #: -> def node``, and the ``id(def node) -> CFG`` memo.  The
-        #: CFGs carry syntax memos only while summaries are computed;
-        #: the rule-phase solve caches (``_typestate``, ``_units``,
-        #: ``_taint``) land on them once summaries are final.
         self.resolvers: Dict[str, FileResolver] = {}
         self.file_functions: Dict[str, Dict[str, FuncDef]] = {}
         self.cfgs: Dict[int, CFG] = {}
-        self._own_views: Dict[str, FileInter] = {}
-        for path in sorted(trees):
-            self.resolvers[path] = FileResolver(index, path, trees[path])
-            funcs = collect_function_nodes(trees[path],
-                                           module_name_for_path(path))
+        for path, table in self.tables.items():
+            self.resolvers[path] = FileResolver(self.index, path, table)
+            funcs = collect_function_nodes(table, module_name_for_path(path))
             self.file_functions[path] = funcs
             self.nodes.update(funcs)
 
     @classmethod
     def from_trees(cls, trees: Dict[str, ast.Module]) -> "InterContext":
         """Index and call graph over parsed trees (no summaries yet)."""
-        ctx = cls(build_index(trees), trees)
+        ctx = cls(trees)
         ctx.edges = build_call_graph(ctx.index, ctx.resolvers,
                                      ctx.file_functions)
         return ctx
@@ -781,12 +799,9 @@ class InterContext:
         return ctx
 
     def own_view(self, path: str) -> FileInter:
-        """View over the context's own parse of ``path``."""
-        view = self._own_views.get(path)
-        if view is None:
-            view = self._own_views[path] = FileInter(self,
-                                                     self.resolvers[path])
-        return view
+        """View over the context's own parse of ``path`` (a new, cheap
+        object each call: the shared state lives on the context)."""
+        return FileInter(self, self.resolvers[path])
 
 
 def compute_summaries(ctx: InterContext,

@@ -21,6 +21,7 @@ from repro.faults.errors import (
     TransientIOError,
     WorkerCrashError,
     WorkerStallError,
+    portable_traceback,
 )
 from repro.faults.injector import (
     FaultConfig,
@@ -57,6 +58,7 @@ __all__ = [
     "WorkerCrashError",
     "WorkerStallError",
     "chaos_config",
+    "portable_traceback",
     "scenario_config",
     "scenario_names",
 ]

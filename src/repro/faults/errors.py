@@ -26,9 +26,16 @@ fault bites:
     │     nothing evictable); the request is served from the source tier
     └── ``RetryExhaustedError`` — the retry budget ran out (carries the
           last underlying fault as ``__cause__``)
+
+:func:`portable_traceback` formats any failure for a recorded artifact
+(a crashed sweep point, a failed fleet job) independent of where the
+checkout lives.
 """
 
 from __future__ import annotations
+
+import os
+import traceback
 
 __all__ = [
     "CacheAdmissionError",
@@ -44,7 +51,19 @@ __all__ = [
     "TransientIOError",
     "WorkerCrashError",
     "WorkerStallError",
+    "portable_traceback",
 ]
+
+#: Directory holding the ``repro`` package; stripped from traceback paths.
+_PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+
+def portable_traceback(exc: BaseException) -> str:
+    """``exc``'s formatted traceback (chained causes included), with
+    ``File "<...>/repro/x.py"`` written as ``File "repro/x.py"``."""
+    text = "".join(traceback.format_exception(exc))
+    return text.replace(f'File "{_PACKAGE_PARENT}{os.sep}', 'File "')
 
 
 class FaultError(IOError):

@@ -34,13 +34,11 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import time
-import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.faults import FaultError
+from repro.faults import FaultError, portable_traceback
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.registry import WORKLOADS, machine_spec, workload
 from repro.harness.sweep import SweepPoint, best_by_config
@@ -247,18 +245,6 @@ def _run_sched_point(task: SweepTask) -> dict:
     return asdict(metrics)
 
 
-#: Directory holding the ``repro`` package; stripped from traceback paths.
-_PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
-
-
-def _portable_traceback(exc: BaseException) -> str:
-    """``exc``'s formatted traceback (chained causes included), with
-    ``File "<...>/repro/x.py"`` written as ``File "repro/x.py"``."""
-    text = "".join(traceback.format_exception(exc))
-    return text.replace(f'File "{_PACKAGE_PARENT}{os.sep}', 'File "')
-
-
 def run_point(task: SweepTask) -> dict:
     """Run one grid point with crash isolation; never raises.
 
@@ -298,7 +284,7 @@ def run_point(task: SweepTask) -> dict:
             "family": "crash",
             "kind": type(exc).__name__,
             "message": str(exc),
-            "traceback": _portable_traceback(exc),
+            "traceback": portable_traceback(exc),
         }
     return point
 

@@ -53,7 +53,8 @@ from repro.mpi import MPIJob
 from repro.platform import Cluster, ContentionTimeline
 from repro.hdf5 import H5Library
 from repro.trace import IOLog, SpanLog
-from repro.faults import FaultInjector, NodeFailureError
+from repro.faults import (FaultInjector, NodeFailureError,
+                          portable_traceback)
 from repro.sched.job import (
     JobKilled,
     JobKilledByNodeFailure,
@@ -395,7 +396,8 @@ class Scheduler:
                 kill = JobKilled(record.job_id, reason="sibling rank failed")
                 record.kill_reason = kill.reason
                 record.fault = {"kind": type(exc).__name__,
-                                "message": str(exc)}
+                                "message": str(exc),
+                                "traceback": portable_traceback(exc)}
                 for proc in procs:
                     if proc.alive:
                         proc.interrupt(kill)

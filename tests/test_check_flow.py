@@ -17,9 +17,10 @@ import ast
 import textwrap
 
 from repro.check import lint_paths, lint_source, render_findings
-from repro.check.cfg import build_cfg, iter_functions
+from repro.check.cfg import build_cfg
 from repro.check.dataflow import ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
+from repro.check.nodetable import NodeTable
 
 import pathlib
 
@@ -60,8 +61,8 @@ class ConstTrace(ForwardAnalysis):
 
 
 def exit_state(source):
-    tree = ast.parse(textwrap.dedent(source))
-    cfg = build_cfg(next(iter_functions(tree)))
+    table = NodeTable(ast.parse(textwrap.dedent(source)))
+    cfg = build_cfg(table.functions()[0], table)
     return solve(cfg, ConstTrace())[cfg.exit]
 
 

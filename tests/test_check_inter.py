@@ -119,6 +119,25 @@ def test_callgraph_nested_defs_are_indexed_and_called():
     assert nested in ctx.edges["repro.util.helpers.outer"]
 
 
+def test_callgraph_def_inside_a_compound_statement_gets_its_own_scope():
+    # ``inner``'s parameter shadows the module-level ``helper``: its
+    # call is a parameter call, not an edge to ``helper``.  The same
+    # def placed directly in ``outer``'s body always resolved this way.
+    ctx = build({"src/pkg/mod.py": """
+        def helper(x):
+            return x
+
+
+        def outer(flag):
+            if flag:
+                def inner(helper):
+                    return helper(1)
+            return None
+        """})
+    assert ctx.edges["pkg.mod.outer.<locals>.inner"] == set()
+    assert ctx.edges["pkg.mod.outer"] == set()
+
+
 def test_callgraph_lambdas_stay_opaque():
     # A lambda-bound name never resolves; its argument escapes (the
     # hedge), so the caller is neither cleaned nor flagged.

@@ -1,9 +1,11 @@
 """Parse once, walk once: the per-run artifacts ``repro check`` shares.
 
 A cold :func:`repro.check.driver.check_paths` run builds each file's
-tree and resolver, and each function's CFG, exactly once; the index,
-call graph, summary, concurrency and lint passes all reuse them.  These
-tests count the builds with wrappers installed on every module binding
+tree, node table (its one walk) and resolver, and each function's CFG,
+exactly once; the index, call graph, summary, concurrency and lint
+passes all reuse them, and the finished run is freed without the
+cyclic collector.  These tests count the builds with wrappers installed
+on every module binding
 (:func:`repro.check.callcount.count_calls`), check that every rule
 fixture of the other ``test_check*`` modules lints through that path
 (a context's own tree, never a second parse), and pin the RC000 and
@@ -11,6 +13,7 @@ worker-count contracts the shared seam must keep.
 """
 
 import ast
+import gc
 import inspect
 import pathlib
 
@@ -20,6 +23,7 @@ from repro.check import callgraph, cfg, lint_source
 from repro.check.callcount import count_calls
 from repro.check.driver import check_paths
 from repro.check.lint import findings_to_json
+from repro.check.nodetable import NodeTable
 from repro.check.rules import LintContext
 
 from tests import (
@@ -104,6 +108,37 @@ def test_cold_check_builds_every_artifact_once(project):
     assert len(resolvers) == len(PROJECT)
     assert len(cfgs) == function_count(PROJECT.values())
     assert len(set(cfgs)) == len(cfgs)  # distinct def nodes
+
+
+def test_cold_check_walks_each_tree_once(project):
+    # ``ast.walk`` calls ``iter_child_nodes`` once per node, so one
+    # traversal per tree is exactly one call per node.
+    nodes = sum(len(list(ast.walk(ast.parse(src))))
+                for src in PROJECT.values())
+    with count_calls(ast.iter_child_nodes) as (child_iters,):
+        check_paths(["pkg"], workers=1, use_cache=False,
+                    cache_dir=".cache", concurrency=True)
+    assert len(child_iters) == nodes
+
+
+def test_finished_run_is_freed_by_refcount(project):
+    # No reference cycle keeps a finished run alive: with the collector
+    # saving everything it would free, nothing of the run shows up.
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        check_paths(["pkg"], workers=1, use_cache=False,
+                    cache_dir=".cache", concurrency=True)
+        gc.collect()
+        leaked = {type(obj).__name__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert not leaked & {"InterContext", "FileInter", "CFG", "Module"}
 
 
 def test_findings_identical_for_one_and_two_workers(project):
@@ -198,6 +233,7 @@ def test_lint_source_rejects_a_file_outside_the_context():
 # ---------------------------------------------------------------------------
 
 def test_cache_package_is_a_sim_path():
-    ctx = LintContext(path="src/repro/cache/planner.py",
-                      tree=ast.parse(""), source="")
+    tree = ast.parse("")
+    ctx = LintContext(path="src/repro/cache/planner.py", tree=tree,
+                      source="", table=NodeTable(tree))
     assert ctx.in_sim_path

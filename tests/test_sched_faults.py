@@ -22,6 +22,7 @@ with exactly one checkpoint durable.
 import dataclasses
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -39,6 +40,7 @@ from repro.sched import (
     make_job,
     make_policy,
 )
+from repro.sched import scheduler
 from repro.sim import Engine
 
 GB = 1e9
@@ -242,8 +244,9 @@ def test_sibling_rank_failure_releases_nodes_immediately():
     dead, after = records
     assert dead.state is JobState.FAILED
     assert dead.kill_reason == "sibling rank failed"
-    assert dead.fault == {"kind": "ValueError",
-                          "message": "rank 1 exploded"}
+    assert set(dead.fault) == {"kind", "message", "traceback"}
+    assert (dead.fault["kind"], dead.fault["message"]) == \
+        ("ValueError", "rank 1 exploded")
     # Survivor ranks were reaped with the failure, not left to run the
     # full 60 s compute: the job ends at the failure instant ...
     assert dead.finish_time == pytest.approx(1.0)
@@ -252,6 +255,20 @@ def test_sibling_rank_failure_releases_nodes_immediately():
     assert after.start_time == pytest.approx(1.0)
     assert after.state is JobState.COMPLETED
     assert cluster.free_node_count == 2
+
+
+def test_sibling_rank_failure_records_a_portable_traceback():
+    spec, engine, cluster, sched, _svc = build_chaos(nodes=2)
+    boom = JobSpec(name="boom", tenant="t0", workload="custom", nranks=8,
+                   mode="sync", program_factory=boom_factory, config=None,
+                   walltime=500.0)
+    [dead] = sched.run_stream([(0.0, boom)])
+    trace = dead.fault["traceback"]
+    assert "in program" in trace
+    assert trace.rstrip().endswith("ValueError: rank 1 exploded")
+    # Package paths are relative, so the record is checkout-independent.
+    assert 'File "repro/' in trace
+    assert str(pathlib.Path(scheduler.__file__).parent) not in trace
 
 
 # ---------------------------------------------------------------------------
