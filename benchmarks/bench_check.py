@@ -119,7 +119,7 @@ def _tree_counts(paths):
     from repro.check.lint import _iter_python_files
 
     functions = nodes = 0
-    for path in _iter_python_files(paths):
+    for path in _iter_python_files(paths).values():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             nodes += 1
             functions += isinstance(node, (ast.FunctionDef,

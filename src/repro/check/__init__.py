@@ -20,24 +20,14 @@ Both are wired into the ``repro check`` CLI subcommand and the CI
 
 Import discipline: this package is imported by the hot simulator
 modules (through :mod:`repro.check.hooks`), so its eager imports are
-stdlib-only.  :class:`RuntimeChecker` — which imports the engine — is
-re-exported lazily.
+stdlib-only.  Every name below — the analyzer's and
+:class:`RuntimeChecker`, which imports the engine — is re-exported
+lazily.
 """
 
 from __future__ import annotations
 
 from typing import Any
-
-from repro.check.lint import (
-    Finding,
-    findings_to_json,
-    findings_to_sarif,
-    lint_paths,
-    lint_source,
-    render_findings,
-    suppression_stats,
-)
-from repro.check.rules import RULES, all_rules
 
 __all__ = [
     "CheckResult",
@@ -53,7 +43,6 @@ __all__ = [
     "check_paths",
     "findings_to_json",
     "findings_to_sarif",
-    "lint_paths",
     "lint_source",
     "render_findings",
     "suppression_stats",
@@ -61,9 +50,18 @@ __all__ = [
 
 #: Lazily-imported names -> their defining submodule (PEP 562).  Eagerly
 #: importing :mod:`repro.check.runtime` here would close an import cycle
-#: through :mod:`repro.sim.engine`; the interprocedural driver pulls in
-#: the whole summary machinery, which light consumers never need.
+#: through :mod:`repro.sim.engine`; the analyzer (the lint front end,
+#: every rule module, the driver and the summary machinery) is what the
+#: simulator modules importing :mod:`repro.check.hooks` never need.
 _LAZY = {
+    "Finding": "lint",
+    "findings_to_json": "lint",
+    "findings_to_sarif": "lint",
+    "lint_source": "lint",
+    "render_findings": "lint",
+    "suppression_stats": "lint",
+    "RULES": "rules",
+    "all_rules": "rules",
     "RuntimeChecker": "runtime",
     "RuntimeFinding": "runtime",
     "CheckResult": "driver",

@@ -49,8 +49,8 @@ import ast
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.check.astutil import dotted, target_names
 from repro.check.callgraph import (
@@ -61,6 +61,9 @@ from repro.check.cfg import CFG, CFGNode, FuncDef
 from repro.check.dataflow import FixpointDiverged, ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
 from repro.check.nodetable import NodeTable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.check.summaries import FileInter
 
 __all__ = [
     "ConcEffects",
@@ -389,13 +392,12 @@ class _FuncScope:
     """Name -> token resolution for one function body."""
 
     def __init__(self, info: FunctionInfo, func: FuncDef,
-                 view: object) -> None:
+                 view: "FileInter") -> None:
         self.info = info
         self.func = func
         self.view = view
-        self.index = getattr(view, "index", None)
-        self.prim_attrs: Dict[str, str] = getattr(view, "prim_attrs",
-                                                  None) or {}
+        self.index = view.index
+        self.prim_attrs: Dict[str, str] = view.prim_attrs
         self.param_index = {name: i for i, name in enumerate(info.params)}
         self.assigned_params: Set[str] = set()
         self.self_name: Optional[str] = None
@@ -412,7 +414,7 @@ class _FuncScope:
 
     def _prescan(self) -> None:
         assigns: Dict[str, List[Optional[str]]] = {}
-        table: NodeTable = self.view.table  # type: ignore[attr-defined]
+        table: NodeTable = self.view.table
         nodes = table.nodes
         stack: List[int] = list(table.children(table.position(self.func)))
         while stack:
@@ -477,10 +479,9 @@ class _FuncScope:
             kind = self.prim_attrs.get(key)
             if kind is not None:
                 return f"C:{key}", kind
-            if self.index is not None:
-                cls = self.index.classes.get(current)
-                if cls is not None:
-                    queue.extend(cls.resolved_bases)
+            cls = self.index.classes.get(current)
+            if cls is not None:
+                queue.extend(cls.resolved_bases)
         return None
 
 
@@ -542,7 +543,7 @@ def _iter_occurrences(scope: _FuncScope, node: CFGNode,
     access on a token does not count (reading ``sem.engine`` leaks
     nothing), nested lambda bodies are skipped (captures are handled
     via ``CFGNode.captured``)."""
-    table: NodeTable = scope.view.table  # type: ignore[attr-defined]
+    table: NodeTable = scope.view.table
     stack: List[Tuple[int, bool]] = [(table.find(e, node.pos), False)
                                      for e in reversed(list(exprs))]
     while stack:
@@ -626,14 +627,14 @@ class _SiteActions:
                       ) -> Optional[Tuple[FunctionInfo, ConcEffects,
                                           Dict[int, ast.expr]]]:
         view = self.scope.view
-        info = view.function_for_call(call)  # type: ignore[attr-defined]
-        summary = view.summary_for_call(call)  # type: ignore[attr-defined]
+        info = view.function_for_call(call)
+        summary = view.summary_for_call(call)
         if info is None or summary is None:
             return None
         conc = getattr(summary, "conc", None)
         if conc is None:
             return None
-        mapping = view.param_index_map(call)  # type: ignore[attr-defined]
+        mapping = view.param_index_map(call)
         if mapping is None:
             return None
         return info, conc, mapping
@@ -757,7 +758,7 @@ class _SiteActions:
         out: List[tuple] = []
         if stmt is None:
             return out
-        exprs = [scope.view.table.nodes[root]  # type: ignore[attr-defined]
+        exprs = [scope.view.table.nodes[root]
                  for root in node.roots]
 
         for name in node.captured:
@@ -1019,7 +1020,7 @@ def _apply_actions(actions: Sequence[tuple], env: Env) -> Env:
 
 
 def analyze_function(info: FunctionInfo, func: FuncDef,
-                     view: object, cfg: CFG) -> ConcEffects:
+                     view: "FileInter", cfg: CFG) -> ConcEffects:
     """Compute one function's :class:`ConcEffects` (one solve + one
     replay over ``cfg``, the function's graph)."""
     scope = _FuncScope(info, func, view)

@@ -1,4 +1,5 @@
-"""Incremental, parallel driver for ``repro check --inter``.
+"""Incremental, parallel driver: the one path for every ``repro check``
+tier.
 
 The interprocedural tier costs up to four fixpoint solves per project
 function (typestate, units, taint, lock set), so the repo-wide
@@ -6,12 +7,13 @@ zero-findings CI gate needs the classic compiler treatment: cache
 everything on content hashes, re-analyze only what a change can
 actually affect, and fan the per-file lint out across processes.
 Three cache levels, all in one JSON file under
-``.repro-check-cache/``:
+``.repro-check-cache/``; levels 1 and 3 keep one section per tier, so
+tiers never evict each other:
 
-1. **Tree key** — hash of every ``(path, content hash)`` pair plus the
-   mode flags.  An unchanged tree returns the stored findings without
-   even parsing: the warm no-op rerun.
-2. **Summary units** — files grouped by the strongly connected
+1. **Tree key** — hash of every ``(path, content hash)`` pair.  An
+   unchanged tree returns the stored findings without even parsing:
+   the warm no-op rerun.
+2. **Summary units** (``--inter``) — files grouped by the strongly connected
    components of the *file-level* call graph, processed bottom-up.  A
    unit's key hashes its member file contents and the summary digests
    of out-of-unit callees, so invalidation propagates through the
@@ -19,9 +21,8 @@ Three cache levels, all in one JSON file under
    a helper's body without changing its summary and no caller is
    touched; change what it does to its arguments and every transitive
    caller re-keys.
-3. **Per-file findings** — keyed by the file's content hash, the mode
-   flags and the summary digests of every callee the file's calls
-   resolve to.
+3. **Per-file findings** — keyed by the file's content hash and the
+   summary digests of every callee the file's calls resolve to.
 
 A cold run parses each file once.  The resulting
 :class:`~repro.check.summaries.InterContext` owns every per-file and
@@ -33,19 +34,21 @@ a path.
 
 Output is byte-identical regardless of worker count or cache state:
 files are linted independently (any order), then findings are emitted
-in deterministic file order with a per-file sort — the exact order
-:func:`repro.check.lint.lint_paths` produces.
+in deterministic file order with a per-file sort.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from repro.check.callgraph import strongly_connected_components
 from repro.check.concurrency import build_conc_index
@@ -59,7 +62,7 @@ from repro.check.summaries import (
 __all__ = ["CheckResult", "check_paths"]
 
 #: Bump to invalidate every cache entry (rule or summary format change).
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 CACHE_FILE = "cache.json"
 
 
@@ -72,6 +75,8 @@ class CheckResult:
     analyzed: List[str]
     #: Whole-tree cache hit: nothing was parsed or analyzed.
     tree_hit: bool
+    #: The deepest tier that ran: ``flat``, ``flow``, ``inter``, ``conc``.
+    tier: str
     stats: Dict[str, int] = field(default_factory=dict)
 
     def diff_findings(self) -> List[Finding]:
@@ -101,7 +106,7 @@ def _load_cache(cache_dir: pathlib.Path) -> Dict[str, object]:
 
 
 def _save_cache(cache_dir: pathlib.Path, data: Dict[str, object]) -> None:
-    """Atomic rewrite; only the current run's entries survive."""
+    """Atomic rewrite of the whole cache file."""
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = cache_dir / (CACHE_FILE + ".tmp")
@@ -132,7 +137,7 @@ def _summaries_with_cache(
     funcs_by_path: Dict[str, List[str]] = {}
     for qual, path in func_path.items():
         funcs_by_path.setdefault(path, []).append(qual)
-    file_edges: Dict[str, Set[str]] = {p: set() for p in ctx.trees}
+    file_edges: Dict[str, Set[str]] = {p: set() for p in ctx.tables}
     for caller, callees in ctx.edges.items():
         caller_path = func_path.get(caller)
         if caller_path is None:
@@ -176,9 +181,9 @@ def _summaries_with_cache(
     return recomputed
 
 
-def _file_key(path: str, content_hash: str, flow: bool, inter: bool,
-              concurrency: bool, ctx: Optional[InterContext]) -> str:
-    """Findings cache key: content + flags + resolved-callee digests.
+def _file_key(ctx: InterContext, path: str, content_hash: str,
+              inter: bool, concurrency: bool) -> str:
+    """Findings cache key: content + resolved-callee digests.
 
     Under ``--concurrency`` the whole-project ``ConcIndex`` digest
     joins the key: an RC6xx finding in this file can be produced (or
@@ -186,18 +191,43 @@ def _file_key(path: str, content_hash: str, flow: bool, inter: bool,
     acquisition elsewhere, a trigger appearing anywhere — so per-file
     reuse is only sound while the global verdicts are unchanged."""
     callee_digests: List[Tuple[str, str]] = []
-    if ctx is not None and path in ctx.trees:
-        view = ctx.own_view(path)
-        quals = sorted(set(view.resolver.calls.values()))
+    if inter and path in ctx.tables:
+        quals = sorted(set(ctx.resolver(path).calls.values()))
         callee_digests = [
             (q, ctx.summaries[q].digest)
             for q in quals if q in ctx.summaries
         ]
     conc_digest = ""
-    if concurrency and ctx is not None and ctx.conc is not None:
-        conc_digest = ctx.conc.digest
-    return _key_of([CACHE_VERSION, path, content_hash, flow, inter,
-                    concurrency, conc_digest, callee_digests])
+    if concurrency:
+        conc_digest = ctx.conc.digest  # type: ignore[union-attr]
+    return _key_of([CACHE_VERSION, path, content_hash, conc_digest,
+                    callee_digests])
+
+
+def _section(data: Dict[str, Any], name: str) -> Dict[str, Any]:
+    """``data[name]`` when it is a JSON object, else an empty one."""
+    value = data.get(name)
+    return value if isinstance(value, dict) else {}
+
+
+@contextlib.contextmanager
+def _frozen_context(texts: Dict[str, str]) -> Iterator[InterContext]:
+    """The run's context, built with the cyclic collector paused and
+    frozen out of its generations until the run ends: its trees and
+    tables hold no reference cycles, yet rescanning them on every full
+    collection costs as much as the parse."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = InterContext(texts)
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+    try:
+        yield ctx
+    finally:
+        gc.unfreeze()
 
 
 # -- lint fan-out (workers inherit the run through ``fork``) ---------------
@@ -209,13 +239,15 @@ class _LintRun:
     task carries only a path and workers re-parse nothing."""
 
     texts: Dict[str, str]
-    ctx: Optional[InterContext]
+    ctx: InterContext
     flow: bool
+    inter: bool
     concurrency: bool
 
     def lint(self, path: str) -> List[Finding]:
-        return lint_source(self.texts[path], path=path, flow=self.flow,
-                           inter=self.ctx, concurrency=self.concurrency)
+        return lint_source(self.texts[path], path, self.ctx,
+                           flow=self.flow, inter=self.inter,
+                           concurrency=self.concurrency)
 
 
 _WORKER: Dict[str, _LintRun] = {}
@@ -236,103 +268,90 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
                 cache_dir: Union[str, pathlib.Path] = ".repro-check-cache",
                 use_cache: bool = True,
                 concurrency: bool = False) -> CheckResult:
-    """Incremental interprocedural lint over ``paths``.
+    """Incremental lint over ``paths`` at the tier the flags select:
+    flat always, plus ``flow``, plus ``inter`` (implies ``flow``), plus
+    ``concurrency`` (implies ``inter``; runs the RC6xx conc tier over
+    the assembled project-wide ``ConcIndex``).
 
     ``workers`` caps the lint fan-out (``None``/``1`` runs serially —
     the output is byte-identical either way).  ``use_cache=False``
     forces a cold run and still writes a fresh cache.
-    ``concurrency=True`` implies ``inter`` and additionally runs the
-    RC6xx conc tier over the assembled project-wide ``ConcIndex``.
     """
-    if concurrency:
-        inter = True
+    inter = inter or concurrency
+    flow = flow or inter
+    tier = ("conc" if concurrency else "inter" if inter
+            else "flow" if flow else "flat")
     cache_path = pathlib.Path(cache_dir)
-    files = _iter_python_files(paths)
-    order: List[str] = []
-    texts: Dict[str, str] = {}
-    for file_path in files:
-        posix = pathlib.PurePath(str(file_path)).as_posix()
-        if posix in texts:
-            continue
-        order.append(posix)
-        texts[posix] = file_path.read_text(encoding="utf-8")
+    texts = {posix: file_path.read_text(encoding="utf-8")
+             for posix, file_path in _iter_python_files(paths).items()}
+    order = list(texts)
     hashes = {p: _hash_text(t) for p, t in texts.items()}
 
     cache = _load_cache(cache_path) if use_cache else {}
-    tree_key = _key_of([CACHE_VERSION, flow, inter, concurrency,
-                        sorted(hashes.items())])
-    tree_entry = cache.get("tree")
-    if isinstance(tree_entry, dict) and tree_entry.get("key") == tree_key:
+    tiers = _section(cache, "tiers")
+    section = _section(tiers, tier)
+    tree_key = _key_of([CACHE_VERSION, sorted(hashes.items())])
+    tree_entry = _section(section, "tree")
+    if tree_entry.get("key") == tree_key:
         findings = _findings_from_wire(tree_entry.get("findings", []))
         return CheckResult(findings=findings, analyzed=[], tree_hit=True,
+                           tier=tier,
                            stats={"files": len(order), "analyzed": 0,
                                   "units_recomputed": 0})
 
-    ctx: Optional[InterContext] = None
-    units_recomputed = 0
-    new_units: Dict[str, Dict[str, Dict[str, object]]] = {}
-    if inter:
-        import ast as ast_mod
-        trees = {}
+    with _frozen_context(texts) as ctx:
+        units_recomputed = 0
+        units = _section(cache, "units")
+        if inter:
+            old_units, units = units, {}
+            units_recomputed = _summaries_with_cache(
+                ctx, hashes, old_units, units)
+        if concurrency:
+            ctx.conc = build_conc_index(ctx.summaries, ctx.index.functions)
+
+        old_files = _section(section, "files")
+        new_files: Dict[str, Dict[str, object]] = {}
+        per_file: Dict[str, List[Finding]] = {}
+        pending: List[str] = []
         for posix in order:
-            try:
-                trees[posix] = ast_mod.parse(texts[posix])
-            except SyntaxError:
-                continue  # lint_source reports RC000
-        ctx = InterContext.from_trees(trees)
-        old_units = cache.get("units")
-        if not isinstance(old_units, dict):
-            old_units = {}
-        units_recomputed = _summaries_with_cache(
-            ctx, hashes, old_units, new_units)
-        ctx.conc = build_conc_index(ctx.summaries, ctx.index.functions)
-        flow = True
+            key = _file_key(ctx, posix, hashes[posix], inter, concurrency)
+            entry = old_files.get(posix)
+            if isinstance(entry, dict) and entry.get("key") == key:
+                per_file[posix] = _findings_from_wire(
+                    entry.get("findings", []))
+            else:
+                pending.append(posix)
+            new_files[posix] = {"key": key}
 
-    old_files = cache.get("files")
-    if not isinstance(old_files, dict):
-        old_files = {}
-    new_files: Dict[str, Dict[str, object]] = {}
-    per_file: Dict[str, List[Finding]] = {}
-    pending: List[str] = []
-    for posix in order:
-        key = _file_key(posix, hashes[posix], flow, inter, concurrency,
-                        ctx)
-        entry = old_files.get(posix)
-        if isinstance(entry, dict) and entry.get("key") == key:
-            per_file[posix] = _findings_from_wire(entry.get("findings", []))
-        else:
-            pending.append(posix)
-        new_files[posix] = {"key": key}
+        if pending:
+            run = _LintRun(texts, ctx, flow, inter, concurrency)
+            n_workers = workers if workers is not None else 1
+            if n_workers > 1 and len(pending) > 1:
+                import multiprocessing
 
-    if pending:
-        run = _LintRun(texts, ctx, flow, concurrency)
-        n_workers = workers if workers is not None else 1
-        if n_workers > 1 and len(pending) > 1 and ctx is not None:
-            import multiprocessing
-
-            mp = multiprocessing.get_context("fork")
-            with mp.Pool(processes=min(n_workers, len(pending)),
-                         initializer=_worker_init,
-                         initargs=(run,)) as pool:
-                for posix, rows in pool.map(_worker_lint, pending):
-                    per_file[posix] = _findings_from_wire(rows)
-        else:
-            for posix in pending:
-                per_file[posix] = run.lint(posix)
+                mp = multiprocessing.get_context("fork")
+                with mp.Pool(processes=min(n_workers, len(pending)),
+                             initializer=_worker_init,
+                             initargs=(run,)) as pool:
+                    for posix, rows in pool.map(_worker_lint, pending):
+                        per_file[posix] = _findings_from_wire(rows)
+            else:
+                for posix in pending:
+                    per_file[posix] = run.lint(posix)
 
     findings: List[Finding] = []
     for posix in order:
-        file_findings = per_file.get(posix, [])
+        file_findings = per_file[posix]
         new_files[posix]["findings"] = _findings_to_wire(file_findings)
         findings.extend(file_findings)
 
-    _save_cache(cache_path, {
-        "version": CACHE_VERSION,
+    tiers[tier] = {
         "tree": {"key": tree_key, "findings": _findings_to_wire(findings)},
-        "units": new_units,
         "files": new_files,
-    })
+    }
+    _save_cache(cache_path, {"version": CACHE_VERSION, "units": units,
+                             "tiers": tiers})
     return CheckResult(
-        findings=findings, analyzed=pending, tree_hit=False,
+        findings=findings, analyzed=pending, tree_hit=False, tier=tier,
         stats={"files": len(order), "analyzed": len(pending),
                "units_recomputed": units_recomputed})

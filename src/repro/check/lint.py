@@ -13,8 +13,12 @@ reported too (RC002), so stale directives cannot rot silently.  A valid
 directive whose rule *ran* but produced nothing on the covered lines is
 orphaned and reported as RC003 — suppressions must die with the finding
 they silenced.  Rules whose tier did not run (flow rules without
-``--flow``, inter rules without ``--inter``) are not audited, since
-"no finding" proves nothing there.
+``--flow``, inter rules without ``--inter``, conc rules without
+``--concurrency``) are not audited, since "no finding" proves nothing
+there.
+
+Every tier lints through :func:`repro.check.driver.check_paths`, which
+hands :func:`lint_source` one per-run context.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import json
 import pathlib
 import re
 from dataclasses import dataclass, replace
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Sequence, Set,
+                    Tuple, Union)
 
 from repro.check.nodetable import NodeTable
 from repro.check.rules import RULES, LintContext
@@ -35,8 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.summaries import InterContext
 
 __all__ = ["Finding", "findings_to_json", "findings_to_sarif",
-           "lint_paths", "lint_source", "render_findings",
-           "suppression_stats"]
+           "lint_source", "render_findings", "suppression_stats"]
 
 
 @dataclass(frozen=True)
@@ -219,62 +222,44 @@ def _orphaned_suppressions(path: str, directives: list[_Directive],
     return out
 
 
-def lint_source(source: str, path: str = "<string>",
-                flow: bool = False,
-                inter: Optional["InterContext"] = None,
+def lint_source(source: str, path: str, ctx: "InterContext",
+                flow: bool = False, inter: bool = False,
                 concurrency: bool = False) -> list[Finding]:
-    """Lint one file's source text; ``path`` drives rule scoping.
+    """Lint one file of the run ``ctx``; ``path`` drives rule scoping.
 
-    ``flow=True`` additionally runs the flow-sensitive tier (RC4xx
-    typestate, RC5xx units) — CFG construction plus a fixpoint per
-    function, so it costs more than the flat tier and is opt-in.
-    ``inter`` (an :class:`~repro.check.summaries.InterContext`) enables
-    the interprocedural tier: RC405/RC110/RC111 run and the flow rules
-    consult callee summaries instead of the escape hedge.  The rules
-    then walk the context's own tree for ``path`` (``source`` must be
-    the text it was parsed from) and share its resolver and CFGs; a
-    file the context could not parse is reported as RC000.
-    ``concurrency=True`` additionally runs the conc tier (RC6xx) —
-    it needs ``inter`` whose context carries an assembled
-    :class:`~repro.check.concurrency.ConcIndex`.
+    The rules walk the context's own tree for ``path`` (``source`` must
+    be the text it was parsed from) and share its resolver and CFGs; a
+    file the context could not parse is reported as RC000.  The flags
+    pick the tiers: the flat rules always run, ``flow`` adds the
+    flow-sensitive tier (RC4xx typestate, RC5xx units), ``inter`` the
+    interprocedural rules (RC405/RC110/RC111; the context carries the
+    summaries they and the sharpened flow rules consult) and
+    ``concurrency`` the conc tier (RC6xx; the context carries the
+    assembled :class:`~repro.check.concurrency.ConcIndex`).
     """
     path = pathlib.PurePath(path).as_posix()
     lines = source.splitlines()
-    tree = inter.trees.get(path) if inter is not None else None
-    if tree is None:
+    if path not in ctx.tables:
         try:
-            tree = ast.parse(source, filename=path)
+            ast.parse(source, filename=path)
         except SyntaxError as err:
             return _with_fingerprints([Finding(
                 path, err.lineno or 1, (err.offset or 1) - 1, "RC000",
                 f"syntax error: {err.msg}", _META_HINTS["RC000"],
             )], lines)
-        if inter is not None:
-            raise ValueError(f"{path} parses but is not in the "
-                             f"interprocedural context")
-    file_inter = inter.own_view(path) if inter is not None else None
-    conc_ready = (concurrency and file_inter is not None
-                  and file_inter.conc is not None)
-    ctx = LintContext(path=path, tree=tree, source=source, lines=lines,
-                      inter=file_inter,
-                      cfgs=file_inter.cfgs if file_inter is not None else {},
-                      table=(file_inter.table if file_inter is not None
-                             else NodeTable(tree)))
-    directives, findings = _parse_directives(path, lines, ctx.nodes)
+        raise ValueError(f"{path} parses but is not in the run's context")
+    lint_ctx = LintContext(path=path, inter=ctx.own_view(path))
+    tiers = {"flat": True, "flow": flow, "inter": inter,
+             "conc": concurrency}
+    directives, findings = _parse_directives(path, lines, lint_ctx.nodes)
     raw: List[Tuple[str, int]] = []
     executed: Set[str] = set()
     for rule_id in sorted(RULES):
         rule = RULES[rule_id]
-        if rule.tier == "flow" and not flow:
-            continue
-        if rule.tier == "inter" and file_inter is None:
-            continue
-        if rule.tier == "conc" and not conc_ready:
-            continue
-        if not rule.applies(ctx):
+        if not tiers[rule.tier] or not rule.applies(lint_ctx):
             continue
         executed.add(rule.id)
-        for line, col, message in rule.check(ctx):
+        for line, col, message in rule.check(lint_ctx):
             raw.append((rule.id, line))
             if _suppressed_at(directives, lines, rule.id, line):
                 continue
@@ -287,40 +272,30 @@ def lint_source(source: str, path: str = "<string>",
 
 
 def _iter_python_files(paths: Iterable[Union[str, pathlib.Path]]
-                       ) -> list[pathlib.Path]:
-    files: list[pathlib.Path] = []
+                       ) -> dict[str, pathlib.Path]:
+    """Every ``*.py`` file under ``paths`` (files or directories), keyed
+    by its posix path: in argument order, each once even when named
+    twice."""
+    files: dict[str, pathlib.Path] = {}
     for raw in paths:
         path = pathlib.Path(raw)
         if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        elif path.suffix == ".py":
-            files.append(path)
+            found = sorted(path.rglob("*.py"))
+        elif path.suffix == ".py" and path.is_file():
+            found = [path]
         else:
             raise FileNotFoundError(f"not a python file or directory: {path}")
+        for file_path in found:
+            files.setdefault(pathlib.PurePath(str(file_path)).as_posix(),
+                             file_path)
     return files
-
-
-def lint_paths(paths: Iterable[Union[str, pathlib.Path]],
-               flow: bool = False) -> list[Finding]:
-    """Lint every ``*.py`` file under ``paths`` (files or directories)
-    file by file: the flat tier, plus the flow tier with ``flow=True``.
-    The whole-project tiers run through
-    :func:`repro.check.driver.check_paths`.
-    """
-    findings: list[Finding] = []
-    for file_path in _iter_python_files(paths):
-        findings.extend(lint_source(
-            file_path.read_text(encoding="utf-8"),
-            path=pathlib.PurePath(str(file_path)).as_posix(), flow=flow))
-    return findings
 
 
 def suppression_stats(paths: Iterable[Union[str, pathlib.Path]]
                       ) -> dict:
     """Every suppression directive under ``paths`` (``--stats``)."""
     entries: list[dict] = []
-    for file_path in _iter_python_files(paths):
-        posix = pathlib.PurePath(str(file_path)).as_posix()
+    for posix, file_path in _iter_python_files(paths).items():
         text = file_path.read_text(encoding="utf-8")
         lines = text.splitlines()
         try:

@@ -19,6 +19,9 @@ Scopes
 Tiers
 -----
 
+The run's flags pick the tiers; every rule gets the file's
+``FileInter`` view of the one per-run ``InterContext``.
+
 ``"flat"``
     Single-statement AST pattern rules (RC1xx-RC3xx); always run.
 ``"flow"``
@@ -29,15 +32,15 @@ Tiers
     Interprocedural rules (RC405, RC110/RC111) that consult the
     call-graph + function-summary machinery in
     :mod:`repro.check.callgraph` / :mod:`repro.check.summaries`; run
-    only when the lint context carries an inter view (CLI
-    ``repro check --inter``).  The flow rules also *sharpen* under this
-    tier: handles passed to resolved project functions apply the
+    only under the ``inter`` flag (CLI ``repro check --inter``), whose
+    runs compute the summaries.  The flow rules also *sharpen* under
+    this tier: handles passed to resolved project functions apply the
     callee's effect summary instead of the escape hedge.
 ``"conc"``
     Whole-project concurrency rules (RC6xx) over the acquisition-order
     graph and wait/trigger matching in :mod:`repro.check.concurrency`;
-    run only when the inter view also carries an assembled
-    ``ConcIndex`` (CLI ``repro check --concurrency``).
+    run only under the ``concurrency`` flag (CLI ``repro check
+    --concurrency``), whose runs assemble the ``ConcIndex``.
 
 Adding a rule
 -------------
@@ -57,12 +60,15 @@ Adding a rule
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Type
+from typing import TYPE_CHECKING, Iterator, List, Type
 
 from repro.check.cfg import CFG, FuncDef, memo_cfg
 from repro.check.nodetable import NodeTable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.check.summaries import FileInter
 
 __all__ = ["FlowRule", "LintContext", "RULES", "Rule", "all_rules",
            "register"]
@@ -84,21 +90,15 @@ class LintContext:
     """Everything a rule may look at for one file."""
 
     path: str  # normalized to posix separators
-    tree: ast.Module
-    source: str
-    #: The tree's one traversal (the context's table for the tree when
-    #: the inter tier is on).
-    table: NodeTable
-    lines: list[str] = field(default_factory=list)
-    #: Per-file interprocedural view (``FileInter`` from
-    #: :mod:`repro.check.summaries`) when the inter tier is on; ``None``
-    #: keeps the flow rules on their intraprocedural escape hedge.
-    inter: Optional[object] = None
-    #: Memoized CFGs, keyed by id() of the function node — flow rules
-    #: analyzing the same file share one graph per function.  When the
-    #: tree is an ``InterContext``'s own parse this is the context's
-    #: dict, so the summary phase's graphs are reused, not rebuilt.
-    cfgs: Dict[int, CFG] = field(default_factory=dict, repr=False)
+    #: The file's view of the run (``FileInter`` from
+    #: :mod:`repro.check.summaries`): its tree's one traversal, call
+    #: resolution and the run's summaries, if any.
+    inter: "FileInter"
+
+    @property
+    def table(self) -> NodeTable:
+        """The tree's one traversal."""
+        return self.inter.table
 
     @property
     def in_sim_path(self) -> bool:
@@ -117,8 +117,10 @@ class LintContext:
         return self.table.functions()
 
     def cfg(self, func: FuncDef) -> CFG:
-        """The (memoized) control-flow graph of ``func``."""
-        return memo_cfg(self.cfgs, func, self.table)
+        """The (memoized) control-flow graph of ``func``: one graph per
+        function for the whole run, so the summary phase's graphs are
+        reused, not rebuilt."""
+        return memo_cfg(self.inter.cfgs, func, self.table)
 
 
 class Rule:

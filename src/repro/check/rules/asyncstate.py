@@ -30,13 +30,14 @@ a nested function moves to ``escaped`` and is never reported — some
 other owner may complete the protocol.  This trades recall for a
 zero-false-positive repo-wide gate.
 
-Interprocedural tier (``--inter``): when a :class:`LintContext` carries
-a ``FileInter`` view (:mod:`repro.check.summaries`), a handle passed to
-a *resolved* project function no longer escapes — the callee's effect
-summary is applied instead (``arg.waited`` on all paths means the
-handle comes back waited; ``arg.escaped`` falls back to the hedge), and
-a helper's summarized return states seed the caller's binding, so
-``es = make_reads(...)`` is tracked just like a local ``EventSet()``.
+Interprocedural tier (``--inter``): every :class:`LintContext` carries
+a ``FileInter`` view (:mod:`repro.check.summaries`); once the run has
+summaries, a handle passed to a *resolved* project function no longer
+escapes — the callee's effect summary is applied instead
+(``arg.waited`` on all paths means the handle comes back waited;
+``arg.escaped`` falls back to the hedge), and a helper's summarized
+return states seed the caller's binding, so ``es = make_reads(...)``
+is tracked just like a local ``EventSet()``.
 The same transfer doubles as the summary abstraction: parameters seeded
 with the ``arg`` token family record what a function does to its
 arguments (``arg`` untouched, ``arg.waited``/``arg.pending``/
@@ -47,7 +48,7 @@ unknown).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.check.astutil import dotted, target_names
 from repro.check.cfg import CFG, CFGNode
@@ -55,6 +56,9 @@ from repro.check.dataflow import ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
 from repro.check.nodetable import NodeTable
 from repro.check.rules import FlowRule, LintContext, register
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.check.summaries import FileInter
 
 __all__ = ["RC401", "RC402", "RC403", "RC404"]
 
@@ -114,18 +118,14 @@ def _apply_effects(states: frozenset, effects: frozenset) -> frozenset:
 
 
 def _summary_return_states(value: ast.expr,
-                           inter: Optional[object]) -> Optional[frozenset]:
+                           inter: "FileInter") -> Optional[frozenset]:
     """Typestates a resolved helper call's return value carries."""
-    if inter is None:
-        return None
     inner = value.value if isinstance(value, (ast.YieldFrom, ast.Await)) \
         else value
     if not isinstance(inner, ast.Call):
         return None
     driven = isinstance(value, (ast.YieldFrom, ast.Await))
-    states = inter.return_states_for_call(  # type: ignore[attr-defined]
-        inner, driven=driven)
-    return states
+    return inter.return_states_for_call(inner, driven=driven)
 
 
 def _creation_states(value: ast.expr) -> Optional[frozenset]:
@@ -174,7 +174,7 @@ def _is_kind(states: Optional[frozenset], prefix: str) -> bool:
 class _TypestateAnalysis(ForwardAnalysis):
     """Transfer function shared by the solve and report passes."""
 
-    def __init__(self, inter: Optional[object] = None) -> None:
+    def __init__(self, inter: "FileInter") -> None:
         self.inter = inter
 
     def transfer(self, cfg: CFG, node: CFGNode, env: Env) -> Env:
@@ -186,7 +186,7 @@ class _TypestateAnalysis(ForwardAnalysis):
 
 def _apply(table: NodeTable, node: CFGNode, env: Env,
            report: Optional[List[Violation]],
-           inter: Optional[object] = None) -> Env:
+           inter: "FileInter") -> Env:
     """OUT state of ``node`` (a node of a graph over ``table``);
     optionally record RC401/RC402/RC403."""
     stmt = node.ast_node
@@ -294,8 +294,7 @@ def _apply(table: NodeTable, node: CFGNode, env: Env,
                         and (_is_kind(states, "vol.") or arg_kind):
                     out = out.set(receiver, frozenset(
                         {ARG_FINAL if arg_kind else VOL_FINAL}))
-        pairs = inter.call_effects(  # type: ignore[attr-defined]
-            sub, driven=id(sub) in driven_ids) if inter is not None else None
+        pairs = inter.call_effects(sub, driven=id(sub) in driven_ids)
         if pairs is not None:
             # Resolved project call: apply the callee's parameter effect
             # summary to each mapped argument instead of escaping it.
@@ -351,14 +350,13 @@ def _apply(table: NodeTable, node: CFGNode, env: Env,
     # arg-storing callee already yields ``arg.escaped``): returning
     # ``helper(es)`` hands out helper's return value, not ``es``.
     summarized: set = set()
-    if inter is not None:
-        for root in escape_roots:
-            start = table.find(root, node.pos)
-            for sub in table.walk(start):
-                if isinstance(sub, ast.Call) and inter.call_effects(  # type: ignore[attr-defined]
-                        sub, driven=id(sub) in driven_ids) is not None:
-                    summarized.update(id(leaf) for leaf in table.walk(
-                        table.find(sub, start)))
+    for root in escape_roots:
+        start = table.find(root, node.pos)
+        for sub in table.walk(start):
+            if isinstance(sub, ast.Call) and inter.call_effects(
+                    sub, driven=id(sub) in driven_ids) is not None:
+                summarized.update(id(leaf) for leaf in table.walk(
+                    table.find(sub, start)))
     for root in escape_roots:
         for leaf in table.walk(table.find(root, node.pos)):
             if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load) \
@@ -419,14 +417,14 @@ def _apply(table: NodeTable, node: CFGNode, env: Env,
     return out
 
 
-def _analyze(cfg: CFG, inter: Optional[object] = None
+def _analyze(cfg: CFG, inter: "FileInter"
              ) -> Tuple[Dict[int, Env], List[Violation],
                         Dict[str, Tuple[int, int]],
                         Dict[str, bool]]:
     """Solve, then replay for findings, creation sites and vol usage.
 
     Cached on the CFG object: all four RC40x rules share one solve (the
-    ``inter`` view is constant within one lint run, so the cache never
+    run's summaries are final before any rule runs, so the cache never
     mixes modes).
     """
     cached = getattr(cfg, "_typestate", None)

@@ -8,10 +8,9 @@ produces pre-computes every finding with its rule id, so the rule
 classes here are thin per-file filters: that keeps the output
 deterministic no matter how files are sharded across lint workers.
 
-These rules only run when the :class:`LintContext` carries a
-``FileInter`` view whose context has an assembled ``ConcIndex``
-(``repro check --concurrency``); otherwise they are silent and the
-flat/flow/inter tiers are unaffected.
+These rules run only under the ``concurrency`` flag (``repro check
+--concurrency``), whose runs assemble the ``ConcIndex`` they read; the
+flat/flow/inter tiers do not select them.
 
 - **RC601** — two lock-kind primitives are acquired in opposite orders
   somewhere in the project (an acquisition-order cycle): two
@@ -48,10 +47,9 @@ class _ConcRule(Rule):
     tier = "conc"
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:
-        conc = getattr(ctx.inter, "conc", None)
-        if conc is None:
-            return
-        for rule_id, line, col, message in conc.findings_for(ctx.path):
+        conc = ctx.inter.conc  # assembled by every concurrency run
+        for rule_id, line, col, message in \
+                conc.findings_for(ctx.path):  # type: ignore[union-attr]
             if rule_id == self.id:
                 yield line, col, message
 

@@ -1,8 +1,8 @@
 """Summary-driven interprocedural rules (inter tier).
 
-These rules only run when the :class:`LintContext` carries a
-``FileInter`` view (``repro check --inter``); without it they are
-silent, so the flat/flow tiers are unaffected.
+These rules run only under the ``inter`` flag (``repro check
+--inter``), which also fills the run's summaries; the flat and flow
+tiers do not select them.
 
 - **RC405** — a helper whose summary says "returns an object carrying
   inserted-but-unwaited operations" is called and its value discarded:
@@ -52,8 +52,6 @@ class RC405(FlowRule):
     def check_function(self, ctx: LintContext,
                        cfg: CFG) -> Iterator[Violation]:
         inter = ctx.inter
-        if inter is None:
-            return
         for node in cfg.stmt_nodes():
             stmt = node.ast_node
             if not isinstance(stmt, ast.Expr):
@@ -63,12 +61,11 @@ class RC405(FlowRule):
             inner = value.value if driven else value  # type: ignore[attr-defined]
             if not isinstance(inner, ast.Call):
                 continue
-            states = inter.return_states_for_call(  # type: ignore[attr-defined]
-                inner, driven=driven)
+            states = inter.return_states_for_call(inner, driven=driven)
             if states is None or UNBOUND in states:
                 continue
             if ES_PENDING in states and states <= {ES_PENDING, ES_NEW}:
-                qual = inter.resolve(inner)  # type: ignore[attr-defined]
+                qual = inter.resolve(inner)
                 yield (stmt.lineno, stmt.col_offset,
                        f"result of {qual}() carries operations inserted "
                        f"but not waited and is discarded")
@@ -85,8 +82,6 @@ class _TaintFlowRule(FlowRule):
     def check_function(self, ctx: LintContext,
                        cfg: CFG) -> Iterator[Violation]:
         inter = ctx.inter
-        if inter is None:
-            return
         from repro.check.summaries import _expr_taint, taint_states
         try:
             in_states = taint_states(cfg, inter)
@@ -99,14 +94,14 @@ class _TaintFlowRule(FlowRule):
             for sub in node.walked:
                 if not isinstance(sub, ast.Call):
                     continue
-                qual = inter.resolve(sub)  # type: ignore[attr-defined]
+                qual = inter.resolve(sub)
                 if qual is None:
                     continue
-                summary = inter.summaries.get(qual)  # type: ignore[attr-defined]
+                summary = inter.summaries.get(qual)
                 if summary is None:
                     continue
-                mapping = inter.param_index_map(sub)  # type: ignore[attr-defined]
-                if inter.callee_in_sim(qual):  # type: ignore[attr-defined]
+                mapping = inter.param_index_map(sub)
+                if inter.callee_in_sim(qual):
                     for idx, expr in sorted(mapping.items()) if mapping \
                             else []:
                         taint = _expr_taint(cfg.table, node, expr, env,

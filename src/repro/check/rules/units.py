@@ -23,13 +23,17 @@ exempt from the rate heuristic.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional,
+                    Tuple)
 
 from repro.check.astutil import target_names
 from repro.check.cfg import CFG, CFGNode
 from repro.check.dataflow import ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
 from repro.check.rules import FlowRule, LintContext, register
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.check.summaries import FileInter
 
 __all__ = ["RC501", "RC502", "RC503"]
 
@@ -150,11 +154,11 @@ def _definite(dims: Dims) -> Optional[str]:
 
 
 def _dims(expr: ast.expr, env: Env,
-          inter: Optional[object] = None) -> Dims:
+          inter: "FileInter") -> Dims:
     """Possible dimensions of ``expr`` under ``env``.
 
-    With an inter view, a call resolved to a project function whose
-    summary carries a definite return dimension contributes that
+    Once the run has summaries, a call resolved to a project function
+    whose summary carries a definite return dimension contributes that
     dimension; the naming heuristic on the callee stays the fallback
     (precedence: return annotation > summary > name claim — the
     annotation already won inside the summary itself).
@@ -193,17 +197,16 @@ def _dims(expr: ast.expr, env: Env,
             for arg in expr.args:
                 out = out | _dims(arg, env, inter)
             return out
-        if inter is not None:
-            summarized = inter.return_dim_for_call(expr)  # type: ignore[attr-defined]
-            if summarized is not None:
-                return frozenset({str(summarized)})
+        summarized = inter.return_dim_for_call(expr)
+        if summarized is not None:
+            return frozenset({summarized})
         claimed = claim(func_name)
         return frozenset({claimed}) if claimed else frozenset({UNKNOWN})
     return frozenset({UNKNOWN})
 
 
 class _UnitsAnalysis(ForwardAnalysis):
-    def __init__(self, cfg: CFG, inter: Optional[object] = None) -> None:
+    def __init__(self, cfg: CFG, inter: "FileInter") -> None:
         self.cfg = cfg
         self.inter = inter
 
@@ -223,7 +226,7 @@ class _UnitsAnalysis(ForwardAnalysis):
 
 def _apply(node: CFGNode, env: Env,
            report: Optional[List[Violation]],
-           inter: Optional[object] = None) -> Env:
+           inter: "FileInter") -> Env:
     stmt = node.ast_node
     if stmt is None:
         return env
@@ -329,7 +332,7 @@ def _target_label(target: ast.expr) -> str:
     return "target"
 
 
-def _analyze(cfg: CFG, inter: Optional[object] = None) -> List[Violation]:
+def _analyze(cfg: CFG, inter: "FileInter") -> List[Violation]:
     cached = getattr(cfg, "_units", None)
     if cached is not None:
         return cached

@@ -22,10 +22,10 @@ the :class:`~repro.check.dataflow.FixpointDiverged` budget — every
 member degrades to the conservative summary (all parameters escaped,
 nothing known about the return), which is exactly the old escape hedge.
 
-The caller-facing objects are :class:`InterContext` (whole-project:
-index + call graph + summaries) and :class:`FileInter` (one file's
-``ast.Call -> summary`` view, keyed by node identity so it must be
-built over the same tree the rules walk).  Generator and ``async``
+The caller-facing objects are :class:`InterContext` (one run of any
+tier: trees, index, call graph, summaries) and :class:`FileInter` (one
+file's ``ast.Call -> summary`` view, keyed by node identity so it must
+be built over the same tree the rules walk).  Generator and ``async``
 callees only apply their effects when the call is *driven* (``yield
 from`` / ``await``) — a bare call just creates the generator object.
 """
@@ -36,6 +36,7 @@ import ast
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Set, Tuple)
 
 from repro.check.astutil import dotted
@@ -55,7 +56,6 @@ from repro.check.concurrency import (
     ConcIndex,
     EMPTY_CONC,
     analyze_function,
-    build_conc_index,
     collect_prim_attrs,
     conservative_conc,
     optimistic_conc,
@@ -258,14 +258,14 @@ def _sub_exprs(table: NodeTable, k: int) -> List[int]:
 
 
 def _expr_taint(table: NodeTable, node: CFGNode, expr: ast.expr, env: Env,
-                inter: Optional["FileInter"]) -> FrozenSet[str]:
+                inter: "FileInter") -> FrozenSet[str]:
     """Taint tokens ``expr`` (evaluated at ``node``, a node of a graph
     over ``table``) may carry under ``env``."""
     return _taint_at(table, table.find(expr, node.pos), env, inter)
 
 
 def _taint_at(table: NodeTable, k: int, env: Env,
-              inter: Optional["FileInter"]) -> FrozenSet[str]:
+              inter: "FileInter") -> FrozenSet[str]:
     expr = table.nodes[k]
     if isinstance(expr, ast.Name):
         return (env.get(expr.id) or frozenset()) - UNBOUND_ONLY
@@ -273,9 +273,9 @@ def _taint_at(table: NodeTable, k: int, env: Env,
         return frozenset()
     if isinstance(expr, ast.Call):
         out: Set[str] = set(_call_source_taint(expr))
-        summary = inter.summary_for_call(expr) if inter is not None else None
+        summary = inter.summary_for_call(expr)
         if summary is not None:
-            mapping = inter.param_index_map(expr)  # type: ignore[union-attr]
+            mapping = inter.param_index_map(expr)
             for token in summary.return_taint:
                 if token.startswith(PARAM):
                     idx = int(token[len(PARAM):])
@@ -311,7 +311,7 @@ def _bind(env: Env, target: ast.expr, taint: FrozenSet[str]) -> Env:
 
 
 def _taint_apply(table: NodeTable, node: CFGNode, env: Env,
-                 inter: Optional["FileInter"]) -> Env:
+                 inter: "FileInter") -> Env:
     """Forward taint transfer for one CFG node."""
     stmt = node.ast_node
     if stmt is None:
@@ -351,7 +351,7 @@ def _taint_apply(table: NodeTable, node: CFGNode, env: Env,
 class _TaintAnalysis(ForwardAnalysis):
     """Parameters seeded ``param:<i>`` so pass-through is visible."""
 
-    def __init__(self, inter: Optional["FileInter"]) -> None:
+    def __init__(self, inter: "FileInter") -> None:
         self.inter = inter
 
     def initial(self, cfg: CFG) -> Env:
@@ -367,7 +367,7 @@ class _TaintAnalysis(ForwardAnalysis):
 
 
 def taint_states(cfg: CFG,
-                 inter: Optional["FileInter"]) -> Dict[int, Env]:
+                 inter: "FileInter") -> Dict[int, Env]:
     """Solve (and memoize) the taint analysis for one function."""
     cached = getattr(cfg, "_taint", None)
     if cached is not None:
@@ -384,7 +384,7 @@ def taint_states(cfg: CFG,
 class _SummaryTypestate(ForwardAnalysis):
     """The asyncstate transfer with parameters seeded to ``arg``."""
 
-    def __init__(self, inter: Optional["FileInter"]) -> None:
+    def __init__(self, inter: "FileInter") -> None:
         self.inter = inter
 
     def initial(self, cfg: CFG) -> Env:
@@ -419,7 +419,7 @@ def _abstract_param(states: Optional[FrozenSet[str]]) -> FrozenSet[str]:
 
 def _return_value_states(
         value: Optional[ast.expr], env: Env,
-        inter: Optional["FileInter"]
+        inter: "FileInter"
 ) -> Tuple[Optional[FrozenSet[str]], bool]:
     """``(states, from_param)`` one return expression contributes."""
     if value is None:
@@ -450,7 +450,7 @@ def _return_value_states(
     created = _creation_states(value)
     if created is not None:
         return created, False
-    if isinstance(inner, ast.Call) and inter is not None:
+    if isinstance(inner, ast.Call):
         states = inter.return_states_for_call(inner, driven=driven)
         if states is not None:
             # Transitive: the callee's own from_param already collapsed
@@ -461,7 +461,7 @@ def _return_value_states(
 
 def _abstract_returns(
         cfg: CFG, in_states: Dict[int, Env],
-        inter: Optional["FileInter"]
+        inter: "FileInter"
 ) -> Tuple[Optional[FrozenSet[str]], bool]:
     """Join of every return site, ``UNBOUND`` for untracked paths."""
     rets: Set[str] = set()
@@ -495,7 +495,7 @@ def _abstract_returns(
 
 
 def _return_dim(func: FuncDef, cfg: CFG,
-                inter: Optional["FileInter"]) -> Optional[str]:
+                inter: "FileInter") -> Optional[str]:
     """Definite dimension of every return value, if they agree."""
     annotated = _annotation_dim(func.returns)
     if annotated is not None:
@@ -533,7 +533,7 @@ def _return_dim(func: FuncDef, cfg: CFG,
 
 
 def _return_taint(cfg: CFG,
-                  inter: Optional["FileInter"]) -> FrozenSet[str]:
+                  inter: "FileInter") -> FrozenSet[str]:
     """Union of the taint of every returned expression."""
     try:
         in_states = solve(cfg, _TaintAnalysis(inter))
@@ -585,24 +585,32 @@ def summarize_function(info: FunctionInfo, func: FuncDef,
 # ---------------------------------------------------------------------------
 
 class FileInter:
-    """One file's interprocedural view: ``ast.Call`` (by identity) to
-    callee resolution, summaries and argument->parameter mapping.
+    """One file's view of the run: ``ast.Call`` (by identity) to callee
+    resolution, summaries and argument->parameter mapping.
 
     Built by :meth:`InterContext.own_view` over the context's own tree
     — the resolver's maps (and :attr:`cfgs`) are keyed by ``id(node)``.
-    The view points at the context; the context keeps no views, so a
-    finished run is freed by reference counting.
+    Every tier's rules get one; with no summaries (the flat and flow
+    tiers) every call is opaque, which is the escape hedge.  The view
+    points at the context; the context keeps no views, so a finished
+    run is freed by reference counting.
     """
 
-    def __init__(self, ctx: "InterContext",
-                 resolver: FileResolver) -> None:
-        self.index = ctx.index
+    def __init__(self, ctx: "InterContext", path: str) -> None:
+        self.path = path
         self.summaries = ctx.summaries
-        self.resolver = resolver
-        self.table: NodeTable = resolver.table
+        self.table: NodeTable = ctx.tables[path]
         self._ctx = ctx
         #: ``id(def node) -> CFG`` memo, shared with the whole context.
         self.cfgs: Dict[int, CFG] = ctx.cfgs
+
+    @cached_property
+    def index(self) -> ProjectIndex:
+        return self._ctx.index
+
+    @cached_property
+    def resolver(self) -> FileResolver:
+        return self._ctx.resolver(self.path)
 
     @property
     def prim_attrs(self) -> Dict[str, str]:
@@ -615,7 +623,10 @@ class FileInter:
         return self._ctx.conc
 
     def resolve(self, call: ast.Call) -> Optional[str]:
-        """Callee qualname, or ``None`` for opaque calls."""
+        """Callee qualname, or ``None`` for opaque calls: every call in a
+        run with no summaries (yet), so flow runs build no resolver."""
+        if not self.summaries:
+            return None
         return self.resolver.calls.get(id(call))
 
     def function_for_call(self, call: ast.Call) -> Optional[FunctionInfo]:
@@ -739,69 +750,74 @@ class FileInter:
 
 
 class InterContext:
-    """Whole-project interprocedural state: index, call graph, summaries.
+    """One ``repro check`` run's shared state, for every tier.
 
-    It also owns the run's per-file and per-function artifacts, each
-    built once and shared by every pass: one :class:`NodeTable` (the
-    file's only traversal) and one :class:`FileResolver` per file, one
-    CFG per function node.  Pool workers inherit the whole context
-    through ``fork``.
+    It owns the run's per-file and per-function artifacts, each built
+    once and shared by every pass: one :class:`NodeTable` (the file's
+    only traversal, which keeps the nodes, hence the ids every per-run
+    map is keyed by, alive) and one :class:`FileResolver` per file, one
+    CFG per function node.  Only the tables are built up front, as the
+    flat tier reads nothing else; the rest is built on first use.  The
+    interprocedural tier fills :attr:`summaries`, the concurrency tier
+    :attr:`conc`.  Pool workers inherit the context through ``fork``.
+    The CFGs carry only syntax facts while summaries are computed; the
+    rule-phase solve caches (``_typestate``, ``_units``, ``_taint``)
+    land on them once summaries are final.
     """
 
-    def __init__(self, trees: Dict[str, ast.Module]) -> None:
-        self.trees = trees
-        #: Per-run artifacts over :attr:`trees` (which keeps the nodes,
-        #: hence the ids, alive): path -> node table, path -> resolver,
-        #: path -> ``qualname -> def node``, and the ``id(def node) ->
-        #: CFG`` memo.  The CFGs carry only syntax facts while
-        #: summaries are computed; the rule-phase solve caches
-        #: (``_typestate``, ``_units``, ``_taint``) land on them once
-        #: summaries are final.
-        self.tables: Dict[str, NodeTable] = {
-            path: NodeTable(trees[path]) for path in sorted(trees)}
-        self.index: ProjectIndex = build_index(self.tables)
-        self.summaries: Dict[str, FunctionSummary] = {}
-        self.edges: Dict[str, Set[str]] = {}
-        self.nodes: Dict[str, FuncDef] = {}
-        self.prim_attrs: Dict[str, str] = collect_prim_attrs(self.tables)
-        #: Assembled by :meth:`build` (or the driver) once summaries
-        #: exist; ``None`` until then.
-        self.conc: Optional[ConcIndex] = None
-        self.resolvers: Dict[str, FileResolver] = {}
-        self.file_functions: Dict[str, Dict[str, FuncDef]] = {}
-        self.cfgs: Dict[int, CFG] = {}
-        for path, table in self.tables.items():
-            self.resolvers[path] = FileResolver(self.index, path, table)
-            funcs = collect_function_nodes(table, module_name_for_path(path))
-            self.file_functions[path] = funcs
-            self.nodes.update(funcs)
-
-    @classmethod
-    def from_trees(cls, trees: Dict[str, ast.Module]) -> "InterContext":
-        """Index and call graph over parsed trees (no summaries yet)."""
-        ctx = cls(trees)
-        ctx.edges = build_call_graph(ctx.index, ctx.resolvers,
-                                     ctx.file_functions)
-        return ctx
-
-    @classmethod
-    def build(cls, sources: Mapping[str, str]) -> "InterContext":
-        """Parse, index and summarize a ``{path: source}`` project."""
-        trees: Dict[str, ast.Module] = {}
+    def __init__(self, sources: Mapping[str, str]) -> None:
+        """Context over a ``{path: source}`` project; a file that does
+        not parse is left out (``lint_source`` reports it as RC000)."""
+        self.tables: Dict[str, NodeTable] = {}
         for path in sorted(sources):
             try:
-                trees[path] = ast.parse(sources[path])
+                self.tables[path] = NodeTable(ast.parse(sources[path]))
             except SyntaxError:
-                continue  # RC000 reports it at lint time
-        ctx = cls.from_trees(trees)
-        compute_summaries(ctx)
-        ctx.conc = build_conc_index(ctx.summaries, ctx.index.functions)
-        return ctx
+                continue
+        self.summaries: Dict[str, FunctionSummary] = {}
+        self.conc: Optional[ConcIndex] = None
+        self.cfgs: Dict[int, CFG] = {}
+        self._resolvers: Dict[str, FileResolver] = {}
+
+    @cached_property
+    def index(self) -> ProjectIndex:
+        return build_index(self.tables)
+
+    @cached_property
+    def prim_attrs(self) -> Dict[str, str]:
+        return collect_prim_attrs(self.tables)
+
+    @cached_property
+    def file_functions(self) -> Dict[str, Dict[str, FuncDef]]:
+        """Path -> ``qualname -> def node``."""
+        return {path: collect_function_nodes(table,
+                                             module_name_for_path(path))
+                for path, table in self.tables.items()}
+
+    @cached_property
+    def nodes(self) -> Dict[str, FuncDef]:
+        """Qualname -> def node, over every file."""
+        return {qual: func for funcs in self.file_functions.values()
+                for qual, func in funcs.items()}
+
+    @cached_property
+    def edges(self) -> Dict[str, Set[str]]:
+        """The function-level call graph."""
+        return build_call_graph(
+            self.index, {path: self.resolver(path) for path in self.tables},
+            self.file_functions)
+
+    def resolver(self, path: str) -> FileResolver:
+        resolver = self._resolvers.get(path)
+        if resolver is None:
+            resolver = FileResolver(self.index, path, self.tables[path])
+            self._resolvers[path] = resolver
+        return resolver
 
     def own_view(self, path: str) -> FileInter:
         """View over the context's own parse of ``path`` (a new, cheap
         object each call: the shared state lives on the context)."""
-        return FileInter(self, self.resolvers[path])
+        return FileInter(self, path)
 
 
 def compute_summaries(ctx: InterContext,

@@ -365,10 +365,11 @@ def _runtime_smoke_text() -> str:
 def _cmd_check(args) -> int:
     from repro.check import (
         all_rules,
+        check_paths,
         findings_to_json,
         findings_to_sarif,
-        lint_paths,
         render_findings,
+        suppression_stats,
     )
 
     if args.list_rules:
@@ -383,31 +384,23 @@ def _cmd_check(args) -> int:
     if not paths:
         raise SystemExit("no paths to check (run from the repo root, or "
                          "pass files/directories explicitly)")
-    if args.stats:
-        from repro.check import suppression_stats
-
-        stats = suppression_stats(paths)
-        print(json.dumps(stats, indent=2, sort_keys=True))
-        return 0
-    if args.inter or args.concurrency:
-        from repro.check import check_paths
-
-        result = check_paths(paths, flow=True, inter=True,
+    try:
+        if args.stats:
+            stats = suppression_stats(paths)
+            print(json.dumps(stats, indent=2, sort_keys=True))
+            return 0
+        result = check_paths(paths, flow=args.flow, inter=args.inter,
                              workers=args.workers,
                              cache_dir=args.cache_dir,
                              concurrency=args.concurrency)
-        findings = result.diff_findings() if args.diff else result.findings
+    except FileNotFoundError as err:
+        raise SystemExit(f"repro check: {err}")
+    findings = result.diff_findings() if args.diff else result.findings
+    if args.format == "text":
         mode = "tree-hit" if result.tree_hit else (
-            f"{result.stats.get('analyzed', 0)}/"
-            f"{result.stats.get('files', 0)} files re-analyzed")
-        if args.format == "text":
-            tier = "conc tier" if args.concurrency else "inter tier"
-            print(f"{tier}: {mode}", file=sys.stderr)
-    else:
-        if args.diff:
-            raise SystemExit("--diff requires --inter (the incremental "
-                             "cache records what changed)")
-        findings = lint_paths(paths, flow=args.flow)
+            f"{result.stats['analyzed']}/{result.stats['files']} "
+            f"files re-analyzed")
+        print(f"{result.tier} tier: {mode}", file=sys.stderr)
 
     if args.update_baseline:
         payload = {
@@ -755,8 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also run the interprocedural tier (implies "
                               "--flow): call graph + function summaries "
                               "sharpen RC4xx/RC5xx and enable "
-                              "RC405/RC110/RC111; incremental via "
-                              ".repro-check-cache/")
+                              "RC405/RC110/RC111")
     p_check.add_argument("--concurrency", action="store_true",
                          help="also run the static concurrency tier "
                               "(implies --inter): RC601 deadlock cycles, "
@@ -774,16 +766,16 @@ def build_parser() -> argparse.ArgumentParser:
                               "to FILE and exit 0 (adopt-incrementally "
                               "mode for a new subsystem)")
     p_check.add_argument("--diff", action="store_true",
-                         help="with --inter: report findings only for "
-                              "files re-analyzed this run (changed files "
-                              "plus everything the reverse call graph "
-                              "invalidated)")
+                         help="report findings only for files "
+                              "re-analyzed this run (changed files plus, "
+                              "with --inter, everything the reverse call "
+                              "graph invalidated)")
     p_check.add_argument("--workers", type=int, default=None,
-                         help="with --inter: lint fan-out process count "
-                              "(output is byte-identical for any value)")
+                         help="lint fan-out process count (output is "
+                              "byte-identical for any value)")
     p_check.add_argument("--cache-dir", default=".repro-check-cache",
-                         help="with --inter: incremental cache directory "
-                              "(default: .repro-check-cache)")
+                         help="incremental cache directory, one section "
+                              "per tier (default: .repro-check-cache)")
     p_check.add_argument("--stats", action="store_true",
                          help="print the suppression audit (every "
                               "in-source suppression with its rules, "

@@ -6,15 +6,19 @@ driven through real engine runs (races, leaks, swallowed failures); and
 a self-test lints the whole repository, which must come back clean.
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.check import (
     Finding,
+    InterContext,
     RuntimeChecker,
     all_rules,
-    lint_paths,
+    check_paths,
     lint_source,
     render_findings,
 )
@@ -32,6 +36,13 @@ HOST_PATH = "src/repro/analysis/example.py"
 
 def rule_ids(findings):
     return [f.rule_id for f in findings]
+
+
+def lint(source, path, flow=False):
+    """Lint ``source`` as a one-file run (no summaries) at the flat
+    tier, or at the flow tier with ``flow=True``."""
+    return lint_source(source, path, InterContext({path: source}),
+                       flow=flow)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +72,8 @@ def test_flow_rules_are_flow_tier_and_flat_default_skips_them():
         "    es.add(ctx.engine.event())\n"
         "    return ctx.now\n"
     )
-    assert lint_source(source, SIM_PATH) == []
-    assert rule_ids(lint_source(source, SIM_PATH, flow=True)) == ["RC401"]
+    assert lint(source, SIM_PATH) == []
+    assert rule_ids(lint(source, SIM_PATH, flow=True)) == ["RC401"]
 
 
 def test_all_rules_have_metadata_and_stable_order():
@@ -79,12 +90,12 @@ def test_all_rules_have_metadata_and_stable_order():
 
 def test_rc101_flags_wall_clock_in_sim_path():
     src = "import time\nt0 = time.time()\n"
-    assert rule_ids(lint_source(src, SIM_PATH)) == ["RC101"]
+    assert rule_ids(lint(src, SIM_PATH)) == ["RC101"]
 
 
 def test_rc101_ignores_wall_clock_outside_sim_paths():
     src = "import time\nt0 = time.time()\n"
-    assert lint_source(src, HOST_PATH) == []
+    assert lint(src, HOST_PATH) == []
 
 
 def test_rc101_flags_datetime_and_urandom():
@@ -93,17 +104,17 @@ def test_rc101_flags_datetime_and_urandom():
         "stamp = datetime.datetime.now()\n"
         "blob = os.urandom(16)\n"
     )
-    assert rule_ids(lint_source(src, SIM_PATH)) == ["RC101", "RC101"]
+    assert rule_ids(lint(src, SIM_PATH)) == ["RC101", "RC101"]
 
 
 def test_rc101_clean_on_engine_time():
     src = "def step(engine):\n    return engine.now + 1.0\n"
-    assert lint_source(src, SIM_PATH) == []
+    assert lint(src, SIM_PATH) == []
 
 
 def test_rc102_flags_global_rng():
     src = "import random\nx = random.random()\n"
-    assert rule_ids(lint_source(src, SIM_PATH)) == ["RC102"]
+    assert rule_ids(lint(src, SIM_PATH)) == ["RC102"]
 
 
 def test_rc102_flags_unseeded_constructors():
@@ -112,7 +123,7 @@ def test_rc102_flags_unseeded_constructors():
         "a = random.Random()\n"
         "b = np.random.default_rng()\n"
     )
-    assert rule_ids(lint_source(src, SIM_PATH)) == ["RC102", "RC102"]
+    assert rule_ids(lint(src, SIM_PATH)) == ["RC102", "RC102"]
 
 
 def test_rc102_clean_on_seeded_generators():
@@ -122,7 +133,7 @@ def test_rc102_clean_on_seeded_generators():
         "b = np.random.default_rng((1234, 5))\n"
         "x = a.random() + b.random()\n"
     )
-    assert lint_source(src, SIM_PATH) == []
+    assert lint(src, SIM_PATH) == []
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +142,17 @@ def test_rc102_clean_on_seeded_generators():
 
 def test_rc201_flags_bare_except_everywhere():
     src = "try:\n    x = 1\nexcept:\n    pass\n"
-    assert rule_ids(lint_source(src, HOST_PATH)) == ["RC201"]
+    assert rule_ids(lint(src, HOST_PATH)) == ["RC201"]
 
 
 def test_rc201_clean_on_typed_except():
     src = "try:\n    x = 1\nexcept ValueError:\n    pass\n"
-    assert lint_source(src, HOST_PATH) == []
+    assert lint(src, HOST_PATH) == []
 
 
 def test_rc202_flags_generic_raise():
     src = "def f():\n    raise Exception('boom')\n"
-    assert rule_ids(lint_source(src, HOST_PATH)) == ["RC202"]
+    assert rule_ids(lint(src, HOST_PATH)) == ["RC202"]
 
 
 def test_rc202_clean_on_typed_raise_and_reraise():
@@ -152,13 +163,13 @@ def test_rc202_clean_on_typed_raise_and_reraise():
         "    except ValueError:\n"
         "        raise\n"
     )
-    assert lint_source(src, HOST_PATH) == []
+    assert lint(src, HOST_PATH) == []
 
 
 def test_rc203_flags_bare_exception_subclass_in_sim_path():
     src = "class StallError(Exception):\n    pass\n"
-    assert rule_ids(lint_source(src, SIM_PATH)) == ["RC203"]
-    assert lint_source(src, HOST_PATH) == []
+    assert rule_ids(lint(src, SIM_PATH)) == ["RC203"]
+    assert lint(src, HOST_PATH) == []
 
 
 def test_rc203_clean_on_taxonomy_subclass():
@@ -166,7 +177,7 @@ def test_rc203_clean_on_taxonomy_subclass():
         "from repro.faults.errors import FaultError\n"
         "class StallError(FaultError):\n    pass\n"
     )
-    assert lint_source(src, SIM_PATH) == []
+    assert lint(src, SIM_PATH) == []
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +193,12 @@ def test_rc205_flags_unbounded_delay_free_retry():
         "        except TransientIOError:\n"
         "            continue\n"
     )
-    findings = lint_source(src, SIM_PATH)
+    findings = lint(src, SIM_PATH)
     assert rule_ids(findings) == ["RC205", "RC205"]
     assert "bounded" in findings[0].message
     assert "backoff" in findings[1].message
     # Outside the sim packages the rule does not apply.
-    assert lint_source(src, HOST_PATH) == []
+    assert lint(src, HOST_PATH) == []
 
 
 def test_rc205_flags_bounded_retry_without_backoff():
@@ -199,7 +210,7 @@ def test_rc205_flags_bounded_retry_without_backoff():
         "        except FlakyReadError:\n"
         "            continue\n"
     )
-    findings = lint_source(src, SIM_PATH)
+    findings = lint(src, SIM_PATH)
     assert rule_ids(findings) == ["RC205"]
     assert "backoff" in findings[0].message
 
@@ -217,7 +228,7 @@ def test_rc205_clean_on_bounded_backoff_retry():
         "                raise\n"
         "            yield engine.timeout(0.1 * attempt)\n"
     )
-    assert lint_source(src, SIM_PATH) == []
+    assert lint(src, SIM_PATH) == []
 
 
 def test_rc205_ignores_propagating_and_bailing_handlers():
@@ -232,7 +243,7 @@ def test_rc205_ignores_propagating_and_bailing_handlers():
         "        except FlakyWriteError:\n"
         "            break\n"
     )
-    assert lint_source(src, SIM_PATH) == []
+    assert lint(src, SIM_PATH) == []
 
 
 def test_rc205_inner_retry_does_not_taint_outer_loop():
@@ -248,7 +259,7 @@ def test_rc205_inner_retry_does_not_taint_outer_loop():
         "            except TransientIOError:\n"
         "                yield engine.timeout(2.0 ** attempt)\n"
     )
-    assert lint_source(src, SIM_PATH) == []
+    assert lint(src, SIM_PATH) == []
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +271,7 @@ def test_rc301_flags_mutable_defaults():
         "def f(items=[]):\n    return items\n"
         "def g(table=dict()):\n    return table\n"
     )
-    assert rule_ids(lint_source(src, HOST_PATH)) == ["RC301", "RC301"]
+    assert rule_ids(lint(src, HOST_PATH)) == ["RC301", "RC301"]
 
 
 def test_rc301_clean_on_none_default():
@@ -269,12 +280,12 @@ def test_rc301_clean_on_none_default():
         "    items = [] if items is None else items\n"
         "    return items\n"
     )
-    assert lint_source(src, HOST_PATH) == []
+    assert lint(src, HOST_PATH) == []
 
 
 def test_rc302_flags_computed_time_equality():
     src = "def check(t_start, dt, t_end):\n    return t_start + dt == t_end\n"
-    assert rule_ids(lint_source(src, HOST_PATH)) == ["RC302"]
+    assert rule_ids(lint(src, HOST_PATH)) == ["RC302"]
 
 
 def test_rc302_clean_on_stored_timestamps_and_tolerance():
@@ -285,7 +296,7 @@ def test_rc302_clean_on_stored_timestamps_and_tolerance():
         "    b = math.isclose(t_submit + dt, t_complete)\n"
         "    return a and b\n"
     )
-    assert lint_source(src, HOST_PATH) == []
+    assert lint(src, HOST_PATH) == []
 
 
 def test_rc303_flags_set_iteration():
@@ -296,7 +307,7 @@ def test_rc303_flags_set_iteration():
         "        out.append(n)\n"
         "    return ','.join({x for x in names})\n"
     )
-    assert rule_ids(lint_source(src, HOST_PATH)) == ["RC303", "RC303"]
+    assert rule_ids(lint(src, HOST_PATH)) == ["RC303", "RC303"]
 
 
 def test_rc303_clean_on_sorted_set():
@@ -304,7 +315,7 @@ def test_rc303_clean_on_sorted_set():
         "def f(names):\n"
         "    return [n for n in sorted(set(names))]\n"
     )
-    assert lint_source(src, HOST_PATH) == []
+    assert lint(src, HOST_PATH) == []
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +328,7 @@ def test_valid_suppression_silences_the_finding():
         "t0 = time.time()  # repro-check: disable=RC101 (host harness "
         "wall-time, not simulated time)\n"
     )
-    assert lint_source(src, SIM_PATH) == []
+    assert lint(src, SIM_PATH) == []
 
 
 def test_suppression_on_comment_line_above():
@@ -326,7 +337,7 @@ def test_suppression_on_comment_line_above():
         "# repro-check: disable=RC101 (host harness timing)\n"
         "t0 = time.time()\n"
     )
-    assert lint_source(src, SIM_PATH) == []
+    assert lint(src, SIM_PATH) == []
 
 
 def test_rc001_suppression_without_justification_suppresses_nothing():
@@ -334,12 +345,12 @@ def test_rc001_suppression_without_justification_suppresses_nothing():
         "import time\n"
         "t0 = time.time()  # repro-check: disable=RC101\n"
     )
-    assert sorted(rule_ids(lint_source(src, SIM_PATH))) == ["RC001", "RC101"]
+    assert sorted(rule_ids(lint(src, SIM_PATH))) == ["RC001", "RC101"]
 
 
 def test_rc002_unknown_rule_in_suppression():
     src = "x = 1  # repro-check: disable=RC999 (no such rule)\n"
-    assert rule_ids(lint_source(src, HOST_PATH)) == ["RC002"]
+    assert rule_ids(lint(src, HOST_PATH)) == ["RC002"]
 
 
 def test_suppression_covers_only_named_rules():
@@ -349,11 +360,11 @@ def test_suppression_covers_only_named_rules():
     )
     # The wrong-rule directive does not silence RC101, and RC003 flags
     # it as orphaned: RC102 never fires on the covered line.
-    assert rule_ids(lint_source(src, SIM_PATH)) == ["RC101", "RC003"]
+    assert rule_ids(lint(src, SIM_PATH)) == ["RC101", "RC003"]
 
 
 def test_rc000_syntax_error():
-    findings = lint_source("def broken(:\n", HOST_PATH)
+    findings = lint("def broken(:\n", HOST_PATH)
     assert rule_ids(findings) == ["RC000"]
 
 
@@ -369,9 +380,11 @@ def test_finding_format_and_render():
     assert render_findings([]) == "repro check: no findings"
 
 
-def test_repo_is_clean():
+def test_repo_is_clean(tmp_path):
     """The acceptance gate: the analyzer finds nothing in the repo itself."""
-    findings = lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests"])
+    findings = check_paths([REPO_ROOT / "src", REPO_ROOT / "tests"],
+                           flow=False, inter=False, cache_dir=tmp_path,
+                           use_cache=False).findings
     assert findings == [], render_findings(findings)
 
 
@@ -676,7 +689,8 @@ def test_cli_check_exits_nonzero_on_bad_file(tmp_path):
     bad = tmp_path / "src" / "repro" / "sim" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("import time\nt0 = time.time()\n", encoding="utf-8")
-    assert main(["check", str(bad)]) == 1
+    assert main(["check", "--cache-dir", str(tmp_path / "cache"),
+                 str(bad)]) == 1
 
 
 def test_cli_check_exits_zero_on_clean_file(tmp_path, capsys):
@@ -684,8 +698,34 @@ def test_cli_check_exits_zero_on_clean_file(tmp_path, capsys):
 
     good = tmp_path / "good.py"
     good.write_text("x = 1\n", encoding="utf-8")
-    assert main(["check", str(good)]) == 0
+    assert main(["check", "--cache-dir", str(tmp_path / "cache"),
+                 str(good)]) == 0
     assert "no findings" in capsys.readouterr().out
+
+
+def test_cli_check_missing_path_is_a_one_line_error(tmp_path):
+    from repro.cli import main
+
+    missing = tmp_path / "nonexistent_dir"
+    for flags in ([], ["--flow"], ["--inter"], ["--concurrency"],
+                  ["--stats"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", *flags, "--cache-dir", str(tmp_path / "cache"),
+                  str(missing)])
+        assert exc.value.code == \
+            f"repro check: not a python file or directory: {missing}"
+
+
+def test_simulator_imports_no_analyzer():
+    # ``repro.check`` re-exports the analyzer lazily: the simulator
+    # reaches it only for the hooks, and must not load the rules.
+    code = ("import sys, repro.sim.network; print(sorted(m for m in "
+            "sys.modules if m.startswith('repro.check')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": str(REPO_ROOT / "src")}).stdout
+    assert out.strip() == "['repro.check', 'repro.check.hooks']"
 
 
 def test_cli_list_rules(capsys):

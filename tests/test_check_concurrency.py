@@ -22,9 +22,10 @@ import json
 import pathlib
 import textwrap
 
-from repro.check import lint_source, render_findings
+from repro.check import InterContext, lint_source, render_findings
 from repro.check.lint import findings_to_json, findings_to_sarif
-from repro.check.summaries import InterContext
+
+from tests.test_check_inter import build
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -32,15 +33,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIM_PATH = "src/repro/sim/fixture.py"
 
 
-def build(files):
-    return InterContext.build(
-        {path: textwrap.dedent(src) for path, src in files.items()})
-
-
 def conc_lint(files, path):
     ctx = build(files)
-    return lint_source(textwrap.dedent(files[path]), path, flow=True,
-                       inter=ctx, concurrency=True)
+    return lint_source(textwrap.dedent(files[path]), path, ctx, flow=True,
+                       inter=True, concurrency=True)
 
 
 def rule_ids(findings):
@@ -364,13 +360,16 @@ def test_rc602_justified_suppression_for_deliberate_leak_fixture():
 def test_conc_rules_are_silent_without_the_concurrency_flag():
     ctx = build(RC601_BAD)
     findings = lint_source(textwrap.dedent(RC601_BAD[SIM_PATH]),
-                           SIM_PATH, flow=True, inter=ctx)
+                           SIM_PATH, ctx, flow=True, inter=True)
     assert findings == []
 
 
 def test_conc_rules_are_silent_without_an_inter_context():
-    findings = lint_source(textwrap.dedent(RC601_BAD[SIM_PATH]),
-                           SIM_PATH, flow=True, concurrency=True)
+    # A flow-tier run's context has no summaries and no ConcIndex, and
+    # the flow tier does not select the conc rules.
+    src = textwrap.dedent(RC601_BAD[SIM_PATH])
+    findings = lint_source(src, SIM_PATH,
+                           InterContext({SIM_PATH: src}), flow=True)
     assert findings == []
 
 
@@ -391,7 +390,8 @@ def test_fingerprints_survive_pure_line_shifts():
 
 def test_fingerprints_distinguish_repeated_identical_lines():
     src = "import time\nt0 = time.time()\nt1 = time.time()\n"
-    findings = [f for f in lint_source(src, SIM_PATH)
+    findings = [f for f in lint_source(src, SIM_PATH,
+                                       InterContext({SIM_PATH: src}))
                 if f.rule_id == "RC101"]
     assert len(findings) == 2
     assert findings[0].fingerprint != findings[1].fingerprint
@@ -418,12 +418,14 @@ def test_cli_baseline_suppresses_known_and_reports_regressions(
     bad.write_text("def f():\n    try:\n        g()\n"
                    "    except:\n        pass\n", encoding="utf-8")
     baseline = tmp_path / "baseline.json"
-    assert main(["check", "--update-baseline", str(baseline),
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert main(["check", *cache, "--update-baseline", str(baseline),
                  str(bad)]) == 0
     recorded = json.loads(baseline.read_text())
     assert len(recorded["fingerprints"]) == 1
     # Known finding suppressed -> exit 0.
-    assert main(["check", "--baseline", str(baseline), str(bad)]) == 0
+    assert main(["check", *cache, "--baseline", str(baseline),
+                 str(bad)]) == 0
     assert "1 known finding(s) suppressed" in capsys.readouterr().err
     # A new finding is a regression -> exit 1, old one still quiet
     # (the occurrence counter keeps the second identical bare except
@@ -432,7 +434,8 @@ def test_cli_baseline_suppresses_known_and_reports_regressions(
                    + "\n\ndef h():\n    try:\n        g()\n"
                    "    except:\n        pass\n",
                    encoding="utf-8")
-    assert main(["check", "--baseline", str(baseline), str(bad)]) == 1
+    assert main(["check", *cache, "--baseline", str(baseline),
+                 str(bad)]) == 1
     captured = capsys.readouterr()
     assert "1 regression(s)" in captured.err
     # Only the new bare except (line 11) is reported; the recorded

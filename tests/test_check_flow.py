@@ -16,7 +16,8 @@ Three layers, mirroring the implementation:
 import ast
 import textwrap
 
-from repro.check import lint_paths, lint_source, render_findings
+from repro.check import (InterContext, check_paths, lint_source,
+                         render_findings)
 from repro.check.cfg import build_cfg
 from repro.check.dataflow import ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
@@ -34,8 +35,15 @@ def rule_ids(findings):
     return [f.rule_id for f in findings]
 
 
+def lint(source, flow=False):
+    """Lint ``source`` as a one-file run (no summaries) at the flat
+    tier, or at the flow tier with ``flow=True``."""
+    return lint_source(source, PATH, InterContext({PATH: source}),
+                       flow=flow)
+
+
 def flow(source):
-    return lint_source(textwrap.dedent(source), PATH, flow=True)
+    return lint(textwrap.dedent(source), flow=True)
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +496,19 @@ def test_flow_bugs_are_invisible_to_flat_tier():
             es.add(engine.event())
             return None
         """)
-    assert lint_source(source, PATH) == []
-    assert rule_ids(lint_source(source, PATH, flow=True)) == ["RC401"]
+    assert lint(source) == []
+    assert rule_ids(lint(source, flow=True)) == ["RC401"]
 
 
 # ---------------------------------------------------------------------------
 # the repo-wide gate: terminates and comes back clean
 # ---------------------------------------------------------------------------
 
-def test_repo_is_clean_under_flow_tier():
+def test_repo_is_clean_under_flow_tier(tmp_path):
     """Acceptance gate: every CFG in src/ and tests/ reaches a fixpoint
     (no :class:`~repro.check.dataflow.FixpointDiverged`) and the flow
     rules report nothing."""
-    findings = lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests"], flow=True)
+    findings = check_paths([REPO_ROOT / "src", REPO_ROOT / "tests"],
+                           flow=True, inter=False, cache_dir=tmp_path,
+                           use_cache=False).findings
     assert findings == [], render_findings(findings)

@@ -24,7 +24,8 @@ import textwrap
 import pytest
 
 from repro.check import lint_source, render_findings
-from repro.check.summaries import InterContext
+from repro.check.concurrency import build_conc_index
+from repro.check.summaries import InterContext, compute_summaries
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -34,14 +35,25 @@ SIM_PATH = "src/repro/sim/consumer.py"
 
 
 def build(files):
-    return InterContext.build(
+    """The run context an ``--inter``/``--concurrency`` run over
+    ``files`` hands the rules: parsed, summarized, ConcIndex assembled."""
+    ctx = InterContext(
         {path: textwrap.dedent(src) for path, src in files.items()})
+    compute_summaries(ctx)
+    ctx.conc = build_conc_index(ctx.summaries, ctx.index.functions)
+    return ctx
 
 
 def inter_lint(files, path):
     ctx = build(files)
-    return lint_source(textwrap.dedent(files[path]), path, flow=True,
-                       inter=ctx)
+    return lint_source(textwrap.dedent(files[path]), path, ctx, flow=True,
+                       inter=True)
+
+
+def flow_lint(source, path):
+    """``source`` at the flow tier, as a one-file run (no summaries)."""
+    return lint_source(source, path, InterContext({path: source}),
+                       flow=True)
 
 
 def rule_ids(findings):
@@ -328,7 +340,7 @@ def test_rc401_sharpened_bad_helper_no_longer_hides_the_leak():
     # hedge); with summaries the non-waiting helper no longer launders
     # the pending event set.
     src = textwrap.dedent(_BAD_HELPER)
-    hedged = lint_source(src, HELPER_PATH, flow=True)
+    hedged = flow_lint(src, HELPER_PATH)
     assert hedged == [], render_findings(hedged)
     findings = inter_lint({HELPER_PATH: _BAD_HELPER}, HELPER_PATH)
     assert "RC401" in rule_ids(findings)
@@ -480,8 +492,8 @@ def test_rc111_good_seeded_rng_is_untainted():
 
 
 def test_inter_rules_are_silent_without_an_inter_context():
-    # The flow tier alone must not run inter rules (no summaries to
-    # consult): the RC405 fixture lints clean without the context.
+    # The flow tier must not run inter rules (its context has no
+    # summaries to consult): the RC405 fixture lints clean there.
     src = textwrap.dedent("""
         from repro.util.helpers import start_batch
 
@@ -490,7 +502,7 @@ def test_inter_rules_are_silent_without_an_inter_context():
             start_batch(engine)
             return None
         """)
-    assert lint_source(src, SIM_PATH, flow=True) == []
+    assert flow_lint(src, SIM_PATH) == []
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +578,18 @@ def test_driver_touching_caller_leaves_helper_cached(project):
     result = check_paths(["pkg"], cache_dir=".cache")
     assert result.analyzed == ["pkg/caller.py"]
     assert rule_ids(result.diff_findings()) == ["RC405"]
+
+
+def test_driver_tiers_do_not_evict_each_other(project):
+    from repro.check.driver import check_paths
+
+    assert not check_paths(["pkg"], cache_dir=".cache").tree_hit
+    flat = check_paths(["pkg"], cache_dir=".cache", flow=False,
+                       inter=False)
+    assert not flat.tree_hit and flat.findings == []
+    again = check_paths(["pkg"], cache_dir=".cache")
+    assert again.tree_hit
+    assert rule_ids(again.findings) == ["RC405"]
 
 
 def test_driver_output_is_worker_count_invariant(project):

@@ -1,8 +1,9 @@
 """Parse once, walk once: the per-run artifacts ``repro check`` shares.
 
-A cold :func:`repro.check.driver.check_paths` run builds each file's
-tree, node table (its one walk) and resolver, and each function's CFG,
-exactly once; the index, call graph, summary, concurrency and lint
+A cold :func:`repro.check.driver.check_paths` run of any tier builds
+each file's tree, node table (its one walk) and resolver, and each
+function's CFG, at most once, and only the tiers that read them build
+them at all; the index, call graph, summary, concurrency and lint
 passes all reuse them, and the finished run is freed without the
 cyclic collector.  These tests count the builds with wrappers installed
 on every module binding
@@ -19,11 +20,10 @@ import pathlib
 
 import pytest
 
-from repro.check import callgraph, cfg, lint_source
+from repro.check import InterContext, callgraph, cfg, lint_source
 from repro.check.callcount import count_calls
 from repro.check.driver import check_paths
-from repro.check.lint import findings_to_json
-from repro.check.nodetable import NodeTable
+from repro.check.lint import findings_to_json, suppression_stats
 from repro.check.rules import LintContext
 
 from tests import (
@@ -32,6 +32,7 @@ from tests import (
     test_check_flow,
     test_check_inter,
 )
+from tests.test_check_inter import build
 
 # A small project: a cross-file call chain, a class with methods, a
 # nested def, a class nested in a function (linted but never indexed)
@@ -94,20 +95,42 @@ def function_count(sources):
                for src in sources for node in ast.walk(ast.parse(src)))
 
 
+#: ``check_paths`` flags per tier.
+TIERS = {
+    "flat": dict(flow=False, inter=False),
+    "flow": dict(flow=True, inter=False),
+    "inter": dict(flow=True, inter=True),
+    "conc": dict(flow=True, inter=True, concurrency=True),
+}
+
+
 # ---------------------------------------------------------------------------
 # build counts on a cold serial run
 # ---------------------------------------------------------------------------
 
 def test_cold_check_builds_every_artifact_once(project):
-    with count_calls(ast.parse, cfg.build_cfg,
-                     callgraph.FileResolver) as (parses, cfgs, resolvers):
-        result = check_paths(["pkg"], workers=1, use_cache=False,
-                             cache_dir=".cache", concurrency=True)
-    assert not result.tree_hit and result.stats["analyzed"] == len(PROJECT)
-    assert len(parses) == len(PROJECT)
-    assert len(resolvers) == len(PROJECT)
-    assert len(cfgs) == function_count(PROJECT.values())
-    assert len(set(cfgs)) == len(cfgs)  # distinct def nodes
+    # Each tier builds what it reads once.  Without summaries every
+    # call is opaque, so the flat and flow tiers build no index and no
+    # resolver, and the flat tier no CFG either.
+    for tier, flags in TIERS.items():
+        with count_calls(ast.parse, cfg.build_cfg, callgraph.build_index,
+                         callgraph.FileResolver) as (parses, cfgs, indexes,
+                                                     resolvers):
+            result = check_paths(["pkg"], workers=1, use_cache=False,
+                                 cache_dir=".cache", **flags)
+        assert not result.tree_hit, tier
+        assert result.stats["analyzed"] == len(PROJECT), tier
+        assert len(parses) == len(PROJECT), tier
+        if not flags["inter"]:
+            assert (indexes, resolvers) == ([], []), tier
+        else:
+            assert len(indexes) == 1, tier
+            assert len(resolvers) == len(PROJECT), tier
+        if tier == "flat":
+            assert cfgs == [], tier
+            continue
+        assert len(cfgs) == function_count(PROJECT.values()), tier
+        assert len(set(cfgs)) == len(cfgs), tier  # distinct def nodes
 
 
 def test_cold_check_walks_each_tree_once(project):
@@ -142,12 +165,16 @@ def test_finished_run_is_freed_by_refcount(project):
 
 
 def test_findings_identical_for_one_and_two_workers(project):
-    runs = [check_paths(["pkg"], workers=workers, use_cache=False,
-                        cache_dir=f".c{workers}", concurrency=True)
-            for workers in (1, 2)]
-    assert runs[0].findings, "the fixture should produce findings"
-    assert findings_to_json(runs[0].findings) == \
-        findings_to_json(runs[1].findings)
+    # A bare except (RC201) gives every tier a finding.
+    pathlib.Path("pkg/bad.py").write_text(
+        "try:\n    x = 1\nexcept:\n    pass\n")
+    for tier, flags in TIERS.items():
+        runs = [check_paths(["pkg"], workers=workers, use_cache=False,
+                            cache_dir=f".c{workers}", **flags)
+                for workers in (1, 2)]
+        assert runs[0].findings, f"{tier}: the fixture should find"
+        assert findings_to_json(runs[0].findings) == \
+            findings_to_json(runs[1].findings), tier
 
 
 def test_syntax_error_still_reports_rc000(project):
@@ -158,8 +185,23 @@ def test_syntax_error_still_reports_rc000(project):
         broken = [f for f in result.findings if f.path == "pkg/broken.py"]
         assert [f.rule_id for f in broken] == ["RC000"]
         assert any(f.path == "pkg/caller.py" for f in result.findings)
-    assert [f.rule_id for f in lint_source("def oops(:\n", "x.py")] == \
-        ["RC000"]
+    broken = "def oops(:\n"
+    assert [f.rule_id for f in lint_source(
+        broken, "x.py", InterContext({"x.py": broken}))] == ["RC000"]
+
+
+def test_a_file_named_twice_is_checked_once(project):
+    pathlib.Path("pkg/bad.py").write_text(
+        "try:\n    x = 1\nexcept:\n    pass\n"
+        "y = 2  # repro-check: disable=RC101 (fixture)\n")
+    paths = ["pkg", "pkg/bad.py"]
+    for tier, flags in TIERS.items():
+        result = check_paths(paths, use_cache=False, cache_dir=".cache",
+                             **flags)
+        assert result.stats["files"] == len(PROJECT) + 1, tier
+        assert [f.rule_id for f in result.findings
+                if f.path == "pkg/bad.py"] == ["RC201"], tier
+    assert suppression_stats(paths)["count"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +238,18 @@ def _fixture_tests():
 
 @pytest.mark.parametrize("module, name", _fixture_tests())
 def test_fixture_lints_parse_each_source_once(monkeypatch, module, name):
-    """Re-run a rule-fixture test with ``lint_source`` watched: without
-    a context it parses the source once; with one it walks the tree the
-    context already parsed and parses nothing."""
+    """Re-run a rule-fixture test with ``lint_source`` watched: it walks
+    the tree its context already parsed and parses nothing, except once
+    to report RC000 for a source the context could not parse."""
     real = module.lint_source
     calls = []
 
-    def watched(source, path="<string>", flow=False, inter=None,
+    def watched(source, path, ctx, flow=False, inter=False,
                 concurrency=False):
         before = len(parses)
-        findings = real(source, path, flow=flow, inter=inter,
+        findings = real(source, path, ctx, flow=flow, inter=inter,
                         concurrency=concurrency)
-        if inter is not None:
-            assert path in inter.trees
-        assert len(parses) - before == (0 if inter is not None else 1)
+        assert len(parses) - before == (0 if path in ctx.tables else 1)
         calls.append(path)
         return findings
 
@@ -220,11 +260,11 @@ def test_fixture_lints_parse_each_source_once(monkeypatch, module, name):
 
 
 def test_lint_source_rejects_a_file_outside_the_context():
-    ctx = test_check_inter.build({"a.py": "x = 1\n"})
-    with pytest.raises(ValueError, match="not in the interprocedural"):
-        lint_source("y = 2\n", "b.py", flow=True, inter=ctx)
-    assert [f.rule_id for f in lint_source("def oops(:\n", "b.py",
-                                           flow=True, inter=ctx)] == \
+    ctx = build({"a.py": "x = 1\n"})
+    with pytest.raises(ValueError, match="not in the run's context"):
+        lint_source("y = 2\n", "b.py", ctx, flow=True, inter=True)
+    assert [f.rule_id for f in lint_source("def oops(:\n", "b.py", ctx,
+                                           flow=True, inter=True)] == \
         ["RC000"]
 
 
@@ -233,7 +273,7 @@ def test_lint_source_rejects_a_file_outside_the_context():
 # ---------------------------------------------------------------------------
 
 def test_cache_package_is_a_sim_path():
-    tree = ast.parse("")
-    ctx = LintContext(path="src/repro/cache/planner.py", tree=tree,
-                      source="", table=NodeTable(tree))
+    path = "src/repro/cache/planner.py"
+    ctx = LintContext(path=path,
+                      inter=InterContext({path: ""}).own_view(path))
     assert ctx.in_sim_path
