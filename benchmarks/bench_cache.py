@@ -8,49 +8,40 @@ gates that prefetch actually buys something:
 
 - both sides read exactly the same bytes (``total_bytes`` equal);
 - the prefetch-on side's read stall (slowest rank's summed read
-  blocking time) is below the off side's by at least
-  ``MIN_STALL_REDUCTION``;
+  blocking time) is below the off side's by at least the
+  ``cache_stall_reduction`` floor in ``benchmarks/perf_budget.json``;
 - every declared read landed by its deadline (``on_time_ratio == 1``)
-  on the uncontended testbed shape.
+  on the uncontended testbed shape, and the cache served hits.
 
 The async VOL's own heuristic prefetcher is disabled on *both* sides,
 so the deadline planner is the only read-ahead in play and the
 comparison isolates the subsystem under test.
 
-Results land in ``BENCH_cache.json`` at the repository root.
+Results land in ``BENCH_cache.json`` (``repro-bench/v1``, see
+``benchlib.py``) at the repository root: one row per side.
 
 Run standalone (full shape)::
 
     PYTHONPATH=src python benchmarks/bench_cache.py
 
-or in CI smoke mode (smaller shape, same JSON schema)::
+or in CI smoke mode (smaller shape, same schema)::
 
     PYTHONPATH=src python benchmarks/bench_cache.py --smoke
 
-Also collectable via pytest (runs the smoke shape and asserts the
-stall-reduction gate)::
+Also collectable via pytest (runs the smoke shape through the same
+gates)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_cache.py
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-
+import benchlib
 from repro.harness import run_experiment
 from repro.platform import testbed as make_testbed
 from repro.workloads import BDCATSConfig, bdcats_program, prepopulate_vpic_file
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_OUT = REPO_ROOT / "BENCH_cache.json"
-
-#: Prefetch-on must cut the read stall by at least this factor.  The
-#: compute windows on both shapes are long enough to hide the whole
-#: epoch read, so the observed reduction is far larger; the floor only
-#: guards against the planner silently degrading to a no-op.
-MIN_STALL_REDUCTION = 0.3
+BENCH = "cache"
 
 
 def _shape(smoke: bool):
@@ -65,7 +56,7 @@ def _shape(smoke: bool):
     return machine, cfg, nranks
 
 
-def run_side(machine, cfg, nranks, cache_mode):
+def side_row(machine, cfg, nranks, cache_mode):
     result = run_experiment(
         machine, "bdcats", bdcats_program, cfg, mode="async",
         nranks=nranks, op="read",
@@ -73,101 +64,56 @@ def run_side(machine, cfg, nranks, cache_mode):
         vol_kwargs={"prefetcher": None},
         cache_mode=cache_mode,
     )
-    return {
-        "cache_mode": cache_mode,
+    params = {"cache_mode": cache_mode, "nranks": nranks,
+              "particles_per_rank": cfg.particles_per_rank,
+              "n_properties": cfg.n_properties, "steps": cfg.steps}
+    return benchlib.row(f"prefetch_{cache_mode}", params, {
         "app_time_s": result.app_time,
         "read_stall_s": result.read_stall_seconds,
         "total_bytes": result.total_bytes,
         "cache_stats": result.cache_stats,
-    }
+    })
 
 
-def run_bench(smoke=False, out=DEFAULT_OUT):
-    machine, cfg, nranks = _shape(smoke)
-    off = run_side(machine, cfg, nranks, "off")
-    on = run_side(machine, cfg, nranks, "on")
-    reduction = 1.0 - on["read_stall_s"] / off["read_stall_s"]
-    payload = {
-        "mode": "smoke" if smoke else "full",
-        "params": {
-            "nranks": nranks,
-            "particles_per_rank": cfg.particles_per_rank,
-            "n_properties": cfg.n_properties,
-            "steps": cfg.steps,
-        },
-        "off": off,
-        "on": on,
-        "stall_reduction": round(reduction, 4),
-        "min_stall_reduction": MIN_STALL_REDUCTION,
-    }
+def run_bench(smoke=False):
+    shape = _shape(smoke)
+    off, on = (side_row(*shape, mode) for mode in ("off", "on"))
+    on["values"]["stall_reduction"] = round(
+        1.0 - on["values"]["read_stall_s"] / off["values"]["read_stall_s"], 4)
     for side in (off, on):
-        print(
-            f"cache {side['cache_mode']:>3}: app {side['app_time_s']:.3f}s  "
-            f"read stall {side['read_stall_s']:.4f}s"
-        )
-    print(f"stall reduction: {reduction:.1%} "
-          f"(floor {MIN_STALL_REDUCTION:.0%})")
-    out = pathlib.Path(out)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"[saved to {out}]")
-    return payload
+        print(f"{side['name']:>9}: app {side['values']['app_time_s']:.3f}s  "
+              f"read stall {side['values']['read_stall_s']:.4f}s")
+    print(f"stall reduction: {on['values']['stall_reduction']:.1%}")
+    return [off, on]
 
 
-def check_gate(payload):
-    """Human-readable gate failures; empty means pass."""
-    failures = []
-    off, on = payload["off"], payload["on"]
-    if on["total_bytes"] != off["total_bytes"]:
-        failures.append(
-            f"byte mismatch: on read {on['total_bytes']:.6g}B, "
-            f"off read {off['total_bytes']:.6g}B"
-        )
-    if payload["stall_reduction"] < payload["min_stall_reduction"]:
-        failures.append(
-            f"read-stall reduction {payload['stall_reduction']:.1%} is "
-            f"below the {payload['min_stall_reduction']:.0%} floor "
-            f"(off {off['read_stall_s']:.4f}s, on {on['read_stall_s']:.4f}s)"
-        )
+def gates(artifact):
+    """Every gate of ``BENCH_cache.json``; returns the failures."""
+    g = benchlib.Gates(artifact)
+    off = benchlib.find(artifact["rows"], "prefetch_off")["values"]
+    on_row = benchlib.find(artifact["rows"], "prefetch_on")
+    on = on_row["values"]
+    g.require(on_row, "equal_bytes", on["total_bytes"] == off["total_bytes"],
+              f"byte mismatch: on read {on['total_bytes']:.6g}B, "
+              f"off read {off['total_bytes']:.6g}B")
+    g.floor(on_row, "cache_stall_reduction", on["stall_reduction"])
     stats = on["cache_stats"]
-    if stats["on_time_ratio"] < 1.0:
-        failures.append(
-            f"prefetches missed deadlines on the uncontended shape "
-            f"(on_time_ratio {stats['on_time_ratio']:.3f})"
-        )
-    if stats["hits"] == 0:
-        failures.append("prefetch-on run served zero cache hits")
-    return failures
+    g.require(on_row, "on_time", stats["on_time_ratio"] >= 1.0,
+              f"prefetches missed deadlines on the uncontended shape "
+              f"(on_time_ratio {stats['on_time_ratio']:.3f})")
+    g.require(on_row, "hits", stats["hits"] > 0,
+              "prefetch-on run served zero cache hits")
+    return g.failures()
 
 
-# ----------------------------------------------------------------------
-# pytest entry point (smoke shape: cheap enough for CI)
-# ----------------------------------------------------------------------
-def test_prefetch_beats_no_cache_on_read_stall(tmp_path):
-    payload = run_bench(smoke=True, out=tmp_path / "BENCH_cache.json")
-    failures = check_gate(payload)
-    assert not failures, "; ".join(failures)
+def test_cache_gates(tmp_path):
+    artifact = benchlib.run(BENCH, run_bench, gates, smoke=True,
+                            out=tmp_path / "BENCH_cache.json")
+    assert artifact["ok"], "; ".join(artifact["failures"])
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="smaller shape (CI mode), same JSON schema",
-    )
-    parser.add_argument(
-        "--out", default=str(DEFAULT_OUT),
-        help=f"output JSON path (default: {DEFAULT_OUT})",
-    )
-    args = parser.parse_args(argv)
-    out = pathlib.Path(args.out)
-    if not out.parent.is_dir():
-        parser.error(f"--out directory does not exist: {out.parent}")
-    payload = run_bench(smoke=args.smoke, out=out)
-    status = 0
-    for line in check_gate(payload):
-        print(f"FAIL: {line}")
-        status = 1
-    return status
+    return benchlib.main(BENCH, run_bench, gates, argv)
 
 
 if __name__ == "__main__":

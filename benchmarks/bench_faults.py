@@ -4,7 +4,7 @@ Drives :func:`repro.harness.recovery.recovery_sweep` — a checkpointing
 job is killed mid-epoch under injected storage faults and restarted
 from its last *durable* checkpoint — comparing the sync VOL against
 the async VOL's retry + sync-fallback ladder across flaky-write fault
-rates.  Two invariants are checked on every run:
+rates.  Two invariants are gated on every run:
 
 - **determinism**: the whole sweep is replayed with the same seed and
   every run's fault-trace signature (and headline numbers) must match
@@ -12,38 +12,37 @@ rates.  Two invariants are checked on every run:
   for debugging one;
 - **no data loss with faults absorbed**: at every injected fault rate
   the async connector must keep at least as many checkpoints durable
-  as the sync connector, whose un-retried ranks die at the first fault.
+  as the sync connector, whose un-retried ranks die at the first fault;
+  at every rate above zero it must have retried or fallen back at
+  least once and lost no checkpoint.
 
-Results land in ``BENCH_faults.json`` at the repository root: per
-(mode, fault rate) goodput, data-loss window, durable/lost checkpoint
-counts, and retry/fallback totals.
+Results land in ``BENCH_faults.json`` (``repro-bench/v1``, see
+``benchlib.py``) at the repository root: one row per (mode, fault
+rate) with goodput, data-loss window, durable/lost checkpoint counts,
+retry/fallback totals and whether its replay matched.
 
 Run standalone (full mode)::
 
     PYTHONPATH=src python benchmarks/bench_faults.py
 
-or in CI smoke mode (fewer ranks/rates, same JSON schema)::
+or in CI smoke mode (fewer ranks/rates, same schema)::
 
     PYTHONPATH=src python benchmarks/bench_faults.py --smoke
 
-Also collectable via pytest (runs the smoke sweep and asserts the
-determinism + robustness invariants)::
+Also collectable via pytest (runs the smoke sweep through the same
+gates)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_faults.py
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-
+import benchlib
 from repro.harness.recovery import recovery_sweep
 from repro.platform.machines import summit
 from repro.workloads.restart import RestartConfig
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_OUT = REPO_ROOT / "BENCH_faults.json"
+BENCH = "faults"
 
 Mi = 1 << 20
 SEED = 90
@@ -58,81 +57,90 @@ def _shape(smoke: bool):
         elems_per_rank=4 * Mi, checkpoints=6, compute_seconds=10.0)
 
 
-def _row(res):
-    return {
-        "mode": res.mode,
-        "fault_rate": res.fault_rate,
-        "nranks": res.nranks,
-        "t_kill": round(res.t_kill, 6),
-        "durable_checkpoints": res.durable_checkpoints,
-        "lost_checkpoints": res.lost_checkpoints,
-        "data_loss_window_s": round(res.data_loss_window, 6),
-        "restart_wall_s": round(res.restart_wall, 6),
-        "goodput": round(res.goodput, 6),
-        "retries": res.retries,
-        "fallbacks": res.fallbacks,
-        "fault_signature": [list(ev) for ev in res.fault_signature],
-    }
+def _name(mode: str, rate: float) -> str:
+    return f"{mode}@{rate:g}"
 
 
-def run_bench(smoke=False, out=DEFAULT_OUT):
+def _row(res, replay):
+    return benchlib.row(
+        _name(res.mode, res.fault_rate),
+        {"mode": res.mode, "fault_rate": res.fault_rate,
+         "nranks": res.nranks, "seed": SEED},
+        {
+            "t_kill": round(res.t_kill, 6),
+            "durable_checkpoints": res.durable_checkpoints,
+            "lost_checkpoints": res.lost_checkpoints,
+            "data_loss_window_s": round(res.data_loss_window, 6),
+            "restart_wall_s": round(res.restart_wall, 6),
+            "goodput": round(res.goodput, 6),
+            "retries": res.retries,
+            "fallbacks": res.fallbacks,
+            "fault_signature": [list(ev) for ev in res.fault_signature],
+            # An identically-seeded replay must reproduce the fault
+            # trace and every headline number exactly.
+            "replay_identical": (
+                res.fault_signature == replay.fault_signature
+                and res.goodput == replay.goodput
+                and res.data_loss_window == replay.data_loss_window
+                and res.durable_checkpoints == replay.durable_checkpoints),
+        })
+
+
+def run_bench(smoke=False):
     nranks, rates, cfg = _shape(smoke)
     machine = summit()
-    sweep = recovery_sweep(machine, nranks, fault_rates=rates,
-                           config=cfg, seed=SEED)
-    # Determinism gate: an identically-seeded replay must reproduce
-    # every fault trace and every headline number exactly.
-    replay = recovery_sweep(machine, nranks, fault_rates=rates,
-                            config=cfg, seed=SEED)
-    deterministic = all(
-        a.fault_signature == b.fault_signature
-        and a.goodput == b.goodput
-        and a.data_loss_window == b.data_loss_window
-        and a.durable_checkpoints == b.durable_checkpoints
-        for a, b in zip(sweep, replay)
-    )
-    rows = [_row(r) for r in sweep]
-    for row in rows:
+    sweep, replay = (recovery_sweep(machine, nranks, fault_rates=rates,
+                                    config=cfg, seed=SEED)
+                     for _ in range(2))
+    rows = [_row(a, b) for a, b in zip(sweep, replay)]
+    for r in rows:
+        v = r["values"]
         print(
-            f"{row['mode']:>5} rate={row['fault_rate']:<5g} "
-            f"durable={row['durable_checkpoints']} "
-            f"lost={row['lost_checkpoints']} "
-            f"loss_window={row['data_loss_window_s']:.2f}s "
-            f"goodput={row['goodput']:.3f} "
-            f"retries={row['retries']} fallbacks={row['fallbacks']}"
+            f"{r['params']['mode']:>5} rate={r['params']['fault_rate']:<5g} "
+            f"durable={v['durable_checkpoints']} "
+            f"lost={v['lost_checkpoints']} "
+            f"loss_window={v['data_loss_window_s']:.2f}s "
+            f"goodput={v['goodput']:.3f} "
+            f"retries={v['retries']} fallbacks={v['fallbacks']} "
+            f"replay_ok={v['replay_identical']}"
         )
-    print(f"deterministic replay: {deterministic}")
-    payload = {
-        "mode": "smoke" if smoke else "full",
-        "machine": machine.name,
-        "seed": SEED,
-        "deterministic": deterministic,
-        "results": rows,
-    }
-    out = pathlib.Path(out)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"[saved to {out}]")
-    return payload
+    return rows
+
+
+def gates(artifact):
+    """Every gate of ``BENCH_faults.json``; returns the failures."""
+    g = benchlib.Gates(artifact)
+    rows = artifact["rows"]
+    for r in rows:
+        g.require(r, "replay_identical", r["values"]["replay_identical"],
+                  "same-seed replay diverged")
+    for r in rows:
+        if r["params"]["mode"] != "async":
+            continue
+        rate = r["params"]["fault_rate"]
+        # The async retry/fallback ladder must never do worse than the
+        # un-retried sync path, and must absorb every injected fault.
+        v = r["values"]
+        sync = benchlib.find(rows, _name("sync", rate))["values"]
+        g.require(r, "durable_vs_sync",
+                  v["durable_checkpoints"] >= sync["durable_checkpoints"],
+                  f"{v['durable_checkpoints']} durable checkpoints, sync "
+                  f"kept {sync['durable_checkpoints']}")
+        if rate > 0:
+            g.require(r, "faults_absorbed", v["retries"] + v["fallbacks"] > 0,
+                      "no retry or fallback under injected faults")
+            g.require(r, "no_lost_checkpoints", v["lost_checkpoints"] == 0,
+                      f"{v['lost_checkpoints']} checkpoint(s) lost")
+    return g.failures()
 
 
 # ----------------------------------------------------------------------
 # pytest entry points (smoke sweep: cheap enough for CI)
 # ----------------------------------------------------------------------
-def test_recovery_deterministic_and_async_absorbs_faults(tmp_path):
-    payload = run_bench(smoke=True, out=tmp_path / "BENCH_faults.json")
-    assert payload["deterministic"], "same-seed replay diverged"
-    by_mode = {}
-    for row in payload["results"]:
-        by_mode.setdefault(row["mode"], {})[row["fault_rate"]] = row
-    for rate, async_row in by_mode["async"].items():
-        sync_row = by_mode["sync"][rate]
-        # The async retry/fallback ladder must never do worse than the
-        # un-retried sync path, and must absorb every injected fault.
-        assert (async_row["durable_checkpoints"]
-                >= sync_row["durable_checkpoints"])
-        if rate > 0:
-            assert async_row["retries"] + async_row["fallbacks"] > 0
-            assert async_row["lost_checkpoints"] == 0
+def test_faults_gates(tmp_path):
+    artifact = benchlib.run(BENCH, run_bench, gates, smoke=True,
+                            out=tmp_path / "BENCH_faults.json")
+    assert artifact["ok"], "; ".join(artifact["failures"])
 
 
 def test_fig_faults_table(save_figure):
@@ -151,21 +159,7 @@ def test_fig_faults_table(save_figure):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="fewer ranks and fault rates (CI mode)",
-    )
-    parser.add_argument(
-        "--out", default=str(DEFAULT_OUT),
-        help=f"output JSON path (default: {DEFAULT_OUT})",
-    )
-    args = parser.parse_args(argv)
-    out = pathlib.Path(args.out)
-    if not out.parent.is_dir():
-        parser.error(f"--out directory does not exist: {out.parent}")
-    payload = run_bench(smoke=args.smoke, out=out)
-    return 0 if payload["deterministic"] else 1
+    return benchlib.main(BENCH, run_bench, gates, argv)
 
 
 if __name__ == "__main__":

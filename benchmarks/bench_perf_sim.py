@@ -20,52 +20,52 @@ Every scenario also cross-checks that both allocators produce
 **bit-identical** completion times and final rates — a perf number from
 a diverged simulation would be meaningless.
 
-Each scenario's speedup is gated against the stored floor in
-``benchmarks/perf_budget.json``; a run below budget exits non-zero, so
-CI fails on perf regressions, not just correctness ones.  Budgets are
-set well under locally measured ratios to absorb shared-runner noise.
+Each scenario's best-of-repeats speedup is gated against the stored
+floor in ``benchmarks/perf_budget.json``; a run below budget exits
+non-zero, so CI fails on perf regressions, not just correctness ones.
+Budgets are set well under locally measured ratios to absorb
+shared-runner noise.
 
-A sweep-engine scaling section runs the same declarative grid through
-:func:`repro.harness.sweepengine.run_sweep` at one and at N workers,
-asserts the merged artifacts are byte-identical, and records
-points/sec per worker count.
-
-A ``fleet_faults_off`` scenario proves the fault-tolerance hooks are
+A ``fleet_faults_off`` row proves the fault-tolerance hooks are
 zero-cost when disabled: one fleet run with **no** injector against
 the same fleet with a zero-fault injector *attached* (callbacks
 registered, no events scheduled).  The two must produce byte-identical
 metrics and per-job records, and the attached side must not be
 measurably slower (same perf-budget gate as the allocator scenarios).
-A ``cache_off`` scenario applies the same treatment to the staging
-cache: one BD-CATS async run with an inert
-:class:`~repro.cache.CacheSubsystem` attached against the bare run.
+A ``cache_off`` row applies the same treatment to the staging cache:
+one BD-CATS async run with an inert :class:`~repro.cache.CacheSubsystem`
+attached against the bare run.
 
-Results land in ``BENCH_sim.json`` at the repository root: wall seconds
-per side, speedup, the :class:`repro.sim.engine.EngineStats` counters,
-and the sweep scaling table.
+A ``sweep_scaling`` row runs the same declarative grid through
+:func:`repro.harness.sweepengine.run_sweep` at one worker and at the
+host's width (``max(2, nproc)``), gates the merged artifacts
+byte-identical and records points/sec for both.  Its throughput is
+reported, not gated: which side wins depends on the host.
+
+Results land in ``BENCH_sim.json`` (``repro-bench/v1``, see
+``benchlib.py``) at the repository root: wall seconds per side and
+their repeats, speedup, the :class:`repro.sim.engine.EngineStats`
+counters, and every gate verdict.
 
 Run standalone (full mode, best-of-3 timings)::
 
     PYTHONPATH=src python benchmarks/bench_perf_sim.py
 
-or in CI smoke mode (small shapes, single timing, same JSON schema)::
+or in CI smoke mode (small shapes, single timing, same schema)::
 
     PYTHONPATH=src python benchmarks/bench_perf_sim.py --smoke
 
-Also collectable via pytest (runs the smoke shapes and asserts the
-bit-identity + perf-budget invariants)::
+Also collectable via pytest (runs the smoke shapes through the same
+gates)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_perf_sim.py
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
 import json
-import pathlib
-import time
 
+import benchlib
 from repro.sim import network, network_ref
 from repro.sim.traffic import (
     class_churn,
@@ -75,13 +75,11 @@ from repro.sim.traffic import (
     mixed_classes,
 )
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_OUT = REPO_ROOT / "BENCH_sim.json"
-BUDGET_PATH = pathlib.Path(__file__).resolve().parent / "perf_budget.json"
+BENCH = "sim"
 
 
 def _scenarios(smoke: bool):
-    """(name, builder-kwargs-per-module) pairs for the selected mode."""
+    """(name, builder, builder-kwargs) triples for the selected mode."""
     if smoke:
         return [
             ("identical_flows", identical_flows, dict(n=2000)),
@@ -109,125 +107,70 @@ def _scenarios(smoke: bool):
     ]
 
 
-def _run_once(net_mod, builder, kwargs):
-    """One timed simulation; returns (wall_s, trace, stats-dict)."""
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        engine, net, flows = builder(net_mod, **kwargs)
-        engine.run()
-        wall = time.perf_counter() - t0
-    finally:
-        gc.enable()
-    trace = [(f.started_at, f.finished_at, f.rate) for f in flows]
-    return wall, trace, engine.stats.snapshot()
+def speedup_row(name, params, fast, ref, repeats, wire):
+    """Time ``fast`` against ``ref``, alternating, ``repeats`` times each.
 
-
-def run_scenario(name, builder, kwargs, repeats=3):
-    """Time fast vs reference; best-of-``repeats`` wall seconds each."""
-    fast_wall = ref_wall = None
-    fast_trace = ref_trace = None
-    fast_stats = None
+    The row's ``speedup`` is best-of ``ref`` over best-of ``fast``, and
+    ``identical`` compares ``wire`` of each side's last result.
+    Returns the row and the fast side's last result.
+    """
+    samples = {"fast_s": [], "ref_s": []}
+    last = {}
     for _ in range(repeats):
-        wall, trace, stats = _run_once(network, builder, kwargs)
-        if fast_wall is None or wall < fast_wall:
-            fast_wall, fast_stats = wall, stats
-        fast_trace = trace
-        wall, trace, _ = _run_once(network_ref, builder, kwargs)
-        if ref_wall is None or wall < ref_wall:
-            ref_wall = wall
-        ref_trace = trace
-    return {
-        "name": name,
-        "params": kwargs,
-        "fast_s": round(fast_wall, 4),
-        "ref_s": round(ref_wall, 4),
-        "speedup": round(ref_wall / fast_wall, 2),
-        "identical": fast_trace == ref_trace,
-        "events": fast_stats["events"],
-        "fastpath_events": fast_stats["fastpath_events"],
-        "rebalances": fast_stats["rebalances"],
-        "rebalances_skipped": fast_stats["rebalances_skipped"],
-        "allocator_rounds": fast_stats["allocator_rounds"],
-    }
+        for leg, fn in (("fast_s", fast), ("ref_s", ref)):
+            seconds, last[leg] = benchlib.timed(fn)
+            samples[leg].append(seconds)
+    fast_s, ref_s = min(samples["fast_s"]), min(samples["ref_s"])
+    values = {"fast_s": round(fast_s, 4), "ref_s": round(ref_s, 4),
+              "speedup": round(ref_s / fast_s, 2),
+              "identical": wire(last["fast_s"]) == wire(last["ref_s"])}
+    return benchlib.row(name, params, values, samples), last["fast_s"]
 
 
-def load_budget(mode):
-    """Per-scenario speedup floors for ``mode`` (``smoke``/``full``)."""
-    budgets = json.loads(BUDGET_PATH.read_text())
-    return budgets[mode]
+def _simulate(net_mod, builder, kwargs):
+    def run():
+        engine, _net, flows = builder(net_mod, **kwargs)
+        engine.run()
+        return engine, flows
+    return run
 
 
-def check_budget(payload):
-    """Scenarios below their stored speedup floor; empty means pass."""
-    budget = load_budget(payload["mode"])
-    failures = []
-    for row in payload["scenarios"]:
-        floor = budget.get(row["name"])
-        if floor is not None and row["speedup"] < floor:
-            failures.append(
-                f"{row['name']}: speedup {row['speedup']:.2f}x is below "
-                f"the stored budget floor {floor:.2f}x"
-            )
-    return failures
+def _trace(result):
+    _engine, flows = result
+    return [(f.started_at, f.finished_at, f.rate) for f in flows]
 
 
-def run_sweep_scaling(smoke=False):
-    """Sweep-engine throughput at 1 vs N workers on one grid.
-
-    The grid is the paper's (mode × scale × seed) variability sweep; in
-    full mode it is 64 points, demonstrating the 4-worker merged
-    artifact byte-identical to the 1-worker one at the acceptance
-    scale.  Only the byte-identity is asserted — scaling efficiency
-    depends on the host's core count and is recorded, not gated.
-    """
-    from repro.harness.sweepengine import SweepSpec, run_sweep
-
-    if smoke:
-        spec = SweepSpec(
-            kind="workload", workload="vpic", machines=("testbed",),
-            modes=("sync", "async"), scales=(4.0,), seeds=(0, 1, 2, 3),
-        )
-        worker_counts = (1, 2)
-    else:
-        spec = SweepSpec(
-            kind="workload", workload="vpic", machines=("testbed",),
-            modes=("sync", "async"), scales=(8.0, 16.0),
-            seeds=tuple(range(16)),
-        )
-        worker_counts = (1, 4)
-    outcomes = [run_sweep(spec, workers=w) for w in worker_counts]
-    baseline = outcomes[0].to_json()
-    identical = all(o.to_json() == baseline for o in outcomes[1:])
-    return {
-        "grid": spec.describe(),
-        "grid_points": len(outcomes[0].merged["points"]),
-        "identical_across_workers": identical,
-        "workers": [
-            {
-                "workers": o.workers,
-                "elapsed_s": round(o.elapsed, 3),
-                "points_per_sec": round(o.points_per_sec, 2),
-            }
-            for o in outcomes
-        ],
-    }
+def scenario_row(name, builder, kwargs, repeats):
+    """Fast allocator vs reference on one traffic shape."""
+    r, (engine, _flows) = speedup_row(
+        name, kwargs, _simulate(network, builder, kwargs),
+        _simulate(network_ref, builder, kwargs), repeats, wire=_trace)
+    stats = engine.stats.snapshot()
+    for counter in ("events", "fastpath_events", "rebalances",
+                    "rebalances_skipped", "allocator_rounds"):
+        r["values"][counter] = stats[counter]
+    return r
 
 
-def run_faults_off_overhead(smoke=False, repeats=1):
-    """Fault hooks must cost nothing when no faults are configured.
+def _parity_row(name, params, with_hooks, bare, payload, drop, repeats):
+    """Zero-cost-off row: the hooked side (``fast``) against the bare
+    run (``ref``); their ``payload`` dicts must agree byte-for-byte once
+    the hooked side's own bookkeeping field ``drop`` is removed."""
+    def wire(result):
+        return json.dumps({k: v for k, v in payload(result).items()
+                           if k != drop}, sort_keys=True)
 
-    Times :func:`~repro.harness.sched.run_fleet` bare (``ref``) vs with
-    an all-zero :class:`~repro.faults.FaultConfig` attached (``fast`` —
-    the ledger callbacks are registered, the degraded-admission check
-    runs, but no fault events exist).  The metrics must be
-    byte-identical after dropping the injector's own bookkeeping
-    fields, and the attached side is gated against the stored budget
-    floor like any other scenario.
-    """
-    import json as _json
+    bare()  # warmup: imports and allocator caches off the clock
+    return speedup_row(name, params, with_hooks, bare, repeats,
+                                wire)[0]
 
+
+def faults_off_row(smoke, repeats):
+    """Fault hooks must cost nothing when no faults are configured:
+    :func:`~repro.harness.sched.run_fleet` bare against the same fleet
+    with an all-zero :class:`~repro.faults.FaultConfig` attached (the
+    ledger callbacks are registered, the degraded-admission check runs,
+    but no fault events exist)."""
     from repro.faults import FaultConfig
     from repro.harness.sched import run_fleet, sched_testbed
     from repro.sched import StreamConfig
@@ -236,53 +179,22 @@ def run_faults_off_overhead(smoke=False, repeats=1):
     cfg = StreamConfig(n_jobs=6 if smoke else 12, seed=7,
                        mean_interarrival=4.0)
 
-    def run_side(fault_config):
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            metrics = run_fleet(machine, cfg, "fifo",
-                                fault_config=fault_config)
-            wall = time.perf_counter() - t0
-        finally:
-            gc.enable()
-        payload = metrics.to_dict()
-        # The only permitted difference: the injector's own bookkeeping.
-        payload.pop("fault_signature")
-        return wall, _json.dumps(payload, sort_keys=True)
+    def fleet(fault_config):
+        return lambda: run_fleet(machine, cfg, "fifo",
+                                 fault_config=fault_config)
 
-    run_side(None)  # warmup: imports and allocator caches off the clock
-    off_wall = bare_wall = None
-    off_json = bare_json = None
-    for _ in range(repeats):
-        wall, off_json = run_side(FaultConfig())
-        if off_wall is None or wall < off_wall:
-            off_wall = wall
-        wall, bare_json = run_side(None)
-        if bare_wall is None or wall < bare_wall:
-            bare_wall = wall
-    return {
-        "name": "fleet_faults_off",
-        "params": {"n_jobs": cfg.n_jobs, "seed": cfg.seed},
-        "fast_s": round(off_wall, 4),
-        "ref_s": round(bare_wall, 4),
-        "speedup": round(bare_wall / off_wall, 2),
-        "identical": off_json == bare_json,
-    }
+    return _parity_row("fleet_faults_off",
+                       {"n_jobs": cfg.n_jobs, "seed": cfg.seed},
+                       fleet(FaultConfig()), fleet(None),
+                       lambda m: m.to_dict(), "fault_signature", repeats)
 
 
-def run_cache_off_overhead(smoke=False, repeats=1):
-    """The staging-cache hooks must cost nothing when the cache is off.
-
-    Times one BD-CATS async run bare (``ref`` — no subsystem built)
-    against the same run with ``cache_mode="off"`` (``fast`` — an inert
-    :class:`~repro.cache.CacheSubsystem` is constructed and every VOL /
-    drain hook consults it, but all behavior flags are down).  The
-    experiment metrics must be byte-identical after dropping the
-    subsystem's own ``cache_stats`` snapshot, and the inert side is
-    gated against the stored budget floor.
-    """
-    import json as _json
+def cache_off_row(smoke, repeats):
+    """The staging-cache hooks must cost nothing when the cache is off:
+    one BD-CATS async run bare (no subsystem built) against the same run
+    with ``cache_mode="off"`` (an inert
+    :class:`~repro.cache.CacheSubsystem` that every VOL / drain hook
+    consults, with all behavior flags down)."""
     from dataclasses import asdict
 
     from repro.harness import run_experiment
@@ -297,142 +209,102 @@ def run_cache_off_overhead(smoke=False, repeats=1):
     )
     nranks = 16 if smoke else 32
     machine = make_testbed(nodes=nranks // 4, ranks_per_node=4)
+
+    def experiment(cache_mode):
+        return lambda: run_experiment(
+            machine, "bdcats", bdcats_program, cfg, mode="async",
+            nranks=nranks, op="read",
+            prepopulate=lambda lib, n: prepopulate_vpic_file(lib, cfg, n),
+            cache_mode=cache_mode,
+        )
+
     # One run is a few milliseconds; a single timing would gate on
     # scheduler noise, so take best-of-3 even in smoke mode.
-    repeats = max(repeats, 3)
-
-    def run_side(cache_mode):
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            result = run_experiment(
-                machine, "bdcats", bdcats_program, cfg, mode="async",
-                nranks=nranks, op="read",
-                prepopulate=lambda lib, n: prepopulate_vpic_file(lib, cfg, n),
-                cache_mode=cache_mode,
-            )
-            wall = time.perf_counter() - t0
-        finally:
-            gc.enable()
-        payload = asdict(result)
-        # The only permitted difference: the subsystem's own snapshot.
-        payload.pop("cache_stats")
-        return wall, _json.dumps(payload, sort_keys=True)
-
-    run_side(None)  # warmup: imports and allocator caches off the clock
-    off_wall = bare_wall = None
-    off_json = bare_json = None
-    for _ in range(repeats):
-        wall, off_json = run_side("off")
-        if off_wall is None or wall < off_wall:
-            off_wall = wall
-        wall, bare_json = run_side(None)
-        if bare_wall is None or wall < bare_wall:
-            bare_wall = wall
-    return {
-        "name": "cache_off",
-        "params": {"nranks": nranks,
-                   "particles_per_rank": cfg.particles_per_rank},
-        "fast_s": round(off_wall, 4),
-        "ref_s": round(bare_wall, 4),
-        "speedup": round(bare_wall / off_wall, 2),
-        "identical": off_json == bare_json,
-    }
+    return _parity_row("cache_off",
+                       {"nranks": nranks,
+                        "particles_per_rank": cfg.particles_per_rank},
+                       experiment("off"), experiment(None), asdict,
+                       "cache_stats", max(repeats, 3))
 
 
-def run_bench(smoke=False, repeats=None, out=DEFAULT_OUT):
-    if repeats is None:
-        repeats = 1 if smoke else 3
-    results = []
-    for name, builder, kwargs in _scenarios(smoke):
-        row = run_scenario(name, builder, kwargs, repeats=repeats)
-        results.append(row)
-        print(
-            f"{row['name']:>16}: fast {row['fast_s']:.3f}s "
-            f"ref {row['ref_s']:.3f}s  {row['speedup']:.2f}x  "
-            f"identical={row['identical']}  events={row['events']} "
-            f"rebalances={row['rebalances']}"
+def sweep_scaling_row(smoke):
+    """Sweep-engine throughput at 1 worker and at the host's width.
+
+    The grid is the paper's (mode × scale × seed) variability sweep; in
+    full mode it is 64 points.  Only the byte-identity of the merged
+    artifacts is gated — throughput depends on the host's core count
+    and is recorded, not gated.
+    """
+    from repro.harness.sweepengine import SweepSpec, run_sweep
+
+    if smoke:
+        spec = SweepSpec(
+            kind="workload", workload="vpic", machines=("testbed",),
+            modes=("sync", "async"), scales=(4.0,), seeds=(0, 1, 2, 3),
         )
-    for zero_cost in (run_faults_off_overhead, run_cache_off_overhead):
-        row = zero_cost(smoke=smoke, repeats=repeats)
-        results.append(row)
-        print(
-            f"{row['name']:>16}: with-hooks {row['fast_s']:.3f}s "
-            f"bare {row['ref_s']:.3f}s  {row['speedup']:.2f}x  "
-            f"identical={row['identical']}"
+    else:
+        spec = SweepSpec(
+            kind="workload", workload="vpic", machines=("testbed",),
+            modes=("sync", "async"), scales=(8.0, 16.0),
+            seeds=tuple(range(16)),
         )
-    sweep = run_sweep_scaling(smoke=smoke)
-    rates = ", ".join(
-        f"{w['workers']}w {w['points_per_sec']:.1f} pt/s"
-        for w in sweep["workers"]
+    workers = benchlib.host_workers()
+    serial, parallel = (run_sweep(spec, workers=w) for w in (1, workers))
+    return benchlib.row(
+        "sweep_scaling",
+        {"grid": spec.describe(), "workers": workers},
+        {"grid_points": len(serial.merged["points"]),
+         "identical_across_workers": serial.to_json() == parallel.to_json(),
+         "serial_points_per_sec": round(serial.points_per_sec, 2),
+         "parallel_points_per_sec": round(parallel.points_per_sec, 2)},
+        {"serial_s": [serial.elapsed], "parallel_s": [parallel.elapsed]},
     )
-    print(
-        f"{'sweep_scaling':>16}: {sweep['grid_points']} points  {rates}  "
-        f"identical={sweep['identical_across_workers']}"
-    )
-    payload = {
-        "mode": "smoke" if smoke else "full",
-        "scenarios": results,
-        "sweep_scaling": sweep,
-    }
-    out = pathlib.Path(out)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"[saved to {out}]")
-    return payload
 
 
-# ----------------------------------------------------------------------
-# pytest entry points (smoke shapes: cheap enough for CI)
-# ----------------------------------------------------------------------
-def test_fastpath_bit_identical_and_within_budget(tmp_path):
-    payload = run_bench(smoke=True, out=tmp_path / "BENCH_sim.json")
-    for row in payload["scenarios"]:
-        assert row["identical"], f"{row['name']}: traces diverged"
-    assert payload["sweep_scaling"]["identical_across_workers"], (
-        "sweep merged artifact differs across worker counts"
-    )
-    failures = check_budget(payload)
-    assert not failures, "; ".join(failures)
+def run_bench(smoke=False):
+    repeats = 1 if smoke else 3
+    rows = [scenario_row(name, builder, kwargs, repeats)
+            for name, builder, kwargs in _scenarios(smoke)]
+    rows += [faults_off_row(smoke, repeats), cache_off_row(smoke, repeats)]
+    for r in rows:
+        v = r["values"]
+        print(f"{r['name']:>16}: fast {v['fast_s']:.3f}s "
+              f"ref {v['ref_s']:.3f}s  {v['speedup']:.2f}x  "
+              f"identical={v['identical']}")
+    sweep = sweep_scaling_row(smoke)
+    v = sweep["values"]
+    print(f"{'sweep_scaling':>16}: {v['grid_points']} points  "
+          f"1w {v['serial_points_per_sec']:.1f} pt/s, "
+          f"{sweep['params']['workers']}w "
+          f"{v['parallel_points_per_sec']:.1f} pt/s  "
+          f"identical={v['identical_across_workers']}")
+    return rows + [sweep]
+
+
+def gates(artifact):
+    """Every gate of ``BENCH_sim.json``; returns the failures."""
+    g = benchlib.Gates(artifact)
+    for r in artifact["rows"]:
+        v = r["values"]
+        if r["name"] == "sweep_scaling":
+            g.require(r, "identical_across_workers",
+                      v["identical_across_workers"],
+                      "sweep merged artifact differs across worker counts")
+            continue
+        g.require(r, "identical", v["identical"],
+                  "fast/reference results diverged")
+        g.floor(r, r["name"], v["speedup"])
+    return g.failures()
+
+
+def test_sim_gates(tmp_path):
+    artifact = benchlib.run(BENCH, run_bench, gates, smoke=True,
+                            out=tmp_path / "BENCH_sim.json")
+    assert artifact["ok"], "; ".join(artifact["failures"])
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small shapes, single timing (CI mode)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=None,
-        help="timing repeats per side (default: 3, or 1 with --smoke)",
-    )
-    parser.add_argument(
-        "--out", default=str(DEFAULT_OUT),
-        help=f"output JSON path (default: {DEFAULT_OUT})",
-    )
-    parser.add_argument(
-        "--no-budget", action="store_true",
-        help="skip the perf-budget gate (timing-only exploration runs)",
-    )
-    args = parser.parse_args(argv)
-    if args.repeats is not None and args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    out = pathlib.Path(args.out)
-    if not out.parent.is_dir():
-        parser.error(f"--out directory does not exist: {out.parent}")
-    payload = run_bench(smoke=args.smoke, repeats=args.repeats, out=out)
-    status = 0
-    if not all(row["identical"] for row in payload["scenarios"]):
-        print("FAIL: fast/reference traces diverged")
-        status = 1
-    if not payload["sweep_scaling"]["identical_across_workers"]:
-        print("FAIL: sweep merged artifact differs across worker counts")
-        status = 1
-    if not args.no_budget:
-        for line in check_budget(payload):
-            print(f"FAIL: {line}")
-            status = 1
-    return status
+    return benchlib.main(BENCH, run_bench, gates, argv)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,229 @@
+"""The ``repro-bench/v1`` contract of the five gated benchmark scripts.
+
+Nothing here times anything: the committed ``BENCH_*.json`` artifacts
+are checked against the schema and their own gates, then doctored
+copies show that each script's ``gates()`` reports a broken invariant.
+"""
+
+import copy
+import importlib.util
+import json
+import pathlib
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH_DIR = ROOT / "benchmarks"
+sys.path.insert(0, str(BENCH_DIR))  # the scripts import benchlib
+
+import benchlib  # noqa: E402
+
+SCRIPTS = {
+    "sim": "bench_perf_sim",
+    "check": "bench_check",
+    "cache": "bench_cache",
+    "sched": "bench_sched",
+    "faults": "bench_faults",
+}
+
+
+def _script(bench):
+    name = SCRIPTS[bench]
+    spec = importlib.util.spec_from_file_location(name,
+                                                  BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _artifact(bench):
+    return json.loads((ROOT / f"BENCH_{bench}.json").read_text())
+
+
+@pytest.mark.parametrize("bench", SCRIPTS)
+def test_committed_artifact_is_v1_and_passes_its_gates(bench):
+    artifact = _artifact(bench)
+    assert artifact["schema"] == benchlib.SCHEMA
+    assert (artifact["bench"], artifact["mode"]) == (bench, "full")
+    assert set(artifact["env"]) == {"python", "platform", "nproc"}
+    assert artifact["ok"] is True and artifact["failures"] == []
+    for row in artifact["rows"]:
+        assert set(row) == {"name", "params", "values", "repeats", "gates"}
+        for gate in row["gates"]:
+            assert set(gate) == {"name", "kind", "value", "limit", "ok"}
+            assert gate["ok"] is True
+        for spread in row["repeats"].values():
+            assert set(spread) == {"s", "best", "median", "iqr"}
+    # Re-gating the committed values reproduces the committed verdicts.
+    regated = copy.deepcopy(artifact)
+    assert _script(bench).gates(regated) == []
+    assert regated["rows"] == artifact["rows"]
+
+
+def test_every_full_budget_key_gates_a_committed_row():
+    gated = {gate["name"] for bench in SCRIPTS
+             for row in _artifact(bench)["rows"] for gate in row["gates"]
+             if gate["kind"] in ("floor", "ceiling")}
+    assert gated == set(benchlib.load_budget("full"))
+
+
+def _bound(key, kind, value):
+    return {"name": f"{kind}:{key}", "params": {}, "values": {},
+            "repeats": {}, "gates": [{"name": key, "kind": kind,
+                                      "value": value, "limit": None,
+                                      "ok": None}]}
+
+
+def test_check_budget_reports_floor_ceiling_and_missing_key():
+    budget = benchlib.load_budget("full")
+    rows = [
+        _bound("fig3a_1536", "floor", budget["fig3a_1536"] - 0.01),
+        _bound("check_parse_per_file", "ceiling", 1.01),
+        _bound("fig3a_9999", "floor", 1e9),
+        _bound("many_links", "floor", budget["many_links"]),
+        _bound("check_cfg_per_function", "ceiling", 1.0),
+    ]
+    failures = benchlib.check_budget(rows, "full")
+    assert len(failures) == 3
+    assert "fig3a_1536" in failures[0] and "below" in failures[0]
+    assert "check_parse_per_file" in failures[1] and "above" in failures[1]
+    assert "fig3a_9999" in failures[2] and "no floor" in failures[2]
+    assert [row["gates"][0]["ok"] for row in rows] == [
+        False, False, False, True, True]
+    assert rows[0]["gates"][0]["limit"] == budget["fig3a_1536"]
+    assert rows[2]["gates"][0]["limit"] is None
+
+
+def test_main_writes_the_artifact_and_exits_non_zero_on_a_failed_gate(
+        tmp_path):
+    def run_bench(smoke):
+        return [benchlib.row("only", {"smoke": smoke}, {"x": 1})]
+
+    def gates(artifact):
+        g = benchlib.Gates(artifact)
+        r = artifact["rows"][0]
+        g.require(r, "x_is_two", r["values"]["x"] == 2, "x is not 2")
+        g.floor(r, "fig3a_384", r["values"]["x"])
+        return g.failures()
+
+    out = tmp_path / "BENCH_x.json"
+    assert benchlib.main("x", run_bench, gates,
+                         ["--smoke", "--out", str(out)]) == 1
+    artifact = json.loads(out.read_text())
+    assert (artifact["bench"], artifact["mode"]) == ("x", "smoke")
+    assert artifact["ok"] is False
+    floor = benchlib.load_budget("smoke")["fig3a_384"]
+    assert artifact["failures"] == [
+        "[only] x is not 2", f"[only] fig3a_384 1 is below the {floor:.4g} "
+        f"floor"]
+    assert [g["ok"] for g in artifact["rows"][0]["gates"]] == [False, False]
+
+
+def _set(name, **values):
+    """Doctor: overwrite ``values`` on the row called ``name``."""
+    def doctor(artifact):
+        benchlib.find(artifact["rows"], name)["values"].update(values)
+    return doctor
+
+
+def _set_chaos(**values):
+    """Doctor: overwrite ``values`` on every chaos fleet row."""
+    def doctor(artifact):
+        for row in artifact["rows"]:
+            if "variant" in row["params"]:
+                row["values"].update(values)
+    return doctor
+
+
+def _shift(name, field, delta):
+    def doctor(artifact):
+        benchlib.find(artifact["rows"], name)["values"][field] += delta
+    return doctor
+
+
+DOCTORED = {
+    # bench_sched: fleet determinism and the io-aware invariants.
+    "sched-replay": ("sched", _set("backfill@2", replay_identical=False),
+                     "replay diverged"),
+    "sched-p95": ("sched", _set("io-aware@4", completion_p95=1e9),
+                  "does not beat FIFO"),
+    "sched-n-async": ("sched", _set("io-aware@2", n_async=0),
+                      "async jobs"),
+    "sched-terminal": ("sched", _shift("io-aware@4", "completed", -1),
+                       "terminal state"),
+    "sched-rejected": ("sched", _set("io-aware@2", rejected=1),
+                       "rejected"),
+    # bench_sched: the chaos section.
+    "sched-node-kills": ("sched", _set_chaos(node_kills=0),
+                         "no node kills"),
+    "sched-requeues": ("sched", _set_chaos(requeues=0), "requeued no job"),
+    "sched-signature": ("sched", _set("checkpoint/scratch/1",
+                                      fault_signature=""),
+                        "no fault signature"),
+    "sched-checkpoint": ("sched",
+                         _set("checkpoint/checkpoint/0",
+                              goodput_jobs_per_hour=0.0),
+                         "checkpoint restart did not beat"),
+    "sched-async-lost": ("sched", _shift("ckpt-mode/async/1",
+                                         "lost_work_seconds", 1e6),
+                         "did not lose less work"),
+    "sched-chaos-replay": ("sched", _set("chaos", replay_identical=False),
+                           "chaos replay diverged"),
+    # bench_faults: determinism and the async recovery ladder.
+    "faults-replay": ("faults", _set("sync@0.05", replay_identical=False),
+                      "replay diverged"),
+    "faults-durable": ("faults", _shift("sync@0", "durable_checkpoints", 1),
+                       "durable checkpoints"),
+    "faults-absorbed": ("faults", _set("async@0.2", retries=0, fallbacks=0),
+                        "no retry or fallback"),
+    "faults-lost": ("faults", _set("async@0.05", lost_checkpoints=1),
+                    "checkpoint(s) lost"),
+    # bench_cache: equal bytes, stall floor, deadlines, hits.
+    "cache-bytes": ("cache", _shift("prefetch_on", "total_bytes", 1.0),
+                    "byte mismatch"),
+    "cache-stall": ("cache", _set("prefetch_on", stall_reduction=0.1),
+                    "cache_stall_reduction"),
+    "cache-on-time": ("cache", lambda a: benchlib.find(
+        a["rows"], "prefetch_on")["values"]["cache_stats"].update(
+            on_time_ratio=0.9), "missed deadlines"),
+    "cache-hits": ("cache", lambda a: benchlib.find(
+        a["rows"], "prefetch_on")["values"]["cache_stats"].update(hits=0),
+        "zero cache hits"),
+    # bench_check: clean tree, identity, cache, incrementality, budget.
+    "check-findings": ("check", _set("check_full", findings=2),
+                       "2 finding(s)"),
+    "check-identity": ("check", _set("check_concurrency",
+                                     identical_cold_vs_warm=False),
+                       "differs across cold_vs_warm"),
+    "check-tree-hit": ("check", _set("check_full", warm_tree_hit=False),
+                       "whole-tree cache key"),
+    "check-diff": ("check", lambda a: _set(
+        "check_full", diff_reanalyzed=a["rows"][0]["params"]["files"])(a),
+        "not incremental"),
+    "check-warm-floor": ("check", _set("check_concurrency", warm_speedup=1.0),
+                         "check_concurrency 1 is below"),
+    "check-parse-ceiling": ("check", _set("check_full", parse_per_file=2.0),
+                            "check_parse_per_file 2 is above"),
+    # bench_perf_sim: bit-identity, the speedup floors, sweep identity.
+    "sim-identity": ("sim", _set("fig3a_4096", identical=False),
+                     "diverged"),
+    "sim-floor": ("sim", _set("fleet_faults_off", speedup=0.1),
+                  "fleet_faults_off 0.1 is below"),
+    "sim-sweep": ("sim", _set("sweep_scaling",
+                              identical_across_workers=False),
+                  "differs across worker counts"),
+}
+
+
+@pytest.mark.parametrize("case", DOCTORED)
+def test_gates_report_a_doctored_artifact(case):
+    bench, doctor, expected = DOCTORED[case]
+    artifact = _artifact(bench)
+    doctor(artifact)
+    failures = _script(bench).gates(artifact)
+    assert len(failures) == 1, failures
+    assert expected in failures[0], failures
+    failed = [gate for row in artifact["rows"] for gate in row["gates"]
+              if not gate["ok"]]
+    assert len(failed) == 1
