@@ -33,26 +33,34 @@ Commands
         python -m repro sched --policy all --jobs 25 --load 2 4
 
     ``--seeds`` runs each (load, policy) under several streams, one
-    after another; fan such a grid across worker processes with
-    ``sweep --kind sched``.
+    after another.  ``sweep --kind sched`` fans a similar grid across
+    worker processes, but not the same one: its streams draw ranks from
+    (4, 8, 16) at size scale 1.0, where ``sched`` draws from (8, 16, 32)
+    at ``--size-scale`` (default 4.0).
 
 ``sweep``
-    Fan a declarative (machine × mode × scale × seed) grid across
-    worker processes and write one merged JSON artifact — byte
+    The one way to run a grid of repeated experiments.  Fans a
+    declarative (machine × mode × scale × cache × seed) grid across
+    worker processes and writes one merged JSON artifact — byte
     identical for every ``--workers`` value::
 
         python -m repro sweep --workload vpic --scales 8 16 \\
             --seeds 0 1 2 3 --workers 4 --out sweep.json
+        python -m repro sweep --workload bdcats --machines summit \\
+            --modes async --scales 8 --seeds 0 1 2 --cache off on
+
+    Workload points sample contention day = seed and keep the async
+    VOL's heuristic prefetcher on, unlike ``run`` (day 0, no contention
+    model) and ``cache`` (prefetcher off), so a one-seed sweep point is
+    not the same experiment as either single run.
 
 ``cache``
-    Run a read workload through the tiered staging cache (async VOL +
-    :mod:`repro.cache`) and print hit/deadline/bytes-per-tier metrics;
-    with ``--seeds`` it fans a cache-axis grid across workers into a
-    worker-count-invariant JSON artifact::
+    Run one read workload through the tiered staging cache (async VOL
+    + :mod:`repro.cache`, the VOL's heuristic prefetcher off) and print
+    hit/deadline/bytes-per-tier metrics; seed grids over the cache axis
+    go through ``sweep --cache``::
 
         python -m repro cache --workload bdcats --ranks 8 --prefetch on
-        python -m repro cache --workload bdcats --seeds 0 1 2 \\
-            --workers 2 --out cache.json
 
 ``check``
     Static analysis + optional runtime checking (the repo's own
@@ -132,7 +140,8 @@ def _cmd_list(_args) -> int:
         doc = (_FIGURE_MAKERS[fid].__doc__ or "").strip().splitlines()[0]
         print(f"  {fid:{width}s}  {doc}")
     print()
-    print("sweepable grids (for 'sweep'; also via 'run'/'cache' --seeds):")
+    print("sweepable grids (for 'sweep'; workload grids also take a "
+          "--cache none|off|write|on axis):")
     from repro.harness.sweepengine import sweepable_grids
     for name, desc in sweepable_grids():
         print(f"  {name:{width}s}  {desc}")
@@ -143,14 +152,6 @@ def _cmd_list(_args) -> int:
     width_t = max(len(n) for n, _ in tier_presets())
     for name, desc in tier_presets():
         print(f"  {name:{width_t}s}  {desc}")
-    print()
-    print("fault scenarios (seeded chaos presets; 'sched'/'sweep' "
-          "--fault-rate uses the same rate unit):")
-    from repro.faults import SCENARIOS
-    width_s = max(len(n) for n in SCENARIOS)
-    for name in sorted(SCENARIOS):
-        desc = SCENARIOS[name][0]
-        print(f"  {name:{width_s}s}  {desc}")
     return 0
 
 
@@ -282,7 +283,7 @@ def _cmd_sched(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.harness.sweepengine import (
-        SweepSpec, merged_sweep_points, run_sweep,
+        SweepSpec, expand_grid, merged_sweep_points, run_sweep,
     )
 
     if args.kind == "sched":
@@ -292,16 +293,17 @@ def _cmd_sweep(args) -> int:
         _workload(args.workload)  # validate early
         modes = tuple(args.modes)
         scales = tuple(float(s) for s in args.scales)
-    spec = SweepSpec(
-        kind=args.kind, workload=args.workload,
-        machines=tuple(args.machines), modes=modes, scales=scales,
-        seeds=tuple(args.seeds), jobs=args.jobs,
-        faults=tuple(args.faults), fault_seed=args.fault_seed,
-        checkpoint=not args.no_checkpoint,
-    )
-    n_points = (len(args.machines) * len(modes) * len(scales)
-                * len(args.faults) * len(args.seeds))
-    print(f"sweep: {spec.describe()} = {n_points}"
+    try:
+        spec = SweepSpec(
+            kind=args.kind, workload=args.workload,
+            machines=tuple(args.machines), modes=modes, scales=scales,
+            seeds=tuple(args.seeds), jobs=args.jobs,
+            faults=tuple(args.faults), fault_seed=args.fault_seed,
+            checkpoint=not args.no_checkpoint, cache=tuple(args.cache),
+        )
+    except ValueError as err:
+        raise SystemExit(f"repro sweep: {err}") from None
+    print(f"sweep: {spec.describe()} = {len(expand_grid(spec))}"
           f" points on {args.workers} worker(s)", file=sys.stderr)
     outcome = run_sweep(spec, workers=args.workers,
                         progress=_sweep_progress if not args.quiet else None)
@@ -316,10 +318,15 @@ def _cmd_sweep(args) -> int:
               f"[{p['error']['family']}] {p['error']['kind']}: "
               f"{p['error']['message']}")
     if args.kind == "workload":
-        for sp in merged_sweep_points(outcome.merged):
-            print(f"  {sp.mode:6s} ranks={sp.nranks:<6d} "
-                  f"peak={sp.peak_gbs:.2f} GB/s over {len(sp.all_peaks)} "
-                  f"seed(s)")
+        # Reduce each cache mode on its own: best-of-seeds must not pick
+        # across cache modes.
+        for cache in spec.cache:
+            label = "" if cache == "none" else f"cache={cache:5s} "
+            subset = {"points": [p for p in points if p["cache"] == cache]}
+            for sp in merged_sweep_points(subset):
+                print(f"  {sp.mode:6s} ranks={sp.nranks:<6d} {label}"
+                      f"peak={sp.peak_gbs:.2f} GB/s over "
+                      f"{len(sp.all_peaks)} seed(s)")
     if args.out:
         pathlib.Path(args.out).write_text(outcome.to_json())
         print(f"merged artifact -> {args.out}")
@@ -333,27 +340,18 @@ def _runtime_smoke_text() -> str:
     then under the installed checker) and requires byte-identical text —
     proving the checker is strictly observational — plus zero findings.
     """
-    import math
-    from repro.sim import Engine
-    from repro.mpi import MPIJob
-    from repro.platform import Cluster
-    from repro.hdf5 import H5Library
-    from repro.hdf5.async_vol import AsyncVOL
+    from repro.trace import IOLog
     from repro.workloads import VPICConfig, vpic_program
 
-    machine = registry.machine_spec("testbed")
-    nranks = 4
+    log = IOLog()
     config = VPICConfig(particles_per_rank=1 << 14, steps=2,
                         compute_seconds=1.0)
-    engine = Engine()
-    rpn = machine.default_ranks_per_node
-    cluster = Cluster(engine, machine, math.ceil(nranks / rpn))
-    lib = H5Library(cluster)
-    vol = AsyncVOL()
-    job = MPIJob(cluster, nranks)
-    results = job.run(vpic_program(lib, vol, config))
-    lines = [f"app_time {max(results)!r}"]
-    for r in vol.log.records:
+    result = run_experiment(
+        registry.machine_spec("testbed"), "vpic", vpic_program, config,
+        mode="async", nranks=4, vol_kwargs={"log": log},
+    )
+    lines = [f"app_time {result.app_time!r}"]
+    for r in log.records:
         lines.append(
             f"{r.op} r{r.rank} ph{r.phase} {r.dataset} {r.nbytes!r} "
             f"submit={r.t_submit!r} unblocked={r.t_unblocked!r} "
@@ -463,38 +461,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    cache_mode = "on" if args.prefetch == "on" else "off"
-    if args.seeds:
-        # Grid mode: (seed) axis at the chosen cache mode, merged into
-        # a worker-count-invariant artifact (the CI cache-smoke gate).
-        from repro.harness.sweepengine import SweepSpec, run_sweep
-
-        _workload(args.workload)  # validate early
-        spec = SweepSpec(
-            kind="workload", workload=args.workload,
-            machines=(args.machine,), modes=("async",),
-            scales=(float(args.ranks),), seeds=tuple(args.seeds),
-            cache=(cache_mode,),
-        )
-        outcome = run_sweep(spec, workers=args.workers,
-                            progress=_sweep_progress)
-        failed = [p for p in outcome.merged["points"] if not p["ok"]]
-        for p in outcome.merged["points"]:
-            if not p["ok"]:
-                print(f"seed {p['seed']:<4d} FAILED "
-                      f"[{p['error']['family']}] {p['error']['kind']}")
-                continue
-            m = p["metrics"]
-            stats = m.get("cache_stats") or {}
-            print(f"seed {p['seed']:<4d} read stall "
-                  f"{m['read_stall_seconds']:.3f} s  hit ratio "
-                  f"{stats.get('hit_ratio', 0.0):.2f}  on-time "
-                  f"{stats.get('on_time_ratio', 1.0):.2f}")
-        if args.out:
-            pathlib.Path(args.out).write_text(outcome.to_json())
-            print(f"merged artifact -> {args.out}")
-        return 1 if failed else 0
-
     from repro.cache import tier_preset
 
     machine = registry.machine_spec(args.machine)
@@ -508,7 +474,7 @@ def _cmd_cache(args) -> int:
     result = run_experiment(
         machine, args.workload, entry.program, config, mode="async",
         nranks=args.ranks, prepopulate=prepopulate, op=entry.op,
-        vol_kwargs={"prefetcher": None}, cache_mode=cache_mode,
+        vol_kwargs={"prefetcher": None}, cache_mode=args.prefetch,
         cache_tiers=tiers,
     )
     stats = result.cache_stats or {}
@@ -531,35 +497,6 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.seeds:
-        # Seed-grid mode: the same experiment across contention days,
-        # fanned over worker processes; prints the paper's plotted
-        # best-of-days reduction.
-        from repro.harness.sweepengine import (
-            SweepSpec, merged_sweep_points, run_sweep,
-        )
-
-        _workload(args.workload)  # validate early
-        spec = SweepSpec(
-            kind="workload", workload=args.workload,
-            machines=(args.machine,), modes=(args.mode,),
-            scales=(float(args.ranks),), seeds=tuple(args.seeds),
-        )
-        outcome = run_sweep(spec, workers=args.workers,
-                            progress=_sweep_progress)
-        for p in outcome.merged["points"]:
-            if p["ok"]:
-                m = p["metrics"]
-                print(f"seed {p['seed']:<4d} peak "
-                      f"{m['peak_bandwidth'] / 1e9:.2f} GB/s  app_time "
-                      f"{m['app_time']:.2f} s")
-            else:
-                print(f"seed {p['seed']:<4d} FAILED "
-                      f"[{p['error']['family']}] {p['error']['kind']}")
-        for sp in merged_sweep_points(outcome.merged):
-            print(f"best of {len(sp.all_peaks)} seed(s): "
-                  f"{sp.peak_gbs:.2f} GB/s ({sp.mode}, {sp.nranks} ranks)")
-        return 0
     machine = registry.machine_spec(args.machine)
     entry = _workload(args.workload)
     config = entry.config()
@@ -615,11 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--machine", choices=sorted(registry.MACHINES), default="summit")
     p_run.add_argument("--mode", choices=["sync", "async"], default="sync")
     p_run.add_argument("--ranks", type=int, default=96)
-    p_run.add_argument("--seeds", type=int, nargs="+", default=None,
-                       help="run a seed grid (contention days) instead of "
-                            "one experiment")
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="worker processes for --seeds grids")
     p_run.set_defaults(func=_cmd_run)
 
     p_prof = sub.add_parser("profile",
@@ -695,6 +627,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="base seed of the crash schedules")
     p_sweep.add_argument("--no-checkpoint", action="store_true",
                          help="requeued crash victims restart from scratch")
+    p_sweep.add_argument("--cache", nargs="+",
+                         choices=["none", "off", "write", "on"],
+                         default=["none"],
+                         help="staging-cache axis (kind=workload): none = "
+                              "no cache subsystem, off = inert, write = "
+                              "write-through, on = also deadline prefetch")
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", default=None,
                          help="write the merged JSON artifact here")
@@ -705,8 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser(
         "cache",
         help="run a workload through the tiered staging cache and print "
-             "hit/deadline metrics; --seeds fans a worker-count-"
-             "invariant grid",
+             "hit/deadline metrics (seed grids: 'sweep --cache')",
     )
     p_cache.add_argument("--workload", default="bdcats",
                          help="workload name (read workloads benefit; "
@@ -716,19 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--ranks", type=int, default=8)
     p_cache.add_argument("--tiers", default="auto",
                          help="'auto' (derive from --machine) or a tier "
-                              "preset name from 'list' (single-run mode "
-                              "only)")
+                              "preset name from 'list'")
     p_cache.add_argument("--prefetch", choices=["on", "off"], default="on",
                          help="deadline-declared read prefetch (off = "
                               "inert-cache baseline)")
-    p_cache.add_argument("--seeds", type=int, nargs="+", default=None,
-                         help="run a contention-day seed grid instead of "
-                              "one experiment")
-    p_cache.add_argument("--workers", type=int, default=1,
-                         help="worker processes for --seeds grids")
-    p_cache.add_argument("--out", default=None,
-                         help="write the merged JSON artifact (--seeds "
-                              "mode)")
     p_cache.set_defaults(func=_cmd_cache)
 
     p_check = sub.add_parser(

@@ -30,12 +30,7 @@ from repro.faults.injector import (
     OutageWindow,
     SlowdownWindow,
 )
-from repro.faults.scenarios import (
-    SCENARIOS,
-    chaos_config,
-    scenario_config,
-    scenario_names,
-)
+from repro.faults.scenarios import chaos_config
 
 __all__ = [
     "CacheAdmissionError",
@@ -49,7 +44,6 @@ __all__ = [
     "OutageWindow",
     "PFSUnavailableError",
     "RetryExhaustedError",
-    "SCENARIOS",
     "SSDFaultError",
     "SlowdownWindow",
     "StagingTimeoutError",
@@ -59,6 +53,4 @@ __all__ = [
     "WorkerStallError",
     "chaos_config",
     "portable_traceback",
-    "scenario_config",
-    "scenario_names",
 ]

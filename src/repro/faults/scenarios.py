@@ -1,20 +1,20 @@
-"""Named chaos scenarios: reusable :class:`FaultConfig` presets.
+"""The chaos axis: rate-based node crashes as a :class:`FaultConfig`.
 
-``repro list`` enumerates these, and the sweep engine's fault axis
-builds its per-point configs through :func:`chaos_config`, so a "fault
-rate" means the same thing in every chaos matrix: **expected node
-crashes per node per 1000 simulated seconds**.  Every scenario is a
-pure function of ``(seed, ...)`` — the injector's streams do the rest
-of the determinism work.
+The sweep engine's fault axis and ``repro sched --fault-rate`` both
+build their configs through :func:`chaos_config`, so a "fault rate"
+means the same thing in every chaos matrix: **expected node crashes
+per node per 1000 simulated seconds**.  The config is a pure function
+of ``(rate, seed, ...)`` — the injector's streams do the rest of the
+determinism work.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.faults.injector import FaultConfig, OutageWindow
+from repro.faults.injector import FaultConfig
 
-__all__ = ["SCENARIOS", "chaos_config", "scenario_config", "scenario_names"]
+__all__ = ["chaos_config"]
 
 
 def chaos_config(
@@ -39,91 +39,3 @@ def chaos_config(
         seed=seed, node_mtbf=1000.0 / rate, fault_horizon=horizon,
         node_repair_time=repair,
     )
-
-
-def _node_crash(seed: int) -> FaultConfig:
-    return FaultConfig(seed=seed, node_crashes=((0, 40.0),),
-                       node_repair_time=120.0)
-
-
-def _node_drain(seed: int) -> FaultConfig:
-    return FaultConfig(seed=seed, node_drains=((0, 30.0, 90.0),))
-
-
-def _cabinet_outage(seed: int) -> FaultConfig:
-    return FaultConfig(seed=seed, cabinet_crashes=((0, 50.0),),
-                       cabinet_size=4, node_repair_time=180.0)
-
-
-def _node_churn(seed: int) -> FaultConfig:
-    return FaultConfig(seed=seed, node_mtbf=400.0, fault_horizon=600.0,
-                       node_repair_time=60.0)
-
-
-def _pfs_outage(seed: int) -> FaultConfig:
-    return FaultConfig(seed=seed,
-                       pfs_outages=(OutageWindow(start=30.0, duration=45.0),))
-
-
-def _flaky_writes(seed: int) -> FaultConfig:
-    return FaultConfig(seed=seed, write_error_rate=0.05)
-
-
-def _ssd_failure(seed: int) -> FaultConfig:
-    return FaultConfig(seed=seed, ssd_failures=((0, 20.0),))
-
-
-def _tier_degraded(seed: int) -> FaultConfig:
-    return FaultConfig(seed=seed, tier_degraded=((0, 20.0, 60.0),))
-
-
-#: name -> (description, FaultConfig factory taking a seed).
-SCENARIOS: dict[str, tuple[str, Callable[[int], FaultConfig]]] = {
-    "node-crash": (
-        "one node hard-crashes at t=40s, repaired after 120s",
-        _node_crash,
-    ),
-    "node-drain": (
-        "one node drains for maintenance during [30s, 120s)",
-        _node_drain,
-    ),
-    "cabinet-outage": (
-        "a 4-node cabinet loses power at t=50s, repaired after 180s",
-        _cabinet_outage,
-    ),
-    "node-churn": (
-        "rate-based seeded crashes (MTBF 400s/node over 600s, 60s repair)",
-        _node_churn,
-    ),
-    "pfs-outage": (
-        "the shared PFS rejects requests during [30s, 75s)",
-        _pfs_outage,
-    ),
-    "flaky-writes": (
-        "5% of PFS write requests error (retry/fallback ladder territory)",
-        _flaky_writes,
-    ),
-    "ssd-failure": (
-        "node 0's staging SSD fails at t=20s",
-        _ssd_failure,
-    ),
-    "tier-degraded": (
-        "node 0's NVMe cache tier is degraded during [20s, 80s); the "
-        "staging cache serves from the PFS (deadlines slip, no data loss)",
-        _tier_degraded,
-    ),
-}
-
-
-def scenario_names() -> list[str]:
-    """Registered scenario names, sorted."""
-    return sorted(SCENARIOS)
-
-
-def scenario_config(name: str, seed: int = 0) -> FaultConfig:
-    """Build one named scenario's config at ``seed``."""
-    if name not in SCENARIOS:
-        raise ValueError(
-            f"unknown fault scenario {name!r}; choose from {scenario_names()}"
-        )
-    return SCENARIOS[name][1](seed)

@@ -8,6 +8,7 @@ zero-cost-off identity, the write-through drain ledgers, the warm-node
 placement hints and the sweep/CLI surface.
 """
 
+import json
 import math
 
 import pytest
@@ -514,10 +515,49 @@ def test_cli_cache_parser():
 
     args = build_parser().parse_args(
         ["cache", "--workload", "bdcats", "--tiers", "testbed",
-         "--prefetch", "off", "--seeds", "0", "1"]
+         "--prefetch", "off"]
     )
     assert args.command == "cache"
     assert args.workload == "bdcats"
     assert args.tiers == "testbed"
     assert args.prefetch == "off"
-    assert args.seeds == [0, 1]
+
+
+@pytest.mark.parametrize("command", ["run", "cache"])
+def test_cli_single_run_commands_have_no_seed_grid(command, capsys):
+    """Seed grids run through ``repro sweep`` only."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit):
+        main([command, "--workload", "bdcats", "--seeds", "0"])
+    assert "unrecognized arguments: --seeds" in capsys.readouterr().err
+
+
+def test_cli_sweep_cache_axis_is_worker_count_invariant(tmp_path, capsys):
+    from repro.cli import main
+
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"cache-{workers}w.json"
+        assert main(["sweep", "--workload", "bdcats", "--machines",
+                     "testbed", "--modes", "async", "--scales", "4",
+                     "--seeds", "0", "1", "--cache", "on", "--quiet",
+                     "--workers", str(workers), "--out", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    points = json.loads(outs[0])["points"]
+    assert [p["seed"] for p in points] == [0, 1]
+    assert all(p["cache"] == "on" and p["metrics"]["cache_stats"]
+               for p in points)
+
+
+def test_cli_sweep_reduces_each_cache_mode_apart(capsys):
+    from repro.cli import main
+
+    assert main(["sweep", "--workload", "bdcats", "--machines", "testbed",
+                 "--modes", "async", "--scales", "4", "--seeds", "0", "1",
+                 "--cache", "off", "on", "--quiet"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if "peak=" in line]
+    assert [row[2] for row in rows] == ["cache=off", "cache=on"]
+    assert all(row[-2:] == ["2", "seed(s)"] for row in rows)

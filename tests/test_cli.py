@@ -64,3 +64,20 @@ def test_profile_command(capsys):
     assert "I/O profile" in out
     assert "I/O-blocked fraction" in out
     assert "async" in out
+
+
+def test_list_advertises_only_runnable_sections(capsys):
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert "fault scenarios" not in out
+    assert "--cache none|off|write|on" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "sched", "--faults", "-1"],
+    ["--kind", "sched", "--cache", "on"],
+])
+def test_sweep_spec_errors_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--quiet"] + argv)
+    assert str(exc.value).startswith("repro sweep: ")

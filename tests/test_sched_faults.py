@@ -26,7 +26,7 @@ import pathlib
 
 import pytest
 
-from repro.faults import FaultConfig, FaultInjector, scenario_config
+from repro.faults import FaultConfig, FaultInjector, OutageWindow
 from repro.faults.scenarios import chaos_config
 from repro.harness import run_fleet, sched_testbed
 from repro.harness.sweepengine import SweepSpec, run_sweep
@@ -276,8 +276,13 @@ def test_sibling_rank_failure_records_a_portable_traceback():
 # ---------------------------------------------------------------------------
 
 
+#: The shared PFS rejects requests during [30s, 75s).
+PFS_OUTAGE = FaultConfig(seed=0, pfs_outages=(
+    OutageWindow(start=30.0, duration=45.0),))
+
+
 def test_degraded_admission_holds_queue_until_outage_ends():
-    fc = scenario_config("pfs-outage", seed=0)   # PFS down over [30, 75)
+    fc = PFS_OUTAGE
     spec, engine, cluster, sched, _svc = build_chaos(fc)
     record = sched.run_stream([(40.0, crash_job(spec))])[0]
 
@@ -288,7 +293,7 @@ def test_degraded_admission_holds_queue_until_outage_ends():
 
 
 def test_no_degradation_without_pending_work():
-    fc = scenario_config("pfs-outage", seed=0)
+    fc = PFS_OUTAGE
     spec, engine, cluster, sched, _svc = build_chaos(fc)
     record = sched.run_stream([(80.0, crash_job(spec))])[0]
     assert record.state is JobState.COMPLETED
