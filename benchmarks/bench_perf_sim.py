@@ -36,6 +36,15 @@ A ``cache_off`` row applies the same treatment to the staging cache:
 one BD-CATS async run with an inert :class:`~repro.cache.CacheSubsystem`
 attached against the bare run.
 
+A ``scale_sweep_fanout`` row times a fig3a-shaped
+:func:`repro.harness.sweep.scale_sweep` (VPIC-IO writes on Summit,
+sync and async, up to 768 ranks in smoke mode and 1536 in full),
+which fans its points across the host's CPUs longest first, against
+the plain grid-order loop of
+:func:`~repro.harness.experiment.run_experiment` calls it replaces.  The two result lists must be equal and the speedup is
+gated like the allocator scenarios' (a one-CPU host runs both sides
+serially, so the row needs at least two CPUs to pass its floor).
+
 A ``sweep_scaling`` row runs the same declarative grid through
 :func:`repro.harness.sweepengine.run_sweep` at one worker and at the
 host's width (``max(2, nproc)``), gates the merged artifacts
@@ -227,6 +236,39 @@ def cache_off_row(smoke, repeats):
                        "cache_stats", max(repeats, 3))
 
 
+def scale_sweep_fanout_row(smoke, repeats):
+    """``scale_sweep``'s fan-out against the serial grid-order loop."""
+    from repro.harness import run_experiment
+    from repro.harness.sweep import available_cpus, scale_sweep
+    from repro.platform import ContentionModel, summit
+    from repro.workloads import VPICConfig, vpic_program
+
+    machine, config = summit(), VPICConfig(steps=1)
+    scales = (96, 192, 384, 768) if smoke else (96, 192, 384, 768, 1536)
+    modes = ("sync", "async")
+    contention = ContentionModel(seed=31, median_load=0.15, sigma=0.5)
+
+    def fanned():
+        return scale_sweep(machine, "vpic-io", vpic_program,
+                           lambda nranks: config, scales=scales,
+                           modes=modes, reps=1, contention=contention)
+
+    def serial():
+        return [run_experiment(machine, "vpic-io", vpic_program, config,
+                               mode=mode, nranks=nranks,
+                               contention=contention)
+                for nranks in scales for mode in modes]
+
+    # Freshly forked workers can start on the parent's CPU and spread
+    # only after some hundreds of milliseconds, so the smoke grid keeps
+    # the 768-rank points (about 1 s serial) and takes best-of-3.
+    return speedup_row(
+        "scale_sweep_fanout",
+        {"scales": list(scales), "modes": list(modes), "reps": 1,
+         "cpus": available_cpus()},
+        fanned, serial, max(repeats, 3), wire=list)[0]
+
+
 def sweep_scaling_row(smoke):
     """Sweep-engine throughput at 1 worker and at the host's width.
 
@@ -265,7 +307,8 @@ def run_bench(smoke=False):
     repeats = 1 if smoke else 3
     rows = [scenario_row(name, builder, kwargs, repeats)
             for name, builder, kwargs in _scenarios(smoke)]
-    rows += [faults_off_row(smoke, repeats), cache_off_row(smoke, repeats)]
+    rows += [faults_off_row(smoke, repeats), cache_off_row(smoke, repeats),
+             scale_sweep_fanout_row(smoke, repeats)]
     for r in rows:
         v = r["values"]
         print(f"{r['name']:>16}: fast {v['fast_s']:.3f}s "

@@ -311,7 +311,7 @@ def _cmd_sweep(args) -> int:
     failed = [p for p in points if not p["ok"]]
     print(f"{len(points)} points in {outcome.elapsed:.2f}s "
           f"({outcome.points_per_sec:.2f} points/s, "
-          f"{args.workers} worker(s)); {len(failed)} failed")
+          f"{outcome.workers} worker(s)); {len(failed)} failed")
     for p in failed:
         print(f"  FAILED point {p['index']} "
               f"({p['machine']}/{p['mode']}/{p['scale']:g} seed={p['seed']}): "

@@ -4,19 +4,21 @@ The paper's variability claims (§V-A.1, Fig. 8) rest on many cheap,
 reproducible runs — "each configuration at least 5 times across
 multiple days".  :mod:`repro.harness.sweep` models one such grid
 in-process; this module turns a declarative (machine × mode × scale ×
-seed) grid into independent tasks, fans them across
-``multiprocessing`` workers, and merges the results into a JSON
-artifact that is **byte-identical for every worker count** — so a
-4-worker sweep can be diffed against a 1-worker run (or yesterday's
-artifact) with ``cmp``.
+seed) grid into independent tasks, fans them across a process pool
+(:func:`repro.harness.sweep.fan_out`, shared with ``scale_sweep``),
+and merges the results into a JSON artifact that is
+**byte-identical for every worker count** — so a 4-worker sweep can
+be diffed against a 1-worker run (or yesterday's artifact) with
+``cmp``.
 
 Design rules that make that guarantee hold:
 
 - Every task is a pure function of its :class:`SweepTask` (the
   simulator is deterministic; per-task seeds are carried explicitly in
   the task, never drawn from process-global state).
-- Workers return plain dicts; the merger sorts by task index, so
-  arrival order — the only thing worker count changes — is erased.
+- Workers return plain dicts; the pool puts each back at its task
+  index, so arrival order — the only thing worker count changes — is
+  erased.
 - Wall-clock timing lives only on the :class:`SweepOutcome` (for
   scaling reports), never inside the merged artifact.
 
@@ -32,8 +34,8 @@ checkout.
 
 from __future__ import annotations
 
+import functools
 import json
-import multiprocessing
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
@@ -41,7 +43,9 @@ from typing import Callable, Optional, Sequence
 from repro.faults import FaultError, portable_traceback
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.registry import WORKLOADS, machine_spec, workload
-from repro.harness.sweep import SweepPoint, best_by_config
+from repro.harness.sweep import (
+    SweepPoint, available_cpus, best_by_config, fan_out,
+)
 from repro.platform import ContentionModel
 
 __all__ = [
@@ -296,31 +300,25 @@ def run_sweep(
 ) -> SweepOutcome:
     """Run the whole grid; returns the merged artifact plus telemetry.
 
-    ``workers > 1`` fans points across a ``multiprocessing`` pool
-    (chunk size 1, unordered collection — stragglers never serialize
-    the queue).  The merged artifact is sorted by task index, so it is
-    byte-identical for every worker count.
+    ``workers > 1`` fans points across a process pool through
+    :func:`~repro.harness.sweep.fan_out`, at most one worker per CPU
+    this process may use (``SweepOutcome.workers`` reports the capped
+    count).  Workload points are taken largest scale first, so the
+    longest points never start last; sched points keep grid order.
+    The merged artifact is in task-index order, so it is byte-identical
+    for every worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, available_cpus())
     tasks = expand_grid(spec)
-    total = len(tasks)
-    points: list[dict] = []
+    costs = [t.scale for t in tasks] if spec.kind == "workload" else None
+    on_result = None if progress is None else (
+        lambda done, point: progress(done, len(tasks), point))
     t0 = time.perf_counter()
-    if workers == 1 or total <= 1:
-        for task in tasks:
-            point = run_point(task)
-            points.append(point)
-            if progress is not None:
-                progress(len(points), total, point)
-    else:
-        with multiprocessing.Pool(processes=min(workers, total)) as pool:
-            for point in pool.imap_unordered(run_point, tasks, chunksize=1):
-                points.append(point)
-                if progress is not None:
-                    progress(len(points), total, point)
+    points = fan_out([functools.partial(run_point, task) for task in tasks],
+                     costs, max_workers=workers, on_result=on_result)
     elapsed = time.perf_counter() - t0
-    points.sort(key=lambda p: p["index"])
     merged = {
         "schema": "repro-sweep/v1",
         "spec": asdict(spec),

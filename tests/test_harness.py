@@ -1,6 +1,10 @@
 """Tests for the experiment harness, sweeps, fitting and reporting."""
 
 import math
+import multiprocessing
+import os
+from multiprocessing.pool import RemoteTraceback
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.harness import (
     run_experiment,
     scale_sweep,
 )
+from repro.harness import sweep
 from repro.harness.figures import resolve_profile
 from repro.workloads import VPICConfig, vpic_program
 
@@ -68,6 +73,149 @@ def test_scale_sweep_grid_complete():
     with pytest.raises(ValueError):
         scale_sweep(MACHINE, "w", vpic_program, lambda n: SMALL, scales=[4],
                     reps=0)
+
+
+# ---------------------------------------------------------------------------
+# scale_sweep fan-out: the pool must be unobservable in what it returns
+# ---------------------------------------------------------------------------
+
+GRID = dict(scales=[4, 8, 16], modes=("sync", "async"), reps=2)
+DAYS = ContentionModel(seed=3, median_load=0.5)
+
+
+def _grid_sweep():
+    return scale_sweep(MACHINE, "vpic", vpic_program, lambda n: SMALL,
+                       contention=DAYS, **GRID)
+
+
+def _grid_reference():
+    """The same grid as plain ``run_experiment`` calls in grid order."""
+    return [
+        run_experiment(MACHINE, "vpic", vpic_program, SMALL, mode=mode,
+                       nranks=nranks, day=rep, contention=DAYS, op="write")
+        for nranks in GRID["scales"] for mode in GRID["modes"]
+        for rep in range(GRID["reps"])
+    ]
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a serial sweep must not build a pool")
+
+
+def test_scale_sweep_equals_grid_order_run_experiment():
+    assert _grid_sweep() == _grid_reference()
+
+
+def test_scale_sweep_on_one_cpu_runs_serially(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(sweep.multiprocessing, "get_context", _no_pool)
+    assert _grid_sweep() == _grid_reference()
+
+
+def _sweep_in_pool_worker(_):
+    return multiprocessing.current_process().daemon, _grid_sweep()
+
+
+def test_scale_sweep_inside_a_pool_worker_runs_serially():
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        daemon, results = pool.apply(_sweep_in_pool_worker, (None,))
+    assert daemon
+    assert results == _grid_reference()
+
+
+class ScaleEightFailure(RuntimeError):
+    pass
+
+
+class ScaleSixteenFailure(ValueError):
+    pass
+
+
+def _failing_program(lib, vol, cfg):
+    # The config carries its scale in compute_seconds (see below).
+    if cfg.compute_seconds == 8:
+        raise ScaleEightFailure("the scale-8 points fail")
+    if cfg.compute_seconds == 16:
+        raise ScaleSixteenFailure("the scale-16 points fail")
+    return vpic_program(lib, vol, cfg)
+
+
+def _failing_sweep():
+    return scale_sweep(
+        MACHINE, "vpic", _failing_program,
+        lambda n: VPICConfig(particles_per_rank=Mi, steps=1,
+                             compute_seconds=float(n)),
+        scales=[4, 8, 16], modes=("sync", "async"), reps=1,
+    )
+
+
+def test_failing_point_raises_the_same_error_serial_and_parallel(
+        monkeypatch):
+    # Longest first, the scale-16 points fail first in a pool; the
+    # scale-8 failure comes first in grid order, so both paths raise it.
+    with pytest.raises(ScaleEightFailure) as parallel:
+        _failing_sweep()
+    if sweep.available_cpus() > 1:
+        assert isinstance(parallel.value.__cause__, RemoteTraceback)
+        assert "_failing_program" in str(parallel.value.__cause__)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(ScaleEightFailure):
+        _failing_sweep()
+
+
+def test_fan_out_returns_results_in_job_order():
+    jobs = [lambda i=i: i * i for i in range(7)]
+    done = []
+    results = sweep.fan_out(jobs, costs=[1, 5, 5, 2, 9, 1, 3],
+                            on_result=lambda n, result: done.append(n))
+    assert results == [i * i for i in range(7)]
+    assert sorted(done) == list(range(1, 8))
+    assert sweep.fan_out([]) == []
+
+
+class _InProcessPool:
+    """Stands in for the fork pool: runs each index here, in the order
+    it is submitted, and records that order."""
+
+    submitted: list = []
+
+    def __init__(self, width):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def imap_unordered(self, fn, order):
+        for index in order:
+            self.submitted.append(index)
+            yield fn(index)
+
+
+def test_fan_out_submits_longest_first_and_stops_after_lowest_failure(
+        monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(sweep.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=_InProcessPool))
+    monkeypatch.setattr(_InProcessPool, "submitted", [])
+    costs = [1, 5, 5, 2, 9, 1, 3]
+    assert sweep.fan_out([lambda i=i: i for i in range(7)], costs) == list(
+        range(7))
+    # Descending cost; equal costs keep index order.
+    assert _InProcessPool.submitted == [4, 1, 2, 6, 3, 0, 5]
+
+    def fail():
+        raise ScaleEightFailure("job 1")
+
+    monkeypatch.setattr(_InProcessPool, "submitted", [])
+    jobs = [lambda i=i: i for i in range(7)]
+    jobs[1] = fail
+    with pytest.raises(ScaleEightFailure):
+        sweep.fan_out(jobs, costs)
+    # Once job 0 is in, nothing left can fail lower than job 1.
+    assert _InProcessPool.submitted == [4, 1, 2, 6, 3, 0]
 
 
 def test_best_by_config_takes_max():

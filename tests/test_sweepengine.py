@@ -21,6 +21,7 @@ import pytest
 
 from repro.faults import FlakyWriteError
 from repro.harness import sweepengine
+from repro.harness.sweep import available_cpus
 from repro.harness.sweepengine import (
     SweepSpec,
     SweepTask,
@@ -82,7 +83,15 @@ def test_merged_json_byte_identical_1_vs_4_workers():
     assert all(p["ok"] for p in merged["points"])
     # Telemetry stays out of the artifact.
     assert "elapsed" not in merged and "workers" not in merged
-    assert serial.workers == 1 and parallel.workers == 4
+    assert serial.workers == 1
+    assert parallel.workers == min(4, available_cpus())
+
+
+def test_workers_are_capped_at_the_available_cpus():
+    serial = run_sweep(SMALL, workers=1)
+    wide = run_sweep(SMALL, workers=64)
+    assert wide.workers <= available_cpus()
+    assert wide.to_json() == serial.to_json()
 
 
 def test_merged_json_round_trips_and_reduces():
