@@ -239,8 +239,9 @@ def cache_off_row(smoke, repeats):
 def scale_sweep_fanout_row(smoke, repeats):
     """``scale_sweep``'s fan-out against the serial grid-order loop."""
     from repro.harness import run_experiment
-    from repro.harness.sweep import available_cpus, scale_sweep
+    from repro.harness.sweep import scale_sweep
     from repro.platform import ContentionModel, summit
+    from repro.pool import available_cpus
     from repro.workloads import VPICConfig, vpic_program
 
     machine, config = summit(), VPICConfig(steps=1)

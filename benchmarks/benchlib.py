@@ -34,11 +34,12 @@ import argparse
 import gc
 import json
 import operator
-import os
 import pathlib
 import platform
 import statistics
 import time
+
+from repro.pool import available_cpus
 
 SCHEMA = "repro-bench/v1"
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
@@ -49,8 +50,9 @@ _BOUNDS = {"floor": operator.ge, "ceiling": operator.le}
 
 
 def host_workers() -> int:
-    """Width of every N-worker leg: all of the host's cores, at least two."""
-    return max(2, os.cpu_count() or 1)
+    """Width of every N-worker leg: every CPU the pool may use, at least
+    two."""
+    return max(2, available_cpus())
 
 
 def timed(fn):
@@ -162,7 +164,7 @@ def run(bench, run_bench, gates, smoke=False, out=None, **options):
         "schema": SCHEMA, "bench": bench, "mode": mode,
         "env": {"python": platform.python_version(),
                 "platform": f"{platform.system()}-{platform.machine()}",
-                "nproc": os.cpu_count()},
+                "nproc": available_cpus()},
         "rows": run_bench(smoke, **options),
     }
     artifact["failures"] = gates(artifact)

@@ -28,9 +28,10 @@ A cold run parses each file once.  The resulting
 :class:`~repro.check.summaries.InterContext` owns every per-file and
 per-function artifact (resolver, view, CFG) and shares it across the
 call-graph, summary, concurrency and lint passes; ``lint_source`` walks
-the context's own tree.  The lint pool forks after the summaries
-exist, so workers inherit the whole context and each task carries only
-a path.
+the context's own tree.  The per-file lint jobs go to
+:func:`repro.pool.fan_out`, the package's one pool, after the
+summaries exist: its forked workers inherit the whole context, only a
+job index crosses to them, and they take the largest files first.
 
 Output is byte-identical regardless of worker count or cache state:
 files are linted independently (any order), then findings are emitted
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -52,12 +54,14 @@ from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from repro.check.callgraph import strongly_connected_components
 from repro.check.concurrency import build_conc_index
-from repro.check.lint import Finding, _iter_python_files, lint_source
+from repro.check.lint import (Finding, _iter_python_files, lint_source,
+                              read_source, syntax_error_findings)
 from repro.check.summaries import (
     FunctionSummary,
     InterContext,
     compute_summaries,
 )
+from repro.pool import fan_out
 
 __all__ = ["CheckResult", "check_paths"]
 
@@ -230,37 +234,6 @@ def _frozen_context(texts: Dict[str, str]) -> Iterator[InterContext]:
         gc.unfreeze()
 
 
-# -- lint fan-out (workers inherit the run through ``fork``) ---------------
-
-@dataclass
-class _LintRun:
-    """One run's lint inputs.  Pool workers get it through ``fork``
-    (pool initargs are not pickled under that start method), so each
-    task carries only a path and workers re-parse nothing."""
-
-    texts: Dict[str, str]
-    ctx: InterContext
-    flow: bool
-    inter: bool
-    concurrency: bool
-
-    def lint(self, path: str) -> List[Finding]:
-        return lint_source(self.texts[path], path, self.ctx,
-                           flow=self.flow, inter=self.inter,
-                           concurrency=self.concurrency)
-
-
-_WORKER: Dict[str, _LintRun] = {}
-
-
-def _worker_init(run: _LintRun) -> None:
-    _WORKER["run"] = run
-
-
-def _worker_lint(path: str) -> Tuple[str, List[Dict[str, object]]]:
-    return path, _findings_to_wire(_WORKER["run"].lint(path))
-
-
 def check_paths(paths: Iterable[Union[str, pathlib.Path]],
                 flow: bool = True,
                 inter: bool = True,
@@ -273,19 +246,30 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
     ``concurrency`` (implies ``inter``; runs the RC6xx conc tier over
     the assembled project-wide ``ConcIndex``).
 
-    ``workers`` caps the lint fan-out (``None``/``1`` runs serially —
-    the output is byte-identical either way).  ``use_cache=False``
-    forces a cold run and still writes a fresh cache.
+    ``workers`` caps the lint fan-out, which :func:`repro.pool.fan_out`
+    also caps at the CPUs (``None``/``1`` runs serially — the output is
+    byte-identical either way).  ``use_cache=False`` forces a cold run
+    and still writes a fresh cache.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     inter = inter or concurrency
     flow = flow or inter
     tier = ("conc" if concurrency else "inter" if inter
             else "flow" if flow else "flat")
     cache_path = pathlib.Path(cache_dir)
-    texts = {posix: file_path.read_text(encoding="utf-8")
-             for posix, file_path in _iter_python_files(paths).items()}
-    order = list(texts)
+    files = _iter_python_files(paths)
+    texts: Dict[str, str] = {}
+    undecodable: Dict[str, List[Finding]] = {}
+    for posix, file_path in files.items():
+        try:
+            texts[posix] = read_source(file_path)
+        except SyntaxError as err:
+            undecodable[posix] = syntax_error_findings(posix, err)
+    order = list(files)
     hashes = {p: _hash_text(t) for p, t in texts.items()}
+    hashes.update((p, _key_of(_findings_to_wire(f)))
+                  for p, f in undecodable.items())
 
     cache = _load_cache(cache_path) if use_cache else {}
     tiers = _section(cache, "tiers")
@@ -311,7 +295,7 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
 
         old_files = _section(section, "files")
         new_files: Dict[str, Dict[str, object]] = {}
-        per_file: Dict[str, List[Finding]] = {}
+        per_file: Dict[str, List[Finding]] = dict(undecodable)
         pending: List[str] = []
         for posix in order:
             key = _file_key(ctx, posix, hashes[posix], inter, concurrency)
@@ -323,21 +307,12 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
                 pending.append(posix)
             new_files[posix] = {"key": key}
 
-        if pending:
-            run = _LintRun(texts, ctx, flow, inter, concurrency)
-            n_workers = workers if workers is not None else 1
-            if n_workers > 1 and len(pending) > 1:
-                import multiprocessing
-
-                mp = multiprocessing.get_context("fork")
-                with mp.Pool(processes=min(n_workers, len(pending)),
-                             initializer=_worker_init,
-                             initargs=(run,)) as pool:
-                    for posix, rows in pool.map(_worker_lint, pending):
-                        per_file[posix] = _findings_from_wire(rows)
-            else:
-                for posix in pending:
-                    per_file[posix] = run.lint(posix)
+        lint = [p for p in pending if p in texts]
+        per_file.update(zip(lint, fan_out(
+            [functools.partial(lint_source, texts[p], p, ctx, flow=flow,
+                               inter=inter, concurrency=concurrency)
+             for p in lint],
+            [len(texts[p]) for p in lint], max_workers=workers or 1)))
 
     findings: List[Finding] = []
     for posix in order:

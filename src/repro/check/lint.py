@@ -28,6 +28,7 @@ import hashlib
 import json
 import pathlib
 import re
+import tokenize
 from dataclasses import dataclass, replace
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Sequence, Set,
                     Tuple, Union)
@@ -39,7 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.summaries import InterContext
 
 __all__ = ["Finding", "findings_to_json", "findings_to_sarif",
-           "lint_source", "render_findings", "suppression_stats"]
+           "lint_source", "read_source", "render_findings",
+           "suppression_stats", "syntax_error_findings"]
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,15 @@ def _orphaned_suppressions(path: str, directives: list[_Directive],
     return out
 
 
+def syntax_error_findings(path: str, err: SyntaxError,
+                          lines: Sequence[str] = ()) -> List[Finding]:
+    """The RC000 finding of a file Python cannot compile (or decode)."""
+    return _with_fingerprints([Finding(
+        path, err.lineno or 1, (err.offset or 1) - 1, "RC000",
+        f"syntax error: {err.msg}", _META_HINTS["RC000"],
+    )], lines)
+
+
 def lint_source(source: str, path: str, ctx: "InterContext",
                 flow: bool = False, inter: bool = False,
                 concurrency: bool = False) -> list[Finding]:
@@ -243,10 +254,7 @@ def lint_source(source: str, path: str, ctx: "InterContext",
         try:
             ast.parse(source, filename=path)
         except SyntaxError as err:
-            return _with_fingerprints([Finding(
-                path, err.lineno or 1, (err.offset or 1) - 1, "RC000",
-                f"syntax error: {err.msg}", _META_HINTS["RC000"],
-            )], lines)
+            return syntax_error_findings(path, err, lines)
         raise ValueError(f"{path} parses but is not in the run's context")
     lint_ctx = LintContext(path=path, inter=ctx.own_view(path))
     tiers = {"flat": True, "flow": flow, "inter": inter,
@@ -291,12 +299,28 @@ def _iter_python_files(paths: Iterable[Union[str, pathlib.Path]]
     return files
 
 
+def read_source(file_path: pathlib.Path) -> str:
+    """The file's text as Python decodes a module (BOM or PEP 263
+    coding cookie, else UTF-8; universal newlines).  A file Python
+    cannot decode raises the ``SyntaxError`` Python raises for it."""
+    try:
+        with tokenize.open(file_path) as fh:
+            return fh.read()
+    except (SyntaxError, UnicodeDecodeError) as err:
+        # Compiling the bytes raises Python's own error, naming the line.
+        ast.parse(file_path.read_bytes())
+        raise SyntaxError(str(err)) from err
+
+
 def suppression_stats(paths: Iterable[Union[str, pathlib.Path]]
                       ) -> dict:
     """Every suppression directive under ``paths`` (``--stats``)."""
     entries: list[dict] = []
     for posix, file_path in _iter_python_files(paths).items():
-        text = file_path.read_text(encoding="utf-8")
+        try:
+            text = read_source(file_path)
+        except SyntaxError:
+            continue  # undecodable: no directive in it can be read
         lines = text.splitlines()
         try:
             nodes: Iterable[ast.AST] = NodeTable(

@@ -301,12 +301,13 @@ def _cmd_sweep(args) -> int:
             faults=tuple(args.faults), fault_seed=args.fault_seed,
             checkpoint=not args.no_checkpoint, cache=tuple(args.cache),
         )
+        print(f"sweep: {spec.describe()} = {len(expand_grid(spec))}"
+              f" points on {args.workers} worker(s)", file=sys.stderr)
+        outcome = run_sweep(
+            spec, workers=args.workers,
+            progress=_sweep_progress if not args.quiet else None)
     except ValueError as err:
         raise SystemExit(f"repro sweep: {err}") from None
-    print(f"sweep: {spec.describe()} = {len(expand_grid(spec))}"
-          f" points on {args.workers} worker(s)", file=sys.stderr)
-    outcome = run_sweep(spec, workers=args.workers,
-                        progress=_sweep_progress if not args.quiet else None)
     points = outcome.merged["points"]
     failed = [p for p in points if not p["ok"]]
     print(f"{len(points)} points in {outcome.elapsed:.2f}s "
@@ -391,7 +392,7 @@ def _cmd_check(args) -> int:
                              workers=args.workers,
                              cache_dir=args.cache_dir,
                              concurrency=args.concurrency)
-    except FileNotFoundError as err:
+    except (FileNotFoundError, ValueError) as err:
         raise SystemExit(f"repro check: {err}")
     findings = result.diff_findings() if args.diff else result.findings
     if args.format == "text":
@@ -699,8 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "with --inter, everything the reverse call "
                               "graph invalidated)")
     p_check.add_argument("--workers", type=int, default=None,
-                         help="lint fan-out process count (output is "
-                              "byte-identical for any value)")
+                         help="lint fan-out processes, capped at the "
+                              "CPUs (output is byte-identical for any "
+                              "value)")
     p_check.add_argument("--cache-dir", default=".repro-check-cache",
                          help="incremental cache directory, one section "
                               "per tier (default: .repro-check-cache)")

@@ -5,7 +5,7 @@ reproducible runs — "each configuration at least 5 times across
 multiple days".  :mod:`repro.harness.sweep` models one such grid
 in-process; this module turns a declarative (machine × mode × scale ×
 seed) grid into independent tasks, fans them across a process pool
-(:func:`repro.harness.sweep.fan_out`, shared with ``scale_sweep``),
+(:func:`repro.pool.fan_out`, shared with ``scale_sweep``),
 and merges the results into a JSON artifact that is
 **byte-identical for every worker count** — so a 4-worker sweep can
 be diffed against a 1-worker run (or yesterday's artifact) with
@@ -43,10 +43,9 @@ from typing import Callable, Optional, Sequence
 from repro.faults import FaultError, portable_traceback
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.registry import WORKLOADS, machine_spec, workload
-from repro.harness.sweep import (
-    SweepPoint, available_cpus, best_by_config, fan_out,
-)
+from repro.harness.sweep import SweepPoint, best_by_config
 from repro.platform import ContentionModel
+from repro.pool import available_cpus, fan_out
 
 __all__ = [
     "PointResult",
@@ -301,7 +300,7 @@ def run_sweep(
     """Run the whole grid; returns the merged artifact plus telemetry.
 
     ``workers > 1`` fans points across a process pool through
-    :func:`~repro.harness.sweep.fan_out`, at most one worker per CPU
+    :func:`~repro.pool.fan_out`, at most one worker per CPU
     this process may use (``SweepOutcome.workers`` reports the capped
     count).  Workload points are taken largest scale first, so the
     longest points never start last; sched points keep grid order.

@@ -10,21 +10,29 @@ on every module binding
 (:func:`repro.check.callcount.count_calls`), check that every rule
 fixture of the other ``test_check*`` modules lints through that path
 (a context's own tree, never a second parse), and pin the RC000 and
-worker-count contracts the shared seam must keep.
+worker-count contracts the shared seam must keep, and how it reads
+source files.
 """
 
 import ast
 import gc
 import inspect
+import multiprocessing
+import os
 import pathlib
+import subprocess
+import sys
+from multiprocessing.pool import RemoteTraceback
+from types import SimpleNamespace
 
 import pytest
 
+from repro import pool
 from repro.check import InterContext, callgraph, cfg, lint_source
 from repro.check.callcount import count_calls
 from repro.check.driver import check_paths
-from repro.check.lint import findings_to_json, suppression_stats
-from repro.check.rules import LintContext
+from repro.check.lint import findings_to_json, read_source, suppression_stats
+from repro.check.rules import RULES, LintContext, Rule
 
 from tests import (
     test_check,
@@ -171,10 +179,96 @@ def test_findings_identical_for_one_and_two_workers(project):
     for tier, flags in TIERS.items():
         runs = [check_paths(["pkg"], workers=workers, use_cache=False,
                             cache_dir=f".c{workers}", **flags)
-                for workers in (1, 2)]
+                for workers in (1, 2, 64)]
         assert runs[0].findings, f"{tier}: the fixture should find"
-        assert findings_to_json(runs[0].findings) == \
-            findings_to_json(runs[1].findings), tier
+        for run in runs[1:]:
+            assert findings_to_json(runs[0].findings) == \
+                findings_to_json(run.findings), tier
+
+
+def test_lint_pool_is_no_wider_than_the_cpus(project, monkeypatch):
+    widths = []
+    fork = multiprocessing.get_context("fork")
+
+    def pool_of(width):
+        widths.append(width)
+        return fork.Pool(width)
+
+    monkeypatch.setattr(pool.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=pool_of))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    result = check_paths(["pkg"], workers=64, use_cache=False,
+                         cache_dir=".c", concurrency=True)
+    assert result.stats["analyzed"] == len(PROJECT) > 2
+    assert widths == [pool.available_cpus()]
+
+
+def _no_pool(method):
+    raise AssertionError("a one-CPU run must not build a pool")
+
+
+def test_lint_on_one_cpu_runs_serially(project, monkeypatch):
+    pathlib.Path("pkg/bad.py").write_text(
+        "try:\n    x = 1\nexcept:\n    pass\n")
+    serial = check_paths(["pkg"], workers=1, use_cache=False,
+                         cache_dir=".c1", concurrency=True)
+    monkeypatch.setattr(pool, "available_cpus", lambda: 1)
+    monkeypatch.setattr(pool.multiprocessing, "get_context", _no_pool)
+    capped = check_paths(["pkg"], workers=2, use_cache=False,
+                         cache_dir=".c2", concurrency=True)
+    assert serial.findings
+    assert findings_to_json(capped.findings) == \
+        findings_to_json(serial.findings)
+
+
+class BrokenRuleError(RuntimeError):
+    pass
+
+
+class _RaisesOnTwoFiles(Rule):
+    id, title, hint = "RC999", "raises on two files", "fix the rule"
+
+    def check(self, ctx):
+        # The larger file has the higher index, so a pool starts it first.
+        if ctx.path in ("pkg/__init__.py", "pkg/caller.py"):
+            raise BrokenRuleError(ctx.path)
+        return iter(())
+
+
+def test_failing_rule_raises_for_the_lowest_file_serial_and_parallel(
+        project, monkeypatch):
+    monkeypatch.setitem(RULES, "RC999", _RaisesOnTwoFiles())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(BrokenRuleError) as exc:
+            check_paths(["pkg"], workers=workers, use_cache=False,
+                        cache_dir=f".c{workers}")
+        errors.append(exc.value)
+    assert [str(e) for e in errors] == ["pkg/__init__.py"] * 2
+    assert errors[0].__cause__ is None
+    assert isinstance(errors[1].__cause__, RemoteTraceback)
+    assert "BrokenRuleError: pkg/__init__.py" in str(errors[1].__cause__)
+
+
+def _modules_loaded_by(statement):
+    src = pathlib.Path(pool.__file__).resolve().parents[1]
+    script = (f"import sys\n{statement}\n"
+              "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_pool_and_driver_imports_stay_light():
+    assert [m for m in _modules_loaded_by("import repro.pool")
+            if m.startswith("repro")] == ["repro", "repro.pool"]
+    heavy = [m for m in _modules_loaded_by("import repro.check.driver")
+             if m.split(".")[0] == "numpy"
+             or m.startswith(("repro.sim", "repro.harness"))]
+    assert heavy == []
 
 
 def test_syntax_error_still_reports_rc000(project):
@@ -188,6 +282,58 @@ def test_syntax_error_still_reports_rc000(project):
     broken = "def oops(:\n"
     assert [f.rule_id for f in lint_source(
         broken, "x.py", InterContext({"x.py": broken}))] == ["RC000"]
+
+
+# A PEP 263 coding cookie with a latin-1 literal: valid Python, but not
+# UTF-8.  A bare except gives it an RC201 finding on every tier, and a
+# suppression gives ``--stats`` an entry.
+LATIN1 = ("# -*- coding: latin-1 -*-\nNAME = 'caf\xe9'\n"
+          "try:\n    x = 1\nexcept:\n    pass\n"
+          "y = 2  # repro-check: disable=RC101 (fixture)\n"
+          ).encode("latin-1")
+
+
+def test_coding_cookie_is_honoured_on_every_tier_and_stats(project):
+    pathlib.Path("pkg/latin.py").write_bytes(LATIN1)
+    pathlib.Path("pkg/undecodable.py").write_bytes(b"x = 1\ny = '\xff'\n")
+    assert "caf\xe9" in read_source(pathlib.Path("pkg/latin.py"))
+    for tier, flags in TIERS.items():
+        for workers in (1, 2):
+            result = check_paths(["pkg"], workers=workers, use_cache=False,
+                                 cache_dir=f".c{workers}", **flags)
+            rules = {path: [f.rule_id for f in result.findings
+                            if f.path == path]
+                     for path in ("pkg/latin.py", "pkg/undecodable.py")}
+            assert rules == {"pkg/latin.py": ["RC201"],
+                             "pkg/undecodable.py": ["RC000"]}, tier
+    undecodable, = [f for f in result.findings if f.rule_id == "RC000"]
+    assert undecodable.line == 2
+    assert "can't decode byte 0xff" in undecodable.message
+    stats = suppression_stats(["pkg"])
+    assert [(e["path"], e["reason"]) for e in stats["suppressions"]] == \
+        [("pkg/latin.py", "fixture")]
+
+
+def test_undecodable_file_is_reanalyzed_when_it_changes(project):
+    bad = pathlib.Path("pkg/undecodable.py")
+    bad.write_bytes(b"x = '\xff'\n")
+    first = check_paths(["pkg"], cache_dir=".c", concurrency=True)
+    bad.write_bytes(b"x = 1\ny = '\xff'\n")
+    second = check_paths(["pkg"], cache_dir=".c", concurrency=True)
+    assert not second.tree_hit and second.analyzed == ["pkg/undecodable.py"]
+    assert [(f.line, f.rule_id) for f in first.findings
+            if f.path == bad.as_posix()] == [(1, "RC000")]
+    assert [(f.line, f.rule_id) for f in second.findings
+            if f.path == bad.as_posix()] == [(2, "RC000")]
+
+
+def test_utf8_sources_read_as_before(project):
+    path = pathlib.Path("pkg/crlf.py")
+    path.write_bytes("x = 'é'\r\ny = 1\r\nz = 2\r".encode("utf-8"))
+    assert read_source(path) == path.read_text(encoding="utf-8")
+    for rel in PROJECT:
+        assert read_source(pathlib.Path(rel)) == \
+            pathlib.Path(rel).read_text(encoding="utf-8")
 
 
 def test_a_file_named_twice_is_checked_once(project):

@@ -81,3 +81,14 @@ def test_sweep_spec_errors_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--quiet"] + argv)
     assert str(exc.value).startswith("repro sweep: ")
+
+
+@pytest.mark.parametrize("command", ["sweep", "check"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_are_usage_errors(command, workers, tmp_path):
+    argv = ["sweep", "--quiet"] if command == "sweep" else [
+        "check", "--cache-dir", str(tmp_path), str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", workers])
+    assert str(exc.value) == \
+        f"repro {command}: workers must be >= 1, got {workers}"

@@ -18,8 +18,8 @@ from repro.harness import (
     run_experiment,
     scale_sweep,
 )
-from repro.harness import sweep
 from repro.harness.figures import resolve_profile
+from repro import pool
 from repro.workloads import VPICConfig, vpic_program
 
 Mi = 1 << 20
@@ -108,7 +108,7 @@ def test_scale_sweep_equals_grid_order_run_experiment():
 
 def test_scale_sweep_on_one_cpu_runs_serially(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(sweep.multiprocessing, "get_context", _no_pool)
+    monkeypatch.setattr(pool.multiprocessing, "get_context", _no_pool)
     assert _grid_sweep() == _grid_reference()
 
 
@@ -117,8 +117,8 @@ def _sweep_in_pool_worker(_):
 
 
 def test_scale_sweep_inside_a_pool_worker_runs_serially():
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        daemon, results = pool.apply(_sweep_in_pool_worker, (None,))
+    with multiprocessing.get_context("fork").Pool(1) as worker:
+        daemon, results = worker.apply(_sweep_in_pool_worker, (None,))
     assert daemon
     assert results == _grid_reference()
 
@@ -155,7 +155,7 @@ def test_failing_point_raises_the_same_error_serial_and_parallel(
     # scale-8 failure comes first in grid order, so both paths raise it.
     with pytest.raises(ScaleEightFailure) as parallel:
         _failing_sweep()
-    if sweep.available_cpus() > 1:
+    if pool.available_cpus() > 1:
         assert isinstance(parallel.value.__cause__, RemoteTraceback)
         assert "_failing_program" in str(parallel.value.__cause__)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -166,11 +166,11 @@ def test_failing_point_raises_the_same_error_serial_and_parallel(
 def test_fan_out_returns_results_in_job_order():
     jobs = [lambda i=i: i * i for i in range(7)]
     done = []
-    results = sweep.fan_out(jobs, costs=[1, 5, 5, 2, 9, 1, 3],
+    results = pool.fan_out(jobs, costs=[1, 5, 5, 2, 9, 1, 3],
                             on_result=lambda n, result: done.append(n))
     assert results == [i * i for i in range(7)]
     assert sorted(done) == list(range(1, 8))
-    assert sweep.fan_out([]) == []
+    assert pool.fan_out([]) == []
 
 
 class _InProcessPool:
@@ -197,11 +197,11 @@ class _InProcessPool:
 def test_fan_out_submits_longest_first_and_stops_after_lowest_failure(
         monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(sweep.multiprocessing, "get_context",
+    monkeypatch.setattr(pool.multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=_InProcessPool))
     monkeypatch.setattr(_InProcessPool, "submitted", [])
     costs = [1, 5, 5, 2, 9, 1, 3]
-    assert sweep.fan_out([lambda i=i: i for i in range(7)], costs) == list(
+    assert pool.fan_out([lambda i=i: i for i in range(7)], costs) == list(
         range(7))
     # Descending cost; equal costs keep index order.
     assert _InProcessPool.submitted == [4, 1, 2, 6, 3, 0, 5]
@@ -213,7 +213,7 @@ def test_fan_out_submits_longest_first_and_stops_after_lowest_failure(
     jobs = [lambda i=i: i for i in range(7)]
     jobs[1] = fail
     with pytest.raises(ScaleEightFailure):
-        sweep.fan_out(jobs, costs)
+        pool.fan_out(jobs, costs)
     # Once job 0 is in, nothing left can fail lower than job 1.
     assert _InProcessPool.submitted == [4, 1, 2, 6, 3, 0]
 

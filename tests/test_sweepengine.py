@@ -21,7 +21,7 @@ import pytest
 
 from repro.faults import FlakyWriteError
 from repro.harness import sweepengine
-from repro.harness.sweep import available_cpus
+from repro.pool import available_cpus
 from repro.harness.sweepengine import (
     SweepSpec,
     SweepTask,
