@@ -32,11 +32,10 @@ Commands
 
         python -m repro sched --policy all --jobs 25 --load 2 4
 
-    ``--seeds`` runs each (load, policy) under several streams, one
-    after another.  ``sweep --kind sched`` fans a similar grid across
-    worker processes, but not the same one: its streams draw ranks from
-    (4, 8, 16) at size scale 1.0, where ``sched`` draws from (8, 16, 32)
-    at ``--size-scale`` (default 4.0).
+    ``--seeds`` runs each (load, policy) under several streams; the
+    (load × policy × seed) fleets fan out across the CPUs.  Its streams
+    draw ranks from (8, 16, 32) at ``--size-scale`` (default 4.0), where
+    a ``sweep --kind sched`` point draws from (4, 8, 16) at 1.0.
 
 ``sweep``
     The one way to run a grid of repeated experiments.  Fans a
@@ -49,10 +48,13 @@ Commands
         python -m repro sweep --workload bdcats --machines summit \\
             --modes async --scales 8 --seeds 0 1 2 --cache off on
 
-    Workload points sample contention day = seed and keep the async
-    VOL's heuristic prefetcher on, unlike ``run`` (day 0, no contention
-    model) and ``cache`` (prefetcher off), so a one-seed sweep point is
-    not the same experiment as either single run.
+    Every command runs its points as ``SweepTask`` records through one
+    executor, ``sweepengine.execute``.  A sweep point keeps each
+    field's default: workload points sample contention day = seed and
+    keep the async VOL's heuristic prefetcher on.  ``run``, ``profile``
+    and ``cache`` set ``contention=False`` (day 0), ``cache`` also
+    ``prefetcher=False`` and ``tiers``, and ``sched`` sets
+    ``rank_choices`` and ``size_scale``.
 
 ``cache``
     Run one read workload through the tiered staging cache (async VOL
@@ -74,6 +76,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -81,7 +84,11 @@ from typing import Optional, Sequence
 
 from repro.harness import figures as figures_mod
 from repro.harness import registry
-from repro.harness.experiment import run_experiment
+from repro.harness.sweepengine import (
+    SweepSpec, SweepTask, execute, expand_grid, merged_sweep_points,
+    run_sweep, sweepable_grids,
+)
+from repro.pool import fan_out
 
 __all__ = ["main"]
 
@@ -114,12 +121,25 @@ _FIGURE_MAKERS = {
     "mb-gpu": figures_mod.microbench_gpu,
 }
 
-def _workload(name: str) -> registry.Workload:
-    """The registry entry for ``name``; unknown names exit with usage."""
+def _execute(command: str, tasks: Sequence[SweepTask], **kwargs) -> list:
+    """Results of ``tasks``, in order, fanned across the CPUs.
+
+    Bad arguments exit with a one-line ``repro <command>: ...`` usage
+    error instead of a traceback.
+    """
     try:
-        return registry.workload(name)
+        return fan_out([functools.partial(execute, task, **kwargs)
+                        for task in tasks])
     except ValueError as err:
-        raise SystemExit(str(err)) from None
+        raise SystemExit(f"repro {command}: {err}") from None
+
+
+def _workload_task(args, **fields) -> SweepTask:
+    """The one point of ``run``/``profile``/``cache``: day 0, no
+    contention model."""
+    return SweepTask(kind="workload", workload=args.workload,
+                     machine=args.machine, scale=args.ranks,
+                     contention=False, **fields)
 
 
 def _cmd_list(_args) -> int:
@@ -131,7 +151,7 @@ def _cmd_list(_args) -> int:
         doc = (_FIGURE_MAKERS[fid].__doc__ or "").strip().splitlines()[0]
         print(f"  {fid:{width}s}  {doc}")
     print()
-    print("workloads (for 'run' and 'profile'):")
+    print("workloads (for 'run', 'profile', 'cache' and 'sweep'):")
     for name, entry in sorted(registry.WORKLOADS.items()):
         print(f"  {name:{width}s}  {entry.description} [{entry.op}]")
     print()
@@ -142,7 +162,6 @@ def _cmd_list(_args) -> int:
     print()
     print("sweepable grids (for 'sweep'; workload grids also take a "
           "--cache none|off|write|on axis):")
-    from repro.harness.sweepengine import sweepable_grids
     for name, desc in sweepable_grids():
         print(f"  {name:{width}s}  {desc}")
     print()
@@ -183,38 +202,17 @@ def _cmd_microbench(args) -> int:
     ))
 
 
-def _run_workload_raw(args):
-    """Shared runner for ``run``/``profile``: (vol, app_time, op, engine)."""
-    import math
-    from repro.sim import Engine
-    from repro.mpi import MPIJob
-    from repro.platform import Cluster
-    from repro.hdf5 import H5Library
-
-    machine = registry.machine_spec(args.machine)
-    entry = _workload(args.workload)
-    config = entry.config()
-    engine = Engine()
-    rpn = machine.default_ranks_per_node
-    cluster = Cluster(engine, machine, math.ceil(args.ranks / rpn))
-    lib = H5Library(cluster)
-    from repro.harness.experiment import build_vol
-    vol = build_vol(args.mode)
-    if entry.prepopulate is not None:
-        entry.prepopulate(config)(lib, args.ranks)
-    job = MPIJob(cluster, args.ranks)
-    results = job.run(entry.program(lib, vol, config))
-    return vol, max(results), entry.op, engine
-
-
 def _cmd_profile(args) -> int:
-    from repro.trace import profile_log
+    from repro.sim import Engine
+    from repro.trace import IOLog, profile_log
 
-    vol, app_time, op, engine = _run_workload_raw(args)
+    log, engine = IOLog(), Engine()
+    (result,) = _execute("profile", [_workload_task(args, mode=args.mode)],
+                         log=log, engine=engine)
     print(f"{args.workload} ({args.mode}) on {args.machine}, "
           f"{args.ranks} ranks")
-    print(profile_log(vol.log, app_time).to_text())
-    if getattr(args, "stats", False):
+    print(profile_log(log, result.app_time).to_text())
+    if args.stats:
         print()
         print("engine stats:")
         for key, value in engine.stats.snapshot().items():
@@ -231,19 +229,22 @@ def _sweep_progress(done: int, total: int, point: dict) -> None:
 
 
 def _cmd_sched(args) -> int:
-    from dataclasses import asdict
-
-    from repro.faults import chaos_config
     from repro.harness.report import FigureData
-    from repro.harness.sched import run_fleet
-    from repro.sched import StreamConfig
 
-    machine = registry.machine_spec(args.machine)
     policies = (["fifo", "backfill", "io-aware"] if args.policy == "all"
                 else [args.policy])
     seeds = args.seeds if args.seeds else [args.seed]
+    fleets = _execute("sched", [
+        SweepTask(kind="sched", machine=args.machine, mode=policy,
+                  scale=load, seed=seed, jobs=args.jobs,
+                  fault_rate=args.fault_rate, fault_seed=args.fault_seed,
+                  checkpoint=not args.no_checkpoint,
+                  rank_choices=(8, 16, 32), size_scale=args.size_scale)
+        for load in args.load for policy in policies for seed in seeds
+    ])
     chaos = args.fault_rate > 0.0
-    title = (f"{args.jobs} jobs/stream on {machine.name}, "
+    title = (f"{args.jobs} jobs/stream on "
+             f"{registry.machine_spec(args.machine).name}, "
              f"seeds {seeds} (loads = mean interarrival s)")
     columns = ["load", "policy", "seed", "done", "t/o", "async", "jobs/h",
                "wait p95", "compl p50", "compl p95", "compl p99",
@@ -254,46 +255,30 @@ def _cmd_sched(args) -> int:
                   f"{'off' if args.no_checkpoint else 'on'}")
         columns += ["kills", "requeue", "lost s"]
     fig = FigureData(name="sched", title=title, columns=columns)
-    for load in args.load:
-        for policy in policies:
-            for seed in seeds:
-                cfg = StreamConfig(
-                    n_jobs=args.jobs, seed=seed, mean_interarrival=load,
-                    rank_choices=(8, 16, 32), size_scale=args.size_scale,
-                )
-                fault = chaos_config(args.fault_rate,
-                                     seed=args.fault_seed + 7919 * seed)
-                m = asdict(run_fleet(
-                    machine, cfg, policy, fault_config=fault,
-                    checkpoint_restart=not args.no_checkpoint,
-                ))
-                row = [
-                    load, policy, seed, m["completed"], m["timeouts"],
-                    m["n_async"], m["goodput_jobs_per_hour"], m["wait_p95"],
-                    m["completion_p50"], m["completion_p95"],
-                    m["completion_p99"], m["makespan"], m["pfs_utilization"],
-                ]
-                if chaos:
-                    row += [m["node_kills"], m["requeues"],
-                            m["lost_work_seconds"]]
-                fig.add_row(*row)
+    for m in fleets:
+        row = [
+            m.mean_interarrival, m.policy, m.seed, m.completed, m.timeouts,
+            m.n_async, m.goodput_jobs_per_hour, m.wait_p95,
+            m.completion_p50, m.completion_p95, m.completion_p99,
+            m.makespan, m.pfs_utilization,
+        ]
+        if chaos:
+            row += [m.node_kills, m.requeues, m.lost_work_seconds]
+        fig.add_row(*row)
     print(fig.to_text())
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    from repro.harness.sweepengine import (
-        SweepSpec, expand_grid, merged_sweep_points, run_sweep,
-    )
-
     if args.kind == "sched":
         modes = tuple(args.policies)
         scales = tuple(args.loads)
     else:
-        _workload(args.workload)  # validate early
         modes = tuple(args.modes)
         scales = tuple(float(s) for s in args.scales)
     try:
+        if args.kind == "workload":
+            registry.workload(args.workload)  # validate early
         spec = SweepSpec(
             kind=args.kind, workload=args.workload,
             machines=tuple(args.machines), modes=modes, scales=scales,
@@ -335,22 +320,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _runtime_smoke_text() -> str:
-    """A small async VPIC pipeline rendered as a full-resolution trace.
+    """A small async VPIC-IO run rendered as a full-resolution trace.
 
     Used by ``check --runtime smoke``: the gate runs this twice (bare,
     then under the installed checker) and requires byte-identical text —
     proving the checker is strictly observational — plus zero findings.
     """
     from repro.trace import IOLog
-    from repro.workloads import VPICConfig, vpic_program
 
     log = IOLog()
-    config = VPICConfig(particles_per_rank=1 << 14, steps=2,
-                        compute_seconds=1.0)
-    result = run_experiment(
-        registry.machine_spec("testbed"), "vpic", vpic_program, config,
-        mode="async", nranks=4, vol_kwargs={"log": log},
-    )
+    result = execute(SweepTask(kind="workload", workload="vpic",
+                               machine="testbed", mode="async", scale=4,
+                               contention=False), log=log)
     lines = [f"app_time {result.app_time!r}"]
     for r in log.records:
         lines.append(
@@ -462,24 +443,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.cache import tier_preset
-
-    machine = registry.machine_spec(args.machine)
-    tiers = None if args.tiers == "auto" else tier_preset(args.tiers)
-    entry = _workload(args.workload)
-    config = entry.config()
-    prepopulate = (entry.prepopulate(config)
-                   if entry.prepopulate is not None else None)
     # The VOL's own heuristic prefetcher is disabled so the planner's
     # declared-read schedule is the only read-ahead in play.
-    result = run_experiment(
-        machine, args.workload, entry.program, config, mode="async",
-        nranks=args.ranks, prepopulate=prepopulate, op=entry.op,
-        vol_kwargs={"prefetcher": None}, cache_mode=args.prefetch,
-        cache_tiers=tiers,
-    )
+    (result,) = _execute("cache", [_workload_task(
+        args, mode="async", cache=args.prefetch, prefetcher=False,
+        tiers=args.tiers)])
     stats = result.cache_stats or {}
-    print(f"workload        {result.workload} ({entry.op})")
+    print(f"workload        {result.workload} "
+          f"({registry.workload(args.workload).op})")
     print(f"machine         {result.machine}")
     print(f"tiers           {args.tiers}")
     print(f"prefetch        {args.prefetch}")
@@ -498,16 +469,9 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    machine = registry.machine_spec(args.machine)
-    entry = _workload(args.workload)
-    config = entry.config()
-    prepopulate = (entry.prepopulate(config)
-                   if entry.prepopulate is not None else None)
-    result = run_experiment(
-        machine, args.workload, entry.program, config, mode=args.mode,
-        nranks=args.ranks, prepopulate=prepopulate, op=entry.op,
-    )
-    print(f"workload        {result.workload} ({entry.op})")
+    (result,) = _execute("run", [_workload_task(args, mode=args.mode)])
+    print(f"workload        {result.workload} "
+          f"({registry.workload(args.workload).op})")
     print(f"machine         {result.machine}")
     print(f"mode            {result.mode}")
     print(f"ranks / nodes   {result.nranks} / {result.nnodes}")

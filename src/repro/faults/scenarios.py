@@ -28,13 +28,13 @@ def chaos_config(
     ``rate`` is the expected number of crashes per node per 1000
     simulated seconds (so ``node_mtbf = 1000 / rate``); crash times are
     drawn inside ``[0, horizon)`` and crashed nodes revive after
-    ``repair`` seconds.  ``rate <= 0`` returns ``None`` — the
-    zero-cost-off path, no injector at all.
+    ``repair`` seconds.  ``rate == 0`` returns ``None`` — the
+    zero-cost-off path, no injector at all; a negative rate raises.
     """
-    if rate <= 0.0:
-        return None
     if rate < 0 or horizon <= 0 or repair < 0:
         raise ValueError(f"invalid chaos axis ({rate}, {horizon}, {repair})")
+    if rate == 0.0:
+        return None
     return FaultConfig(
         seed=seed, node_mtbf=1000.0 / rate, fault_horizon=horizon,
         node_repair_time=repair,

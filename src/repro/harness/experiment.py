@@ -89,6 +89,7 @@ def run_experiment(
     cache_mode: Optional[str] = None,
     cache_tiers=None,
     faults=None,
+    engine: Optional[Engine] = None,
 ) -> ExperimentResult:
     """Run ``program_factory(lib, vol, config)`` once and summarize.
 
@@ -101,13 +102,16 @@ def run_experiment(
     ``"write"`` enables the write-through drain, ``"on"`` additionally
     enables deadline prefetch (program factories accepting ``cache`` /
     ``prefetch`` keyword arguments get them passed through).
+
+    ``engine`` runs the simulation on a caller's fresh
+    :class:`~repro.sim.Engine` (to read its ``stats`` afterwards).
     """
     if cache_mode is not None and cache_mode not in CACHE_MODES:
         raise ValueError(
             f"cache_mode must be one of {CACHE_MODES} or None, "
             f"got {cache_mode!r}"
         )
-    engine = Engine()
+    engine = engine if engine is not None else Engine()
     rpn = ranks_per_node or machine.default_ranks_per_node
     nnodes = math.ceil(nranks / rpn)
     cluster = Cluster(engine, machine, nnodes)

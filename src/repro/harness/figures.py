@@ -15,6 +15,7 @@ argument):
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, Optional, Sequence
 
@@ -23,9 +24,12 @@ from repro.platform.spec import MachineSpec
 from repro.analysis import fit_sweep_points, variability_stats
 from repro.harness.experiment import run_experiment
 from repro.harness.report import FigureData
+from repro.harness.sched import sched_testbed
 from repro.harness.sweep import best_by_config, scale_sweep
+from repro.harness.sweepengine import SweepTask, execute
 from repro.model import EpochCosts, app_time
 from repro.model.microbench import gpu_transfer_microbench, memcpy_microbench
+from repro.pool import fan_out
 from repro.workloads import (
     BDCATSConfig,
     CastroConfig,
@@ -309,21 +313,20 @@ def fig7(profile: Optional[str] = None) -> FigureData:
                  "async s", "est async s"],
     )
 
-    measured: dict[tuple[str, int], float] = {}
-    probe = {}
-    for interval in intervals:
-        cfg = NyxConfig.small(
-            plot_int=interval,
-            n_plotfiles=total_steps // interval,
-            seconds_per_step=seconds_per_step,
-        )
-        for mode in ("sync", "async"):
-            result = run_experiment(
-                machine, "nyx-overlap", nyx_program, cfg, mode=mode,
-                nranks=nranks, op="write",
-            )
-            measured[(mode, interval)] = result.app_time
-            probe[(mode, interval)] = result
+    grid = [(mode, interval) for interval in intervals
+            for mode in ("sync", "async")]
+    # The most I/O phases take longest: fan them out first.
+    results = fan_out(
+        [functools.partial(
+            run_experiment, machine, "nyx-overlap", nyx_program,
+            NyxConfig.small(plot_int=interval,
+                            n_plotfiles=total_steps // interval,
+                            seconds_per_step=seconds_per_step),
+            mode=mode, nranks=nranks, op="write",
+        ) for mode, interval in grid],
+        costs=[total_steps // interval for _mode, interval in grid],
+    )
+    probe = dict(zip(grid, results))
 
     # Model costs from the largest-interval runs (one I/O phase each).
     ref = max(intervals)
@@ -345,8 +348,8 @@ def fig7(profile: Optional[str] = None) -> FigureData:
                              include_final_drain=True)
         fig.add_row(
             interval, n_phases,
-            measured[("sync", interval)], est_sync,
-            measured[("async", interval)], est_async,
+            probe[("sync", interval)].app_time, est_sync,
+            probe[("async", interval)].app_time, est_async,
         )
     fig.meta["t_io (s)"] = t_io
     fig.meta["t_transact (s)"] = t_transact
@@ -373,21 +376,17 @@ def fig8(profile: Optional[str] = None) -> FigureData:
               f"({nranks} ranks)",
         columns=["day", "availability", "sync GB/s", "async GB/s"],
     )
-    sync_obs, async_obs = [], []
-    for day in range(days):
-        row = [day]
-        availability = contention.availability(day)
-        row.append(availability)
-        for mode, obs in (("sync", sync_obs), ("async", async_obs)):
-            result = run_experiment(
-                machine, "vpic-io", vpic_program, cfg, mode=mode,
-                nranks=nranks, day=day, contention=contention, op="write",
-            )
-            obs.append(result.peak_bandwidth)
-            row.append(result.peak_bandwidth / GB)
-        fig.add_row(*row)
-    s = variability_stats(sync_obs)
-    a = variability_stats(async_obs)
+    # Grid order is (mode, day): the sync days, then the async days.
+    results = scale_sweep(
+        machine, "vpic-io", vpic_program, lambda nranks: cfg,
+        scales=[nranks], reps=days, contention=contention, op="write",
+    )
+    sync_runs, async_runs = results[:days], results[days:]
+    for s_run, a_run in zip(sync_runs, async_runs):
+        fig.add_row(s_run.day, s_run.availability,
+                    s_run.peak_bandwidth / GB, a_run.peak_bandwidth / GB)
+    s = variability_stats([r.peak_bandwidth for r in sync_runs])
+    a = variability_stats([r.peak_bandwidth for r in async_runs])
     fig.meta["sync CV"] = s.cv
     fig.meta["async CV"] = a.cv
     fig.meta["sync max/min"] = s.spread_ratio
@@ -447,34 +446,31 @@ def fig_sched(profile: Optional[str] = None) -> FigureData:
     and completion time, makespan and PFS utilization at a high and a
     moderate arrival rate.
     """
-    from repro.harness.sched import run_fleet, sched_testbed
-    from repro.sched import StreamConfig
-
     p = resolve_profile(profile)
     n_jobs = 25 if p == "quick" else 60
-    loads = (2.0, 4.0)
-    machine = sched_testbed()
+    # The same fleets as ``repro sched --jobs N --seed 7``.
+    tasks = [
+        SweepTask(kind="sched", machine="sched-testbed", mode=policy,
+                  scale=load, seed=7, jobs=n_jobs,
+                  rank_choices=(8, 16, 32), size_scale=4.0)
+        for load in (2.0, 4.0) for policy in ("fifo", "backfill", "io-aware")
+    ]
+    fleets = fan_out([functools.partial(execute, t) for t in tasks])
     fig = FigureData(
         name="fig-sched",
-        title=f"multi-tenant scheduling on {machine.name} "
+        title=f"multi-tenant scheduling on {sched_testbed().name} "
               f"({n_jobs} jobs/stream, loads = mean interarrival s)",
         columns=["load", "policy", "done", "async", "jobs/h",
                  "wait p95", "compl p50", "compl p95", "compl p99",
                  "makespan", "PFS util"],
     )
-    for mean_ia in loads:
-        cfg = StreamConfig(
-            n_jobs=n_jobs, seed=7, mean_interarrival=mean_ia,
-            rank_choices=(8, 16, 32), size_scale=4.0,
+    for m in fleets:
+        fig.add_row(
+            m.mean_interarrival, m.policy, m.completed, m.n_async,
+            m.goodput_jobs_per_hour, m.wait_p95, m.completion_p50,
+            m.completion_p95, m.completion_p99, m.makespan,
+            m.pfs_utilization,
         )
-        for policy in ("fifo", "backfill", "io-aware"):
-            m = run_fleet(machine, cfg, policy)
-            fig.add_row(
-                mean_ia, policy, m.completed, m.n_async,
-                m.goodput_jobs_per_hour, m.wait_p95, m.completion_p50,
-                m.completion_p95, m.completion_p99, m.makespan,
-                m.pfs_utilization,
-            )
     return fig
 
 

@@ -35,25 +35,29 @@ checkout.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.faults import FaultError, portable_traceback
+from repro.faults import FaultError, chaos_config, portable_traceback
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.registry import WORKLOADS, machine_spec, workload
+from repro.harness.sched import run_fleet
 from repro.harness.sweep import SweepPoint, best_by_config
 from repro.platform import ContentionModel
 from repro.pool import available_cpus, fan_out
+from repro.sched import StreamConfig
+from repro.sim import Engine
+from repro.trace import IOLog
 
 __all__ = [
-    "PointResult",
     "SweepOutcome",
     "SweepSpec",
     "SweepTask",
+    "execute",
     "expand_grid",
-    "merged_results",
     "merged_sweep_points",
     "run_sweep",
     "sweepable_grids",
@@ -108,6 +112,10 @@ class SweepSpec:
             )
         if self.kind == "workload" and any(f > 0 for f in self.faults):
             raise ValueError("the fault axis applies to kind='sched' only")
+        if self.kind == "workload" and not all(
+                float(s).is_integer() for s in self.scales):
+            raise ValueError(
+                f"workload scales are rank counts, got {self.scales}")
         if any(f < 0 for f in self.faults):
             raise ValueError("fault rates must be non-negative")
         valid_cache = ("none", "off", "write", "on")
@@ -131,18 +139,25 @@ class SweepSpec:
         return f"{self.kind}:{self.workload} {axes}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepTask:
-    """One grid point — everything a worker needs, explicitly seeded."""
+    """One experiment — everything a worker needs, explicitly seeded.
 
-    index: int
+    The one record behind ``repro sweep``, ``run``, ``profile``,
+    ``cache``, ``sched`` and ``fig-sched``.  Every default is what a
+    ``repro sweep`` point runs; the other commands set the fields they
+    run differently.
+    """
+
+    index: int = 0
     kind: str
-    workload: str
+    workload: str = "vpic"
     machine: str
     mode: str
+    #: Rank count (workload) or mean interarrival gap (sched).
     scale: float
-    seed: int
-    jobs: int
+    seed: int = 0
+    jobs: int = 12
     #: Chaos axis: node-crash rate, base fault seed, checkpointing
     #: on/off.  ``fault_rate == 0`` builds no injector (zero-cost off).
     fault_rate: float = 0.0
@@ -150,17 +165,19 @@ class SweepTask:
     checkpoint: bool = True
     #: Staging-cache mode of this point (``"none"`` = no subsystem).
     cache: str = "none"
-
-
-@dataclass(frozen=True)
-class PointResult:
-    """Typed view of one merged point (see :func:`merged_results`)."""
-
-    index: int
-    ok: bool
-    error: Optional[dict]
-    metrics: Optional[dict]
-    task: SweepTask
+    #: Sample contention day = ``seed`` from ``ContentionModel(seed=0)``;
+    #: False runs with no contention model (``run``, ``profile``,
+    #: ``cache``).
+    contention: bool = True
+    #: Keep the async VOL's heuristic prefetcher (``cache`` turns it
+    #: off, so the planner's declared reads are the only read-ahead).
+    prefetcher: bool = True
+    #: Staging-cache tier preset, or ``"auto"`` to derive the stack
+    #: from the machine.
+    tiers: str = "auto"
+    #: Job-stream rank choices and I/O size multiplier (sched only).
+    rank_choices: tuple[int, ...] = (4, 8, 16)
+    size_scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -189,67 +206,65 @@ class SweepOutcome:
 def expand_grid(spec: SweepSpec) -> list[SweepTask]:
     """Enumerate the grid in canonical (machine, mode, scale, fault,
     cache, seed) order."""
-    tasks: list[SweepTask] = []
-    index = 0
-    for machine in spec.machines:
-        for mode in spec.modes:
-            for scale in spec.scales:
-                for fault_rate in spec.faults:
-                    for cache in spec.cache:
-                        for seed in spec.seeds:
-                            tasks.append(SweepTask(
-                                index=index, kind=spec.kind,
-                                workload=spec.workload,
-                                machine=machine, mode=mode, scale=scale,
-                                seed=seed, jobs=spec.jobs,
-                                fault_rate=fault_rate,
-                                fault_seed=spec.fault_seed,
-                                checkpoint=spec.checkpoint,
-                                cache=cache,
-                            ))
-                            index += 1
-    return tasks
+    grid = itertools.product(spec.machines, spec.modes, spec.scales,
+                             spec.faults, spec.cache, spec.seeds)
+    return [
+        SweepTask(index=index, kind=spec.kind, workload=spec.workload,
+                  machine=machine, mode=mode, scale=scale, seed=seed,
+                  jobs=spec.jobs, fault_rate=fault_rate,
+                  fault_seed=spec.fault_seed, checkpoint=spec.checkpoint,
+                  cache=cache)
+        for index, (machine, mode, scale, fault_rate, cache, seed)
+        in enumerate(grid)
+    ]
 
 
-def _run_workload_point(task: SweepTask) -> dict:
+def execute(task: SweepTask, log: Optional[IOLog] = None,
+            engine: Optional[Engine] = None):
+    """Run one point: its :class:`ExperimentResult` (workload) or
+    :class:`~repro.harness.sched.FleetMetrics` (sched).
+
+    ``log`` and ``engine``, when given, are the workload run's I/O log
+    and simulation engine, for callers that read more than the result
+    (``repro profile``).  Bad inputs raise :class:`ValueError`.
+    """
     machine = machine_spec(task.machine)
+    if task.kind == "sched":
+        cfg = StreamConfig(
+            n_jobs=task.jobs, seed=task.seed, mean_interarrival=task.scale,
+            rank_choices=task.rank_choices, size_scale=task.size_scale,
+        )
+        # Mix the stream seed into the fault seed (a fixed odd prime
+        # keeps the map injective) so each stream meets its own crash
+        # schedule, yet the pair replays bit-identically.
+        fault = chaos_config(task.fault_rate,
+                             seed=task.fault_seed + 7919 * task.seed)
+        return run_fleet(machine, cfg, task.mode, fault_config=fault,
+                         checkpoint_restart=task.checkpoint)
     entry = workload(task.workload)
     config = entry.config()
-    prepopulate = (entry.prepopulate(config)
-                   if entry.prepopulate is not None else None)
-    cache_mode = None if task.cache == "none" else task.cache
-    result = run_experiment(
+    vol_kwargs = {} if task.prefetcher else {"prefetcher": None}
+    if log is not None:
+        vol_kwargs["log"] = log
+    tiers = None
+    if task.tiers != "auto":
+        from repro.cache import tier_preset
+
+        tiers = tier_preset(task.tiers)
+    return run_experiment(
         machine, task.workload, entry.program, config, mode=task.mode,
         nranks=int(task.scale), day=task.seed,
-        contention=ContentionModel(seed=0), prepopulate=prepopulate,
-        op=entry.op,
-        cache_mode=cache_mode,
+        contention=ContentionModel(seed=0) if task.contention else None,
+        prepopulate=(entry.prepopulate(config)
+                     if entry.prepopulate is not None else None),
+        op=entry.op, vol_kwargs=vol_kwargs,
+        cache_mode=None if task.cache == "none" else task.cache,
+        cache_tiers=tiers, engine=engine,
     )
-    return asdict(result)
-
-
-def _run_sched_point(task: SweepTask) -> dict:
-    from repro.faults import chaos_config
-    from repro.harness.sched import run_fleet
-    from repro.sched import StreamConfig
-
-    machine = machine_spec(task.machine)
-    cfg = StreamConfig(
-        n_jobs=task.jobs, seed=task.seed, mean_interarrival=task.scale,
-        rank_choices=(4, 8, 16),
-    )
-    # Mix the stream seed into the fault seed (a fixed odd prime keeps
-    # the map injective) so each stream meets its own crash schedule,
-    # yet the pair replays bit-identically.
-    fault = chaos_config(task.fault_rate,
-                         seed=task.fault_seed + 7919 * task.seed)
-    metrics = run_fleet(machine, cfg, task.mode, fault_config=fault,
-                        checkpoint_restart=task.checkpoint)
-    return asdict(metrics)
 
 
 def run_point(task: SweepTask) -> dict:
-    """Run one grid point with crash isolation; never raises.
+    """:func:`execute` one grid point with crash isolation; never raises.
 
     The returned dict is JSON-ready.  Failures are recorded, not
     propagated: fault-taxonomy errors keep their class name (family
@@ -271,10 +286,7 @@ def run_point(task: SweepTask) -> dict:
         "metrics": None,
     }
     try:
-        if task.kind == "sched":
-            point["metrics"] = _run_sched_point(task)
-        else:
-            point["metrics"] = _run_workload_point(task)
+        point["metrics"] = asdict(execute(task))
         point["ok"] = True
     except FaultError as exc:
         point["error"] = {
@@ -324,27 +336,6 @@ def run_sweep(
         "points": points,
     }
     return SweepOutcome(merged=merged, elapsed=elapsed, workers=workers)
-
-
-def merged_results(merged: dict) -> list[PointResult]:
-    """Typed points from a merged artifact (or ``SweepOutcome.merged``)."""
-    spec = merged["spec"]
-    out = []
-    for p in merged["points"]:
-        out.append(PointResult(
-            index=p["index"], ok=p["ok"], error=p["error"],
-            metrics=p["metrics"],
-            task=SweepTask(
-                index=p["index"], kind=p["kind"], workload=p["workload"],
-                machine=p["machine"], mode=p["mode"], scale=p["scale"],
-                seed=p["seed"], jobs=spec["jobs"],
-                fault_rate=p.get("fault_rate", 0.0),
-                fault_seed=spec.get("fault_seed", 0),
-                checkpoint=spec.get("checkpoint", True),
-                cache=p.get("cache", "none"),
-            ),
-        ))
-    return out
 
 
 def merged_sweep_points(merged: dict) -> list[SweepPoint]:

@@ -1,6 +1,7 @@
 """The package's one process pool, :func:`fan_out`, behind
-``scale_sweep`` (figure grids), ``run_sweep`` (``repro sweep``) and
-``check_paths`` (``repro check``'s per-file lint).
+``scale_sweep`` (figure grids), ``run_sweep`` (``repro sweep``), the
+CLI's single-point commands and ``repro sched``, fig7 and fig-sched,
+and ``check_paths`` (``repro check``'s per-file lint).
 
 A leaf module on the standard library alone, so that ``repro check``
 starts without loading the simulator, the harness or numpy.

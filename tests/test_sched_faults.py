@@ -348,7 +348,8 @@ def test_chaos_same_seed_replay_is_byte_identical():
 
 def test_zero_rate_chaos_is_disabled():
     assert chaos_config(0.0) is None
-    assert chaos_config(-1.0) is None
+    with pytest.raises(ValueError, match="invalid chaos axis"):
+        chaos_config(-1.0)
 
 
 def test_chaos_sweep_worker_count_is_unobservable():

@@ -24,9 +24,7 @@ from repro.harness import sweepengine
 from repro.pool import available_cpus
 from repro.harness.sweepengine import (
     SweepSpec,
-    SweepTask,
     expand_grid,
-    merged_results,
     merged_sweep_points,
     run_point,
     run_sweep,
@@ -97,9 +95,7 @@ def test_workers_are_capped_at_the_available_cpus():
 def test_merged_json_round_trips_and_reduces():
     outcome = run_sweep(SMALL, workers=1)
     merged = json.loads(outcome.to_json())
-    results = merged_results(merged)
-    assert [r.index for r in results] == [0, 1, 2, 3]
-    assert all(isinstance(r.task, SweepTask) for r in results)
+    assert [p["index"] for p in merged["points"]] == [0, 1, 2, 3]
     points = merged_sweep_points(merged)
     # One best-of point per (mode, nranks) config.
     assert {(p.mode, p.nranks) for p in points} == {
@@ -150,7 +146,7 @@ def test_crashed_point_keeps_a_portable_traceback(monkeypatch):
     def exploding_point(task):
         raise RuntimeError("kaboom")
 
-    monkeypatch.setattr(sweepengine, "_run_workload_point", exploding_point)
+    monkeypatch.setattr(sweepengine, "execute", exploding_point)
     point = run_point(expand_grid(SMALL)[0])
     error = point["error"]
     assert error["family"] == "crash" and error["kind"] == "RuntimeError"
@@ -166,7 +162,7 @@ def test_fault_taxonomy_errors_keep_their_class(monkeypatch):
     def boom(task):
         raise FlakyWriteError("injected EIO")
 
-    monkeypatch.setattr(sweepengine, "_run_workload_point", boom)
+    monkeypatch.setattr(sweepengine, "execute", boom)
     point = run_point(expand_grid(SMALL)[0])
     assert not point["ok"]
     assert point["error"] == {
