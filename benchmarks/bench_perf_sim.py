@@ -45,6 +45,14 @@ the plain grid-order loop of
 gated like the allocator scenarios' (a one-CPU host runs both sides
 serially, so the row needs at least two CPUs to pass its floor).
 
+A ``vpic_async_gc_on`` row times one async VPIC-IO point on Summit
+through :func:`~repro.harness.experiment.run_experiment` (384 ranks in
+smoke mode, 6144 in full) with the cyclic collector **on**, so unlike
+every ``benchlib.timed`` row it pays for whatever the run leaves to the
+collector.  Its seconds are gated by an absolute ceiling, and a second
+run of the same point with the collector off and saving what it finds
+must leave no ``Flow`` or ``SimEvent`` in a reference cycle.
+
 A ``sweep_scaling`` row runs the same declarative grid through
 :func:`repro.harness.sweepengine.run_sweep` at one worker and at the
 host's width (``max(2, nproc)``), gates the merged artifacts
@@ -72,10 +80,12 @@ gates)::
 
 from __future__ import annotations
 
+import gc
 import json
+import time
 
 import benchlib
-from repro.sim import network, network_ref
+from repro.sim import SimEvent, network, network_ref
 from repro.sim.traffic import (
     class_churn,
     fig3a_phase,
@@ -270,6 +280,45 @@ def scale_sweep_fanout_row(smoke, repeats):
         fanned, serial, max(repeats, 3), wire=list)[0]
 
 
+def gc_on_row(smoke, repeats):
+    """One async VPIC-IO point timed with the collector on (best of
+    ``repeats``), and the count of ``SimEvent`` objects (a ``Flow`` is
+    one) that only the collector could free after one more run of it."""
+    from repro.harness import run_experiment
+    from repro.platform import summit
+    from repro.workloads import VPICConfig, vpic_program
+
+    nranks = 384 if smoke else 6144
+
+    def point():
+        run_experiment(summit(), "vpic-io", vpic_program,
+                       VPICConfig(steps=1), mode="async", nranks=nranks)
+
+    samples = []
+    for _ in range(repeats):
+        gc.collect()
+        start = time.perf_counter()
+        point()
+        samples.append(time.perf_counter() - start)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        point()
+        gc.collect()
+        cyclic = sum(isinstance(obj, SimEvent) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    return benchlib.row(
+        "vpic_async_gc_on",
+        {"nranks": nranks, "mode": "async", "steps": 1},
+        {"gc_on_s": round(min(samples), 4), "cyclic_flow_events": cyclic},
+        {"gc_on_s": samples},
+    )
+
+
 def sweep_scaling_row(smoke):
     """Sweep-engine throughput at 1 worker and at the host's width.
 
@@ -315,6 +364,11 @@ def run_bench(smoke=False):
         print(f"{r['name']:>16}: fast {v['fast_s']:.3f}s "
               f"ref {v['ref_s']:.3f}s  {v['speedup']:.2f}x  "
               f"identical={v['identical']}")
+    gc_on = gc_on_row(smoke, repeats)
+    v = gc_on["values"]
+    print(f"{'vpic_async_gc_on':>16}: {gc_on['params']['nranks']} ranks "
+          f"{v['gc_on_s']:.3f}s with the collector on  "
+          f"cyclic Flow/SimEvent={v['cyclic_flow_events']}")
     sweep = sweep_scaling_row(smoke)
     v = sweep["values"]
     print(f"{'sweep_scaling':>16}: {v['grid_points']} points  "
@@ -322,7 +376,7 @@ def run_bench(smoke=False):
           f"{sweep['params']['workers']}w "
           f"{v['parallel_points_per_sec']:.1f} pt/s  "
           f"identical={v['identical_across_workers']}")
-    return rows + [sweep]
+    return rows + [gc_on, sweep]
 
 
 def gates(artifact):
@@ -334,6 +388,13 @@ def gates(artifact):
             g.require(r, "identical_across_workers",
                       v["identical_across_workers"],
                       "sweep merged artifact differs across worker counts")
+            continue
+        if r["name"] == "vpic_async_gc_on":
+            g.require(r, "no_cyclic_flow_events",
+                      v["cyclic_flow_events"] == 0,
+                      f"{v['cyclic_flow_events']} Flow/SimEvent objects "
+                      f"left in reference cycles")
+            g.ceiling(r, r["name"], v["gc_on_s"])
             continue
         g.require(r, "identical", v["identical"],
                   "fast/reference results diverged")

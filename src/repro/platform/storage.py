@@ -187,7 +187,7 @@ class ParallelFileSystem:
             latency=latency,
             tag=tag,
         )
-        flow.done._wait(self._on_flow_done)
+        flow._wait(self._on_flow_done)
         return flow
 
     def _on_flow_done(self, _event) -> None:

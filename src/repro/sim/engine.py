@@ -167,8 +167,10 @@ class SimEvent:
         """Trigger the event, optionally after ``delay`` simulated seconds."""
         if self._triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
-        self._triggered = True
+        # The value first: a subclass whose value is read-only (a
+        # network Flow) raises here before any state changes.
         self._value = value
+        self._triggered = True
         ck = _check_hooks.checker
         if ck is not None:
             ck.on_trigger(self)

@@ -129,13 +129,19 @@ class Link:
         return f"<Link {self.name!r} {self._capacity:.3g} B/s>"
 
 
-class Flow:
+class Flow(SimEvent):
     """A single data transfer across a path of links.
 
-    ``done`` fires with the flow itself as value when the last byte has
-    moved.  ``elapsed`` and ``achieved_rate`` are populated on
-    completion and used to derive the paper's "aggregate bandwidth"
-    metrics.
+    A flow is its own completion event: it triggers when the last byte
+    has moved, and ``yield flow`` resumes with the flow itself as value
+    (so does :meth:`~repro.sim.engine.Engine.timeout_guard` on a flow).
+    The value is a read-only view of the flow, never a stored
+    self-reference, so a finished transfer holds no reference cycle and
+    is freed by refcount the moment its last user drops it.  Only the
+    owning network triggers a flow (``succeed`` raises on one).
+
+    ``elapsed`` and ``achieved_rate`` are populated on completion and
+    used to derive the paper's "aggregate bandwidth" metrics.
     """
 
     __slots__ = (
@@ -146,7 +152,6 @@ class Flow:
         "_rate",
         "_klass",
         "_order",
-        "done",
         "tag",
         "started_at",
         "finished_at",
@@ -160,6 +165,15 @@ class Flow:
         cap: float,
         tag: Any,
     ):
+        # SimEvent state, set inline: its __init__ would store a value.
+        # The event name is static (formatting a per-flow f-string is
+        # measurable at scale; the tag is on the flow for debugging).
+        self.engine = engine
+        self.name = "flow"
+        self.callbacks: list = []
+        self._exc: Optional[BaseException] = None
+        self._triggered = False
+        self._processed = False
         self.nbytes = float(nbytes)
         self._rem = float(nbytes)
         self.links = links
@@ -168,12 +182,30 @@ class Flow:
         self._klass: Optional["_FlowClass"] = None
         self._order = 0
         self.tag = tag
-        # A static event name (formatting a per-flow f-string is
-        # measurable at scale — the tag is on the flow for debugging),
-        # constructed directly to skip the factory-method hop.
-        self.done = SimEvent(engine, "flow")
         self.started_at = engine._now
         self.finished_at: Optional[float] = None
+
+    @property
+    def _value(self) -> "Flow":
+        """The completion value: the flow itself (read-only)."""
+        return self
+
+    @property
+    def done(self) -> "Flow":
+        """The flow itself, under the completion-event name that
+        :mod:`repro.sim.network_ref` flows carry (shared traffic
+        drivers reach either module's event through it)."""
+        return self
+
+    def _complete(self) -> None:
+        """Trigger completion now (the network's one trigger path)."""
+        if self._triggered:
+            raise SimulationError(f"event {self.name!r} triggered twice")
+        self._triggered = True
+        ck = _check_hooks.checker
+        if ck is not None:
+            ck.on_trigger(self)
+        self.engine.schedule(0.0, self._dispatch)
 
     @property
     def rate(self) -> float:
@@ -230,10 +262,6 @@ class Flow:
         if dt > 0.0:
             return self.nbytes / dt
         return 0.0
-
-    # Waitable protocol: ``yield flow`` waits for completion.
-    def _as_event(self, engine: Engine) -> SimEvent:
-        return self.done
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -492,8 +520,8 @@ class Network:
         ``cap`` bounds this flow's rate regardless of link headroom
         (bytes/second).  ``latency`` is a fixed startup delay (request
         setup, metadata round-trip) before any byte moves.  Returns the
-        :class:`Flow`, whose ``done`` event fires on completion; a flow
-        is itself waitable, so process code reads naturally::
+        :class:`Flow`, which is its own completion event, so process
+        code reads naturally::
 
             flow = network.transfer(nbytes, [nic, pfs])
             yield flow
@@ -749,7 +777,7 @@ class Network:
         flow.finished_at = self.engine.now
         flow._rem = 0.0
         self.completed += 1
-        flow.done.succeed(flow)
+        flow._complete()
 
     def _activate(self, flow: Flow) -> None:
         flow.started_at = self.engine._now
@@ -1065,10 +1093,10 @@ class Network:
         self.completed += len(finished)
         if _check_hooks.checker is not None or len(finished) == 1:
             for flow in finished:
-                flow.done.succeed(flow)
+                flow._complete()
             return
-        # Batched dispatch: trigger every completion event now and run
-        # their dispatches from one scheduled callback.  The succeed
+        # Batched dispatch: trigger every completed flow now and run
+        # their dispatches from one scheduled callback.  The _complete
         # loop above schedules one consecutive-sequence dispatch per
         # event with nothing in between, so draining them back-to-back
         # from a single callback resumes the same waiters in the same
@@ -1076,16 +1104,11 @@ class Network:
         # observable schedule is identical, minus the per-event queue
         # traffic.  (With a runtime checker installed the per-event path
         # runs instead, so on_trigger hooks see every event.)
-        events: list[SimEvent] = []
-        append = events.append
         for flow in finished:
-            ev = flow.done
-            if ev._triggered:
-                raise SimulationError(f"event {ev.name!r} triggered twice")
-            ev._triggered = True
-            ev._value = flow
-            append(ev)
-        self.engine.schedule(0.0, _dispatch_batch, events)
+            if flow._triggered:
+                raise SimulationError(f"event {flow.name!r} triggered twice")
+            flow._triggered = True
+        self.engine.schedule(0.0, _dispatch_batch, finished)
 
     def _allocate(self) -> None:
         """Max-min fair rates with per-flow caps (progressive filling).

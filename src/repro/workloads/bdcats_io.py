@@ -102,13 +102,13 @@ def bdcats_program(lib: H5Library, vol: VOLConnector, config: BDCATSConfig,
 
     def program(ctx) -> Generator:
         f = yield from lib.open(ctx, config.path, vol)
+        # One selection per rank: every dataset shares it (immutable).
+        slab = slab_1d(ctx.rank, config.particles_per_rank)
         for step in range(config.steps):
             yield from ctx.barrier()  # clustering rounds are collective
             for prop in range(config.n_properties):
                 dset = f.dataset(f"/Step#{step}/p{prop}")
-                yield from dset.read(
-                    slab_1d(ctx.rank, config.particles_per_rank), phase=step
-                )
+                yield from dset.read(slab, phase=step)
             if use_prefetch and step + 1 < config.steps:
                 declare_step(ctx, f, step + 1)
             yield ctx.compute(config.compute_seconds)

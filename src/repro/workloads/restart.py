@@ -61,6 +61,8 @@ def restart_program(lib: H5Library, vol: VOLConnector, config: RestartConfig):
     def program(ctx) -> Generator:
         first_new = 0
         restart_seconds = 0.0
+        # One selection per rank: every checkpoint shares it (immutable).
+        slab = slab_1d(ctx.rank, config.elems_per_rank)
         if config.restart_from is None:
             f = yield from lib.create(ctx, config.path, vol)
         else:
@@ -68,8 +70,7 @@ def restart_program(lib: H5Library, vol: VOLConnector, config: RestartConfig):
             name = config.checkpoint_name(config.restart_from)
             dset = f.dataset(name)
             t0 = ctx.now
-            yield from dset.read(slab_1d(ctx.rank, config.elems_per_rank),
-                                 phase=-1)
+            yield from dset.read(slab, phase=-1)
             yield from ctx.barrier()  # everyone restored before stepping
             restart_seconds = ctx.now - t0
             first_new = config.restart_from + 1
@@ -81,8 +82,7 @@ def restart_program(lib: H5Library, vol: VOLConnector, config: RestartConfig):
             yield from ctx.barrier()
             dset = f.create_dataset(config.checkpoint_name(k),
                                     shape=(n_global,), dtype=FLOAT64)
-            yield from dset.write(slab_1d(ctx.rank, config.elems_per_rank),
-                                  phase=k, es=es)
+            yield from dset.write(slab, phase=k, es=es)
         yield from es.wait()
         yield from f.close()
         yield from vol.finalize(ctx)

@@ -56,6 +56,8 @@ def vpic_program(lib: H5Library, vol: VOLConnector, config: VPICConfig):
         f = yield from lib.create(ctx, config.path, vol)
         es = EventSet(ctx.engine, name=f"vpic.r{ctx.rank}")
         n_global = config.particles_per_rank * ctx.size
+        # One selection per rank: every dataset shares it (immutable).
+        slab = slab_1d(ctx.rank, config.particles_per_rank)
         for step in range(config.steps):
             yield ctx.compute(config.compute_seconds)
             # Simulation time steps are bulk-synchronous (halo
@@ -66,10 +68,7 @@ def vpic_program(lib: H5Library, vol: VOLConnector, config: VPICConfig):
                 dset = group.create_dataset(
                     f"p{prop}", shape=(n_global,), dtype=FLOAT32
                 )
-                yield from dset.write(
-                    slab_1d(ctx.rank, config.particles_per_rank),
-                    phase=step, es=es,
-                )
+                yield from dset.write(slab, phase=step, es=es)
         yield from es.wait()
         yield from f.close()
         yield from vol.finalize(ctx)

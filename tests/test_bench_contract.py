@@ -213,6 +213,10 @@ DOCTORED = {
     "sim-sweep": ("sim", _set("sweep_scaling",
                               identical_across_workers=False),
                   "differs across worker counts"),
+    "sim-cycles": ("sim", _set("vpic_async_gc_on", cyclic_flow_events=3),
+                   "3 Flow/SimEvent objects left in reference cycles"),
+    "sim-gc-ceiling": ("sim", _set("vpic_async_gc_on", gc_on_s=60.0),
+                       "vpic_async_gc_on 60 is above"),
 }
 
 

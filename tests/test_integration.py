@@ -1,13 +1,15 @@
 """Cross-layer integration tests: end-to-end flows, determinism,
 failure injection."""
 
+import gc
 import math
+from collections import Counter
 
 import pytest
 
 from repro.sim import Engine
 from repro.mpi import MPIJob
-from repro.platform import Cluster, ContentionModel
+from repro.platform import Cluster, ContentionModel, summit
 from repro.platform import testbed as make_testbed
 from repro.hdf5 import FLOAT64, AsyncVOL, EventSet, H5Library, NativeVOL, slab_1d
 from repro.harness import run_experiment
@@ -23,9 +25,66 @@ from repro.model import (
     memcpy_microbench,
     sync_epoch_time,
 )
-from repro.workloads import VPICConfig, vpic_program
+from repro.workloads import (
+    BDCATSConfig,
+    VPICConfig,
+    bdcats_program,
+    prepopulate_vpic_file,
+    vpic_program,
+)
 
 MiB = 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# Memory: a run's operations are freed by refcount
+# ---------------------------------------------------------------------------
+
+
+def _cyclic_garbage(run) -> Counter:
+    """Type-name counts of what the cyclic collector alone would free
+    after ``run()`` (it saves everything instead of freeing it)."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("mode,op", [("sync", "write"), ("async", "write"),
+                                     ("async", "read")])
+def test_run_leaves_no_per_operation_cycles(mode, op):
+    # No transfer sits in a reference cycle, and each rank holds one
+    # selection for all its datasets.  What the collector still finds
+    # is the run's structural graph (links, nodes, flow classes, stored
+    # datasets), which keeps the per-rank selections it records.
+    nranks = 96
+    vpic = VPICConfig(steps=1)
+    bdcats = BDCATSConfig(steps=2)
+    if op == "write":
+        def run():
+            run_experiment(summit(), "vpic-io", vpic_program, vpic,
+                           mode=mode, nranks=nranks)
+    else:
+        def run():
+            run_experiment(
+                summit(), "bdcats", bdcats_program, bdcats, mode=mode,
+                nranks=nranks, op="read",
+                prepopulate=lambda lib, n: prepopulate_vpic_file(
+                    lib, bdcats, n),
+            )
+    garbage = _cyclic_garbage(run)
+    assert garbage["Flow"] == 0
+    assert garbage["SimEvent"] == 0
+    assert garbage["Hyperslab"] <= nranks
 
 
 # ---------------------------------------------------------------------------

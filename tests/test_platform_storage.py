@@ -342,7 +342,7 @@ def test_node_local_ssd_capacity_is_shared_by_co_tenants():
     ssd.evict(0.5e12)
     flow = ssd.write(0.1e12, tag="tenant-c")
     eng.run()
-    assert flow.done.triggered
+    assert flow.triggered
 
 
 def test_rank_placement():
@@ -426,4 +426,4 @@ def test_exascale_testbed_three_tiers():
     f3 = cluster.pfs_write(node, t, 1 << 20)
     eng.run()
     for f in (f1, f2, f3):
-        assert f.done.triggered
+        assert f.triggered

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Engine, Link, Network
+from repro.sim import AllOf, Engine, Link, Network
 
 
 def make_net():
@@ -57,7 +57,64 @@ def test_zero_byte_transfer_completes_instantly():
     flow = net.transfer(0.0, [link])
     eng.run()
     assert flow.finished_at == 0.0
-    assert flow.done.triggered
+    assert flow.triggered
+
+
+# ---------------------------------------------------------------------------
+# A flow is its own completion event
+# ---------------------------------------------------------------------------
+
+
+def test_yield_flow_resumes_with_the_flow_before_and_after_completion():
+    eng, net = make_net()
+    link = Link("l", 100.0)
+    flows = [net.transfer(1000.0, [link], tag=i) for i in range(4)]
+    empty = net.transfer(0.0, [link], latency=1.0)
+    got = []
+
+    def early(flow):
+        got.append(("early", flow, (yield flow), eng.now))
+
+    def late(flow):
+        yield eng.timeout(50.0)
+        assert flow.triggered
+        got.append(("late", flow, (yield flow), eng.now))
+
+    for flow in [*flows, empty]:
+        eng.process(early(flow))
+        eng.process(late(flow))
+    eng.run()
+    assert len(got) == 10
+    for when, flow, value, now in got:
+        assert value is flow
+        assert now == (50.0 if when == "late" else flow.finished_at)
+    # Four flows finishing together complete in one batch.
+    assert {flow.finished_at for flow in flows} == {40.0}
+
+
+def test_flow_value_passes_through_guards_and_composites():
+    eng, net = make_net()
+    link = Link("l", 100.0)
+    a = net.transfer(1000.0, [link])
+    b = net.transfer(500.0, [link])
+
+    def waiter():
+        guarded = yield eng.timeout_guard(a, 100.0)
+        both = yield AllOf([a, b])
+        return guarded, both
+
+    assert eng.run_process(waiter()) == (a, [a, b])
+    assert a.value is a
+
+
+def test_only_the_network_completes_a_flow():
+    eng, net = make_net()
+    flow = net.transfer(1000.0, [Link("l", 100.0)])
+    with pytest.raises(AttributeError):
+        flow.succeed(None)
+    assert not flow.triggered
+    eng.run()
+    assert flow.triggered and flow.finished_at == 10.0
 
 
 def test_negative_size_rejected():
@@ -325,7 +382,7 @@ def test_property_random_topology_invariants(caps, flows):
                                   tag=len(live)), path_links, nbytes, latency))
     eng.run()
     for flow, path_links, nbytes, latency in live:
-        assert flow.done.triggered
+        assert flow.triggered
         bottleneck = min(l.capacity for l in path_links)
         # can't move faster than the path's bottleneck allows
         assert flow.elapsed >= nbytes / bottleneck * (1 - 1e-6)
