@@ -143,21 +143,6 @@ def test_faults_gates(tmp_path):
     assert artifact["ok"], "; ".join(artifact["failures"])
 
 
-def test_fig_faults_table(save_figure):
-    from repro.harness import figures
-
-    fig = figures.fig_faults("quick")
-    save_figure(fig)
-    by_mode = {}
-    for mode, rate, durable, lost, *_ in fig.rows:
-        by_mode.setdefault(mode, {})[rate] = (durable, lost)
-    for rate, (durable, lost) in by_mode["async"].items():
-        if rate > 0:
-            # Injected faults must not cost the async path a checkpoint.
-            assert lost == 0
-            assert durable >= by_mode["sync"][rate][0]
-
-
 def main(argv=None):
     return benchlib.main(BENCH, run_bench, gates, argv)
 

@@ -292,22 +292,6 @@ def test_sched_gates(tmp_path):
     assert artifact["ok"], "; ".join(artifact["failures"])
 
 
-def test_fig_sched_table(save_figure):
-    from repro.harness import figures
-
-    fig = figures.fig_sched("quick")
-    save_figure(fig)
-    by_policy = {}
-    for load, policy, *_rest in fig.rows:
-        by_policy.setdefault(policy, {})[load] = fig.rows[
-            [r[:2] for r in fig.rows].index([load, policy])
-        ]
-    p95_col = fig.columns.index("compl p95")
-    for load in {row[0] for row in fig.rows}:
-        assert (by_policy["io-aware"][load][p95_col]
-                < by_policy["fifo"][load][p95_col])
-
-
 def main(argv=None):
     return benchlib.main(BENCH, run_bench, gates, argv)
 

@@ -11,7 +11,7 @@ dotted estimated-performance lines of Figs. 3-6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.model.estimators import IORateModel
 from repro.model.history import MeasurementHistory
@@ -37,17 +37,21 @@ class FittedSeries:
         return self.estimates[nranks] / 1e9
 
 
-def fit_sweep_points(points: Sequence["SweepPoint"], mode: str) -> FittedSeries:
+def fit_sweep_points(points: Sequence["SweepPoint"], mode: str,
+                     max_ranks: Optional[int] = None) -> FittedSeries:
     """Fit Eq. 4 over one mode's sweep points and predict every scale.
 
     Each sweep point contributes every per-day peak observation (the
     paper fits over the history of all runs, not the reduced best).
+    With ``max_ranks`` only the points up to that scale are fitted, so
+    the estimates above it are out-of-sample predictions.
     """
     mine = [p for p in points if p.mode == mode]
-    if len(mine) < 2:
+    fitted = [p for p in mine if max_ranks is None or p.nranks <= max_ranks]
+    if len(fitted) < 2:
         raise ValueError(f"need >= 2 sweep points for mode {mode!r}")
     history = MeasurementHistory()
-    for p in mine:
+    for p in fitted:
         phase_bytes = p.total_bytes / p.n_phases
         for peak in p.all_peaks:
             history.record(phase_bytes, p.nranks, peak, mode=mode)

@@ -55,7 +55,12 @@ class Hyperslab:
         """Whether the slab lies inside a dataset of ``shape``."""
         if len(shape) != self.ndim:
             return False
-        return all(s + c <= dim for s, c, dim in zip(self.start, self.count, shape))
+        # A plain loop: this runs on every dataset read and write, and a
+        # generator costs more than the one or three comparisons it makes.
+        for s, c, dim in zip(self.start, self.count, shape):
+            if s + c > dim:
+                return False
+        return True
 
     def as_slices(self) -> Tuple[slice, ...]:
         """NumPy basic-indexing slices for backing-array access."""

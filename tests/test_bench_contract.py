@@ -1,4 +1,4 @@
-"""The ``repro-bench/v1`` contract of the five gated benchmark scripts.
+"""The ``repro-bench/v1`` contract of the six gated benchmark scripts.
 
 Nothing here times anything: the committed ``BENCH_*.json`` artifacts
 are checked against the schema and their own gates, then doctored
@@ -25,6 +25,7 @@ SCRIPTS = {
     "cache": "bench_cache",
     "sched": "bench_sched",
     "faults": "bench_faults",
+    "claims": "bench_claims",
 }
 
 
@@ -136,6 +137,18 @@ def _set_chaos(**values):
     return doctor
 
 
+def _set_meta(name, key, value):
+    """Doctor: overwrite one figure-level scalar of a claims row."""
+    def doctor(artifact):
+        benchlib.find(artifact["rows"], name)["values"]["meta"][key] = value
+    return doctor
+
+
+def _async_cv_as_sync(artifact):
+    meta = benchlib.find(artifact["rows"], "fig8")["values"]["meta"]
+    meta["async CV"] = meta["sync CV"]
+
+
 def _shift(name, field, delta):
     def doctor(artifact):
         benchlib.find(artifact["rows"], name)["values"][field] += delta
@@ -143,6 +156,10 @@ def _shift(name, field, delta):
 
 
 DOCTORED = {
+    # bench_claims: the paper's figure shapes.
+    "claims-fig8-cv": ("claims", _async_cv_as_sync, "sync CV > 5x async CV"),
+    "claims-fig3a-fit": ("claims", _set_meta("fig3a", "fit sync", "linear"),
+                         "fit sync is linear-log"),
     # bench_sched: fleet determinism and the io-aware invariants.
     "sched-replay": ("sched", _set("backfill@2", replay_identical=False),
                      "replay diverged"),

@@ -63,6 +63,11 @@ def test_hyperslab_fits_in():
     assert h.fits_in((5,))
     assert not h.fits_in((4,))
     assert not h.fits_in((5, 5))
+    # Every dimension is checked: one exact edge and one a point past it.
+    box = Hyperslab(start=(0, 4), count=(2, 4))
+    assert box.fits_in((2, 8))
+    assert not box.fits_in((2, 7))
+    assert not box.fits_in((1, 8))
 
 
 def test_hyperslab_validation():
