@@ -9,12 +9,12 @@ the traffic shapes from :mod:`repro.sim.traffic`:
 - ``fig3a`` — the VPIC-IO-shaped weak-scaling write phase at 1536 and
   4096 ranks, the shape every fig3–fig8 sweep is built from;
 - ``class_churn`` — waves of short-lived flows with rotating
-  (links, cap) keys: the allocator's slot install/free/recycle worst
-  case.  Pure Python wins this regime (tiny arrays, many filling
-  rounds), so its budget pins the cost of the tradeoff rather than a
-  speedup — the fast path must not get *worse* at it;
+  (links, cap) keys: every wave installs fresh flow classes and drains
+  the last wave's, the allocator's class install/uninstall worst case
+  (few tiny classes, many filling rounds).  The class allocator runs in
+  plain Python, like the reference, so it must beat it here too;
 - ``many_links`` — long paths striped across a wide link pool,
-  stressing the class×link incidence and saturation propagation.
+  stressing the per-link class sets and saturation propagation.
 
 Every scenario also cross-checks that both allocators produce
 **bit-identical** completion times and final rates — a perf number from

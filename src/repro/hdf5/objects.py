@@ -39,8 +39,8 @@ MiB = 1 << 20
 class StoredDataset:
     """Shared state of one dataset inside a stored file."""
 
-    __slots__ = ("path", "shape", "dtype", "file", "data", "written", "attrs",
-                 "chunks")
+    __slots__ = ("path", "shape", "_whole", "dtype", "file", "data", "written",
+                 "attrs", "chunks")
 
     def __init__(self, path: str, shape: tuple[int, ...], dtype: Datatype,
                  file: "StoredFile", materialize_limit: int,
@@ -50,6 +50,7 @@ class StoredDataset:
         self.shape = tuple(int(s) for s in shape)
         if any(s < 0 for s in self.shape):
             raise ValueError(f"negative dimension in shape {self.shape}")
+        self._whole: Optional[Hyperslab] = None
         if chunks is not None:
             chunks = tuple(int(c) for c in chunks)
             if len(chunks) != len(self.shape):
@@ -66,6 +67,17 @@ class StoredDataset:
             self.data = np.zeros(self.shape, dtype=dtype.np_dtype)
         #: Hyperslabs successfully written (durable), in completion order.
         self.written: list[Hyperslab] = []
+
+    @property
+    def whole(self) -> Hyperslab:
+        """The whole-dataset selection, shared by every unselected read
+        and write and by :meth:`H5Library.prepopulate`.  Built on first
+        use: a dataset only ever accessed through per-rank selections
+        never holds one."""
+        sel = self._whole
+        if sel is None:
+            sel = self._whole = Hyperslab.whole(self.shape)
+        return sel
 
     @property
     def nbytes_total(self) -> int:
@@ -287,7 +299,7 @@ class H5Library:
         for dpath, (shape, dtype) in datasets.items():
             dset = stored.ensure_dataset(dpath, shape, dtype,
                                          self.materialize_limit)
-            dset.written.append(Hyperslab.whole(shape))
+            dset.written.append(dset.whole)
         return stored
 
 
@@ -356,7 +368,7 @@ class Dataset:
         the full PFS transfer for the native connector, only the
         transactional copy for the async connector.
         """
-        sel = selection or Hyperslab.whole(self.shape)
+        sel = selection or self.stored.whole
         if not sel.fits_in(self.shape):
             raise ValueError(f"selection {sel} outside dataset {self.shape}")
         yield from self.file.vol.dataset_write(
@@ -368,7 +380,7 @@ class Dataset:
              phase: Optional[int] = None, es: Optional["EventSet"] = None
              ) -> Generator:
         """``H5Dread``: returns the payload for materialized datasets."""
-        sel = selection or Hyperslab.whole(self.shape)
+        sel = selection or self.stored.whole
         if not sel.fits_in(self.shape):
             raise ValueError(f"selection {sel} outside dataset {self.shape}")
         result = yield from self.file.vol.dataset_read(

@@ -16,11 +16,11 @@ workload shaped like the reproduction's hot paths:
   over a few timesteps.  This is the shape every fig3–fig8 sweep is
   built from and the benchmark the fast path is judged on.
 - :func:`class_churn` — waves of short-lived flows whose (links, cap)
-  keys rotate every wave, so flow-class slots are installed, freed and
-  recycled constantly (the allocator's bookkeeping worst case).
+  keys rotate every wave, so flow classes are installed and uninstalled
+  constantly (the allocator's bookkeeping worst case).
 - :func:`many_links` — flows fanned across a wide link pool with long
-  paths, stressing the class×link incidence structure and the
-  saturated-link propagation of the filling loop.
+  paths, stressing the per-link class sets and the saturated-link
+  propagation of the filling loop.
 
 All builders are deterministic: same arguments → same event trace.
 """
@@ -227,9 +227,9 @@ def class_churn(
 
     Each wave's flows pick a different hop link and cap than the last,
     and are sized to drain before the next wave arrives — so every wave
-    installs fresh flow classes into slots just freed by the previous
-    one.  Stresses class install/free/recycle and the incremental
-    incidence bookkeeping rather than the filling rounds themselves.
+    installs fresh flow classes while the previous wave's drain and are
+    uninstalled.  Stresses class install/uninstall and the per-link
+    bookkeeping rather than the filling rounds themselves.
     """
     net_mod = net_mod or _network
     engine = Engine()
@@ -265,10 +265,9 @@ def many_links(
     Each flow crosses ``path_len`` links chosen by a deterministic
     stride, so most link pairs are shared by several classes and a
     saturated link freezes many classes at once — the worst case for
-    the class×link incidence and saturation-propagation machinery.
-    ``path_len`` above the allocator's initial degree also exercises
-    incidence-array growth.  Small latency staggers spread arrivals
-    over a few instants to force repeated rebalances.
+    saturation propagation through the per-link class sets.  Small
+    latency staggers spread arrivals over a few instants to force
+    repeated rebalances.
     """
     net_mod = net_mod or _network
     engine = Engine()

@@ -69,6 +69,7 @@ def sw4_program(lib: H5Library, vol: VOLConnector, config: SW4Config):
         base = total_elems // ctx.size
         start = ctx.rank * base
         count = base if ctx.rank < ctx.size - 1 else total_elems - start
+        slab = Hyperslab(start=(start,), count=(count,))
         for ckpt in range(config.n_checkpoints):
             yield ctx.compute(config.compute_phase_seconds())
             yield from ctx.barrier()  # wave steps are bulk-synchronous
@@ -76,10 +77,7 @@ def sw4_program(lib: H5Library, vol: VOLConnector, config: SW4Config):
                 f"/ckpt{ckpt:04d}/u", shape=(total_elems,), dtype=FLOAT64
             )
             if count:
-                yield from dset.write(
-                    Hyperslab(start=(start,), count=(count,)),
-                    phase=ckpt, es=es,
-                )
+                yield from dset.write(slab, phase=ckpt, es=es)
         yield from es.wait()
         yield from f.close()
         yield from vol.finalize(ctx)

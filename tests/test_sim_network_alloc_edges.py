@@ -1,8 +1,8 @@
-"""Vectorized allocator edge cases, differentially tested vs. the reference.
+"""Flow-class allocator edge cases, differentially tested vs. the reference.
 
 The chaos tests in ``test_sim_network_fastpath.py`` sweep broad random
-workloads; these tests pin the specific corners the array-backed
-allocator handles with dedicated code paths — zero-capacity links,
+workloads; these tests pin the specific corners the class allocator
+handles with dedicated code paths — zero-capacity links,
 runtime capacity changes mid-transfer, cap-frozen classes arriving
 while other classes are mid-flight — plus a second, structurally
 different seeded fuzz (heavy class churn, frequent zero-capacity
@@ -200,10 +200,10 @@ def test_all_classes_cap_frozen_terminates_with_headroom():
 
 
 def _churn_workload(net_mod, seed, nflows=80, nlinks=4):
-    """Seeded fuzz biased toward the vectorized allocator's hard cases.
+    """Seeded fuzz biased toward the class allocator's hard cases.
 
     Differs from the broad chaos fuzz by design: many short flows so
-    class slots are freed and recycled constantly, caps drawn from a
+    classes are installed and uninstalled constantly, caps drawn from a
     near-fair-share band so freezing happens mid-round (not just round
     one), and capacity flips that favour exact zero.
     """

@@ -18,7 +18,13 @@ import pytest
 from repro.sim import Engine, EngineStats
 from repro.sim import network as fastmod
 from repro.sim import network_ref as refmod
-from repro.sim.traffic import fig3a_phase, identical_flows, mixed_classes
+from repro.sim.traffic import (
+    class_churn,
+    fig3a_phase,
+    identical_flows,
+    many_links,
+    mixed_classes,
+)
 
 
 def _random_workload(net_mod, seed, nflows=60, nlinks=5, nchanges=8):
@@ -75,6 +81,8 @@ def test_random_workload_bit_identical_to_reference(seed):
         (identical_flows, dict(n=200)),
         (mixed_classes, dict(n_classes=8, flows_per_class=5)),
         (fig3a_phase, dict(ranks=96, timesteps=2, datasets=3)),
+        (class_churn, dict(waves=20, flows_per_wave=6)),
+        (many_links, dict(nflows=80, nlinks=24, path_len=5)),
     ],
 )
 def test_traffic_shapes_bit_identical_to_reference(builder, kwargs):
@@ -84,6 +92,16 @@ def test_traffic_shapes_bit_identical_to_reference(builder, kwargs):
         engine.run()
         traces.append([(f.started_at, f.finished_at, f.rate) for f in flows])
     assert traces[0] == traces[1]
+
+
+def test_drained_network_holds_no_classes():
+    """A class leaves the network the moment its last member drains:
+    after waves of rotating (links, cap) keys nothing stays installed."""
+    engine, net, flows = class_churn(waves=20, flows_per_wave=6)
+    engine.run()
+    assert all(f.finished_at is not None for f in flows)
+    assert net.class_count == 0
+    assert net.active_flows == 0
 
 
 def test_fig3a_two_runs_deterministic():
