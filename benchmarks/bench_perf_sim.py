@@ -53,6 +53,14 @@ collector.  Its seconds are gated by an absolute ceiling, and a second
 run of the same point with the collector off and saving what it finds
 must leave no ``Flow`` or ``SimEvent`` in a reference cycle.
 
+A ``vpic_async_point`` row times one async VPIC-IO point on Summit
+(``steps=1``) with the cyclic collector **off**, at the paper's top
+weak-scaling width in full mode (12,288 ranks on 2,048 nodes) and 1,536
+ranks in smoke mode: the width where the network's per-rebalance
+passes used to dominate.  Its seconds are gated by an absolute
+ceiling.  ``fig3a_4096`` carries a seconds ceiling beside its speedup
+floor, so the absolute time of the shape is gated too.
+
 A ``sweep_scaling`` row runs the same declarative grid through
 :func:`repro.harness.sweepengine.run_sweep` at one worker and at the
 host's width (``max(2, nproc)``), gates the merged artifacts
@@ -319,6 +327,35 @@ def gc_on_row(smoke, repeats):
     )
 
 
+def vpic_point_row(smoke, repeats):
+    """One async VPIC-IO point on Summit, collector off (best of
+    ``repeats``), with the engine counters of the last run."""
+    from repro.harness import run_experiment
+    from repro.platform import summit
+    from repro.workloads import VPICConfig, vpic_program
+
+    nranks = 1536 if smoke else 12288
+    samples = []
+    for _ in range(repeats):
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            result = run_experiment(summit(), "vpic-io", vpic_program,
+                                    VPICConfig(steps=1), mode="async",
+                                    nranks=nranks)
+            samples.append(time.perf_counter() - start)
+        finally:
+            gc.enable()
+    return benchlib.row(
+        "vpic_async_point",
+        {"nranks": nranks, "mode": "async", "steps": 1, "gc": "off"},
+        {"seconds": round(min(samples), 4),
+         "app_time": result.app_time},
+        {"seconds": samples},
+    )
+
+
 def sweep_scaling_row(smoke):
     """Sweep-engine throughput at 1 worker and at the host's width.
 
@@ -364,6 +401,9 @@ def run_bench(smoke=False):
         print(f"{r['name']:>16}: fast {v['fast_s']:.3f}s "
               f"ref {v['ref_s']:.3f}s  {v['speedup']:.2f}x  "
               f"identical={v['identical']}")
+    point = vpic_point_row(smoke, repeats)
+    print(f"{'vpic_async_point':>16}: {point['params']['nranks']} ranks "
+          f"{point['values']['seconds']:.3f}s with the collector off")
     gc_on = gc_on_row(smoke, repeats)
     v = gc_on["values"]
     print(f"{'vpic_async_gc_on':>16}: {gc_on['params']['nranks']} ranks "
@@ -376,7 +416,7 @@ def run_bench(smoke=False):
           f"{sweep['params']['workers']}w "
           f"{v['parallel_points_per_sec']:.1f} pt/s  "
           f"identical={v['identical_across_workers']}")
-    return rows + [gc_on, sweep]
+    return rows + [point, gc_on, sweep]
 
 
 def gates(artifact):
@@ -389,6 +429,9 @@ def gates(artifact):
                       v["identical_across_workers"],
                       "sweep merged artifact differs across worker counts")
             continue
+        if r["name"] == "vpic_async_point":
+            g.ceiling(r, r["name"], v["seconds"])
+            continue
         if r["name"] == "vpic_async_gc_on":
             g.require(r, "no_cyclic_flow_events",
                       v["cyclic_flow_events"] == 0,
@@ -399,6 +442,8 @@ def gates(artifact):
         g.require(r, "identical", v["identical"],
                   "fast/reference results diverged")
         g.floor(r, r["name"], v["speedup"])
+        if r["name"] == "fig3a_4096":
+            g.ceiling(r, "fig3a_4096_s", v["fast_s"])
     return g.failures()
 
 

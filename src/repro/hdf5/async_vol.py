@@ -264,19 +264,32 @@ class SequentialPrefetcher:
 class _RankState:
     """Per-rank connector state: worker queue and outstanding ops."""
 
-    __slots__ = ("queue", "worker", "outstanding", "initialized",
-                 "workers_alive", "crashed")
+    __slots__ = ("queue", "worker", "outstanding", "sweep_at",
+                 "initialized", "workers_alive", "crashed")
 
     def __init__(self) -> None:
         self.queue: Optional[Queue] = None
         self.worker = None
+        #: Completion events of ops a drain has not yet seen finish;
+        #: once it reaches ``sweep_at`` events, :meth:`sweep` runs.
         self.outstanding: list[SimEvent] = []
+        self.sweep_at = 64
         self.initialized = False
         #: Live background streams; 0 after every worker has crashed.
         self.workers_alive = 0
         #: Once True, new writes take the reliable blocking path inline
         #: and no further prefetches are planned (degraded mode).
         self.crashed = False
+
+    def sweep(self) -> None:
+        """Drop the outstanding events that already finished
+        successfully (a drain skips them anyway), so a rank that never
+        closes its file does not hold every completion event it
+        produced; the next sweep comes when the list has doubled."""
+        outstanding = self.outstanding
+        outstanding[:] = [ev for ev in outstanding
+                          if not ev._processed or ev._exc is not None]
+        self.sweep_at = max(64, 2 * len(outstanding))
 
 
 class _WriteDesc:
@@ -661,7 +674,11 @@ class AsyncVOL(VOLConnector):
         state.worker = None
 
     def _drain(self, state: _RankState) -> Generator:
-        """Wait for every outstanding op of one rank."""
+        """Wait for every outstanding op of one rank.
+
+        Each pass takes the list and waits on the ops not yet
+        triggered; ops added meanwhile are left for the next pass.
+        """
         while state.outstanding:
             batch = [ev for ev in state.outstanding if not ev.triggered]
             state.outstanding = []
@@ -744,7 +761,10 @@ class AsyncVOL(VOLConnector):
 
         # 2. Queue the PFS transfer for the background worker.
         done = ctx.engine.event(name=f"async-write({stored.path})")
-        state.outstanding.append(done)
+        outstanding = state.outstanding
+        outstanding.append(done)
+        if len(outstanding) >= state.sweep_at:
+            state.sweep()
         if es is not None:
             es.add(done)
         # Snapshot payload now (the staging copy's purpose is exactly to
@@ -1076,6 +1096,8 @@ class AsyncVOL(VOLConnector):
         entry = _CacheEntry(ctx.engine, nbytes)
         self._cache[key] = entry
         state.outstanding.append(entry.ready)
+        if len(state.outstanding) >= state.sweep_at:
+            state.sweep()
         state.queue.put((
             self._bg_prefetch(ctx, stored_file, nbytes, entry, path),
             entry.ready,

@@ -31,6 +31,10 @@ class EventSet:
         self.name = name
         #: (insertion index, completion event) of ops not yet harvested.
         self._pending: list[tuple[int, SimEvent]] = []
+        #: Length of ``_pending`` at which :meth:`add` next drops the
+        #: finished successful ops (twice what a drop left, so the
+        #: sweeps cost O(1) per insertion).
+        self._sweep_at = 64
         #: (insertion index, exception) of every failed op seen so far.
         self._errors: list[tuple[int, BaseException]] = []
         #: Total operations ever inserted (H5ESget_op_counter analogue).
@@ -40,9 +44,21 @@ class EventSet:
             ck.on_eventset(self)
 
     def add(self, event: SimEvent) -> None:
-        """Insert one operation's completion event."""
-        self._pending.append((self.op_counter, event))
+        """Insert one operation's completion event.
+
+        A set that is never waited on would otherwise hold every
+        completion event it was given; so every so often the ops that
+        finished successfully are dropped.  Failed ones stay until a
+        harvest records them (:attr:`err_count`, :meth:`get_err_info`,
+        :meth:`wait`), so error accounting is unchanged.
+        """
+        pending = self._pending
+        pending.append((self.op_counter, event))
         self.op_counter += 1
+        if len(pending) >= self._sweep_at:
+            pending[:] = [(idx, ev) for idx, ev in pending
+                          if not ev._processed or ev._exc is not None]
+            self._sweep_at = max(64, 2 * len(pending))
 
     @property
     def n_pending(self) -> int:

@@ -15,25 +15,37 @@ bandwidth grows with the number of clients until the shared file-system
 link is the bottleneck, then plateaus.
 
 Fast path (see ``docs/architecture.md``, "Simulator fast path"): active
-flows are grouped into **flow classes** keyed by ``(links, cap)``.  All
-members of a class receive identical rates under progressive filling,
-so the water-filling rounds run over classes (a handful, rarely more
-than a few hundred) instead of flows (thousands), in plain Python.  A
-class holds its own rate, minimum member residual and member count; a
-link holds its member count and the installed classes that use it.  A
-class is installed by its first arrival and uninstalled the moment it
-drains with no arrivals pending, so every pass visits live classes
-only.  The advance sweep is a per-class quick-reject that drops to a
-member scan only for the few classes actually near completion.
+flows are grouped into **flow classes** keyed by ``(path, cap)``, where
+each distinct link path is interned once with its link multiplicities.
+All members of a class receive identical rates, so water-filling runs
+over classes.  Classes that froze in the same filling round share one
+rate, so they live in one **rate group**, and a rebalance pays for the
+groups, classes and links that changed rather than for every live one:
+
+- the advance logs one decrement per group; a class replays its
+  group's log onto its minimum residual, and onto its members, only
+  when they are read;
+- each group of eight or more classes indexes them by minimum
+  residual (a heap whose entries hold classes known to be equal), so
+  the completion scan and the next-completion pick read group heads;
+- links with equal capacity and member count form one **link set**,
+  kept up to date as counts change: twin links hold the same residual
+  in every round, so a round reads one residual per set, and a
+  saturated set freezes its groups from its per-group class counts;
+- a round freezes whole groups and splits a group only where its
+  classes part ways; past a bound on their number, groups frozen in
+  the same round are merged, smaller into larger.
 
 Bit-identity: the reference per-flow implementation is preserved in
 :mod:`repro.sim.network_ref`; the fast path is required (and tested) to
 produce bit-identical simulated timestamps and rates.  Every class-level
 operation is the float operation the reference performs for each
-member, and minima are exact and order-independent.  The ordering rules
-that matter (documented inline) are: cap-freezing happens before
-link-residual updates within a round; residual updates happen before
-saturation checks; and completion callbacks fire in activation order.
+member, minima are exact and order-independent, and an index only ever
+selects candidates: the exact reference test decides each one.  The
+ordering rules that matter (documented inline) are: cap-freezing happens
+before link-residual updates within a round; residual updates happen
+before saturation checks; and completion callbacks fire in activation
+order.
 
 Efficiency notes (guides: avoid per-event quadratic work): flow arrivals
 and completions at the same simulated instant are *batched* — a single
@@ -46,6 +58,7 @@ and two rate computations over ``O(1)`` classes, not ``O(N^2)``.
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Any, Iterable, Optional
 
@@ -58,8 +71,19 @@ __all__ = ["Flow", "Link", "Network"]
 _REL_EPS = 1e-9
 #: Absolute byte tolerance below which a flow counts as complete.
 _BYTE_EPS = 1e-6
+#: Per-log-entry bound (about 9 units in the last place) on how far a
+#: completion-index key, read back against its group's running
+#: decrement total, can drift from the exact replayed residual.
+_KEY_SLACK = 1e-15
+
+#: A group indexes its classes for completion once it has this many;
+#: below it, reading every class costs less than keeping a heap.
+_INDEX_MIN = 8
 
 _INF = math.inf
+
+#: The (never filled) group incidences of an allocation's scratch sets.
+_NO_GROUPS: dict = {}
 
 #: Completion callbacks fire in activation order (see _advance_and_complete).
 _ORDER_KEY = attrgetter("_order")
@@ -74,7 +98,7 @@ class Link:
 
     __slots__ = (
         "name", "_capacity", "_sat", "_network", "_members", "_classes",
-        "_n", "_res",
+        "_groups", "_set", "_sset", "_stamp", "_paths",
     )
 
     def __init__(self, name: str, capacity: float):
@@ -92,10 +116,18 @@ class Link:
         self._members = 0
         #: Installed classes whose path uses this link (an ordered set).
         self._classes: dict[_FlowClass, None] = {}
-        #: Water-filling scratch: unfrozen member count and residual
-        #: capacity, valid only inside :meth:`Network._allocate`.
-        self._n = 0
-        self._res = 0.0
+        #: Rate groups with classes on this link -> ``[classes,
+        #: members]`` of those classes here (members by multiplicity).
+        self._groups: dict[_Group, list] = {}
+        #: The link set of its ``(capacity, members)`` (None while it
+        #: has no members or no capacity).
+        self._set: Optional[_LinkSet] = None
+        #: Water-filling scratch: once an allocation (``_stamp``) has
+        #: changed this link's unfrozen count, the set it moved to.
+        self._sset: Optional[_LinkSet] = None
+        self._stamp = 0
+        #: Interned paths through this link.
+        self._paths: list[_Path] = []
 
     @property
     def capacity(self) -> float:
@@ -113,17 +145,24 @@ class Link:
         if capacity < 0:
             raise ValueError(f"link {self.name!r}: negative capacity {capacity}")
         capacity = float(capacity)
+        changed = capacity != self._capacity
+        self._capacity = capacity
+        self._sat = capacity * _REL_EPS
         network = self._network
         if network is not None:
-            if capacity != self._capacity:
+            if changed:
                 network._epoch += 1
+                network._stale_links[self] = None
+                for path in self._paths:
+                    if path.recheck():
+                        for cls in path.classes.values():
+                            if cls.group is not None:
+                                cls.group.twins += 1 if path.twin else -1
             if capacity <= 0.0:
                 network._zero_links.add(self)
             else:
                 network._zero_links.discard(self)
             network._mark_dirty()
-        self._capacity = capacity
-        self._sat = capacity * _REL_EPS
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name!r} {self._capacity:.3g} B/s>"
@@ -151,6 +190,7 @@ class Flow(SimEvent):
         "cap",
         "_rate",
         "_klass",
+        "_path",
         "_order",
         "tag",
         "started_at",
@@ -162,6 +202,7 @@ class Flow(SimEvent):
         engine: Engine,
         nbytes: float,
         links: tuple,
+        path: "_Path",
         cap: float,
         tag: Any,
     ):
@@ -174,12 +215,12 @@ class Flow(SimEvent):
         self._exc: Optional[BaseException] = None
         self._triggered = False
         self._processed = False
-        self.nbytes = float(nbytes)
-        self._rem = float(nbytes)
+        self.nbytes = self._rem = float(nbytes)
         self.links = links
         self.cap = float(cap)
         self._rate = 0.0
         self._klass: Optional["_FlowClass"] = None
+        self._path = path
         self._order = 0
         self.tag = tag
         self.started_at = engine._now
@@ -211,7 +252,7 @@ class Flow(SimEvent):
     def rate(self) -> float:
         """Current allocated rate (read lazily from the flow's class)."""
         klass = self._klass
-        return klass.rate if klass is not None else self._rate
+        return klass.group.rate if klass is not None else self._rate
 
     @property
     def remaining(self) -> float:
@@ -219,8 +260,9 @@ class Flow(SimEvent):
 
         While the flow is a class member its residual lives in the
         class's ``rems`` list, parallel to its members (the advance
-        defers per-member updates, see :meth:`_FlowClass.materialize`);
-        this accessor is for observability, not the hot path.
+        defers per-member updates to the group's decrement log, see
+        :meth:`_FlowClass.materialize`); this accessor is for
+        observability, not the hot path.
         """
         klass = self._klass
         if klass is None:
@@ -270,67 +312,122 @@ class Flow(SimEvent):
         )
 
 
-class _FlowClass:
-    """Equivalence class of active flows sharing ``(links, cap)``.
 
-    Progressive filling assigns identical rates to all members, so the
-    allocator operates on classes and members read their rate through
-    :attr:`Flow.rate`.  ``link_mults`` maps each distinct link of the
-    path to its multiplicity: a duplicated link counts twice toward
-    that link's member count, exactly as in the reference allocator.
-    """
+class _Path:
+    """An interned link path: each distinct link with its multiplicity
+    (a duplicated link counts twice toward that link's member count,
+    exactly as in the reference allocator), and the path's installed
+    classes by cap.  Built once per distinct path, so a burst of
+    transfers re-uses it."""
 
-    __slots__ = (
-        "key", "cap", "cap_thresh", "link_mults", "members", "rems",
-        "pending", "count", "rate", "minrem", "tol", "decs", "frozen",
-    )
+    __slots__ = ("mults", "classes", "twin")
 
-    def __init__(self, key: tuple):
-        links, cap = key
-        self.key = key
-        self.cap = cap
-        self.cap_thresh = cap * (1.0 - _REL_EPS)
+    def __init__(self, links: tuple):
         mults: dict[Link, int] = {}
         for link in links:
             mults[link] = mults.get(link, 0) + 1
-        self.link_mults = mults
+        self.mults = mults
+        self.classes: dict[float, _FlowClass] = {}
+        #: Whether two of its links have equal capacity (so they may
+        #: share a link set; see ``_Group.twins``).
+        self.twin = False
+        self.recheck()
+        for link in mults:
+            link._paths.append(self)
+
+    def recheck(self) -> bool:
+        """Recompute :attr:`twin`; returns whether it changed."""
+        caps = [link._capacity for link in self.mults]
+        twin = len(set(caps)) < len(caps)
+        changed = twin != self.twin
+        self.twin = twin
+        return changed
+
+
+class _FlowClass:
+    """Equivalence class of active flows sharing ``(path, cap)``.
+
+    Progressive filling assigns identical rates to all members, so the
+    allocator operates on classes and members read their rate through
+    their class's rate group (:attr:`Flow.rate`).
+    """
+
+    __slots__ = (
+        "path", "cap", "cap_thresh", "members", "rems", "pending",
+        "count", "minrem", "tol", "group", "off", "roff", "seq",
+    )
+
+    def __init__(self, path: _Path, cap: float):
+        self.path = path
+        self.cap = cap
+        self.cap_thresh = cap * (1.0 - _REL_EPS)
         self.members: list[Flow] = []
         #: Per-member residual bytes, parallel to ``members`` — current
-        #: only after :meth:`materialize` replays ``decs``.
+        #: only after :meth:`materialize` replays the group's log.
         self.rems: list[float] = []
         #: Arrivals since the last allocation: they hold rate 0 (exactly
         #: like a fresh flow in the reference allocator) until the next
         #: water-filling pass merges them into ``members``.
         self.pending: list[Flow] = []
         self.count = 0
-        self.rate = 0.0
-        #: Minimum member residual (+inf when memberless).
+        #: Minimum member residual (+inf when memberless), current once
+        #: :meth:`sync` has replayed the group's log.
         self.minrem = _INF
         #: ``max(_BYTE_EPS, largest member size * 1e-9)``: a member whose
         #: residual is above it can only complete by the time test.
         self.tol = _BYTE_EPS
-        #: Deferred advance decrements (``rate * dt`` of each checkpoint
-        #: since the last replay; zero ones subtract nothing and are
-        #: never logged).
-        self.decs: list[float] = []
-        #: The allocation stamp of the pass that froze this class.
-        self.frozen = 0
+        #: The rate group (None until the first allocation merges it).
+        self.group: Optional[_Group] = None
+        #: Entries of the group's decrement log already replayed onto
+        #: ``minrem`` (``off``) and onto ``rems`` (``roff``).
+        self.off = 0
+        self.roff = 0
+        #: Sequence number of the live completion-index entry (0: none).
+        self.seq = 0
+
+    @property
+    def rate(self) -> float:
+        group = self.group
+        return group.rate if group is not None else 0.0
+
+    def sync(self) -> None:
+        """Replay the group's new decrements onto ``minrem``.
+
+        Subtraction and the clamp at zero are monotonic, so the
+        minimizing member stays minimal, and this is the arithmetic the
+        members replay, bit for bit.
+        """
+        log = self.group.log
+        off = self.off
+        if off < len(log):
+            m = self.minrem
+            for d in log[off:]:
+                m = m - d
+                if m <= 0.0:
+                    m = 0.0
+            self.minrem = m
+            self.off = len(log)
 
     def materialize(self) -> None:
-        """Replay deferred advance decrements onto member residuals.
+        """Replay the group's new decrements onto member residuals.
 
         Applying decrements member-by-member at every checkpoint would
         be O(members) per rebalance; instead each advance appends one
-        decrement to ``decs`` (the class minimum still advances eagerly)
-        and members replay the sequence — the same clamped subtractions
-        in the same order, so bit-identical — only when their residuals
-        are actually read.  The replay is a pure function of the starting
-        residual, and members that merged together start from the same
-        one, so a run of equal residuals is replayed once.
+        decrement per group and members replay the sequence — the same
+        clamped subtractions in the same order, so bit-identical — only
+        when their residuals are actually read.  The replay is a pure
+        function of the starting residual, and members that merged
+        together start from the same one, so a run of equal residuals
+        is replayed once.
         """
-        decs = self.decs
-        if not decs:
+        group = self.group
+        if group is None:
             return
+        log = group.log
+        if self.roff == len(log):
+            return
+        decs = log[self.roff:]
+        self.roff = len(log)
         rems = self.rems
         last_in = last_out = -1.0
         for i, r in enumerate(rems):
@@ -342,11 +439,73 @@ class _FlowClass:
                         r = 0.0
                 last_out = r
             rems[i] = last_out
-        decs.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        names = ",".join(l.name for l in self.key[0])
+        names = ",".join(l.name for l in self.path.mults)
         return f"<FlowClass [{names}] cap={self.cap:.3g} n={self.count}>"
+
+
+class _Group:
+    """Classes that froze in the same filling round: one shared rate.
+
+    ``log`` holds the advance decrements ``rate * dt`` (positive ones
+    only) since the group was formed, and ``total`` their running float
+    sum.  With ``_INDEX_MIN`` or more classes, the completion index
+    ``heap`` keys each entry by its classes' ``minrem + total`` at
+    entry: every member subtracts the same decrements, so the keys keep
+    the order of the current minima, and ``key - total`` stays within
+    ``_KEY_SLACK`` per log entry of the exact replayed value.  An entry
+    ``(key, seq, classes, minrem, off)`` holds classes known to be
+    equal; a class is live in it while its ``seq`` matches.
+    """
+
+    __slots__ = (
+        "rate", "log", "total", "heap", "tail", "minrem", "stale", "tol",
+        "classes", "caps", "lo", "hi", "multi", "twins", "frozen",
+    )
+
+    def __init__(self, cls: Optional[_FlowClass] = None) -> None:
+        """An empty group, or one holding just ``cls`` (current, and
+        not yet entered on its links: see :meth:`Network._found`)."""
+        self.rate = 0.0
+        self.log: list[float] = []
+        self.total = 0.0
+        self.heap: list[tuple] = []
+        #: The last entry pushed, while it is in ``heap``.
+        self.tail: Optional[tuple] = None
+        self.stale = False
+        #: The allocation stamp of the pass that froze this group.
+        self.frozen = 0
+        if cls is None:
+            #: Minimum of the members' current ``minrem``: exact unless
+            #: ``stale`` (a member left or grew), a lower bound always.
+            self.minrem = _INF
+            #: Upper bound of the members' ``tol``.
+            self.tol = _BYTE_EPS
+            self.classes: dict[_FlowClass, None] = {}
+            #: Cap -> number of member classes with it, and the least
+            #: and greatest of them.
+            self.caps: dict[float, int] = {}
+            self.lo = _INF
+            self.hi = 0.0
+            #: Member classes whose path has more than one distinct
+            #: link, and those with two links of equal capacity (the
+            #: only ones a link set can count twice).
+            self.multi = 0
+            self.twins = 0
+            return
+        cap = cls.cap
+        self.minrem = cls.minrem
+        self.tol = cls.tol
+        self.classes = {cls: None}
+        self.caps = {cap: 1}
+        self.lo = self.hi = cap
+        path = cls.path
+        self.multi = 1 if len(path.mults) > 1 else 0
+        self.twins = 1 if path.twin else 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<RateGroup rate={self.rate:.3g} classes={len(self.classes)}>"
 
 
 def _dispatch_batch(events: list) -> None:
@@ -363,15 +522,48 @@ def _dispatch_batch(events: list) -> None:
             cb(ev)
 
 
+class _LinkSet:
+    """Links with equal capacity and unfrozen member count.
+
+    Such links start every allocation with the same residual and
+    subtract the same ``n * inc`` every round, so a water-filling round
+    reads and updates one residual per set instead of one per link.
+    Between allocations the network keeps one set per ``(capacity,
+    members)`` with ``groups``, the number of class incidences of each
+    rate group on the set's links; an allocation that changes a link's
+    unfrozen count moves the link to a scratch set derived from its old
+    one.
+    """
+
+    __slots__ = (
+        "cap", "n", "sat", "links", "groups", "res", "moved",
+    )
+
+    def __init__(self, cap: float, n: int, sat: float,
+                 groups: Optional[dict] = None):
+        self.cap = cap
+        self.n = n
+        self.sat = sat
+        self.links: dict[Link, None] = {}
+        #: Class incidences per group (kept for the network's sets; a
+        #: scratch set shares the empty ``_NO_GROUPS``).
+        self.groups: dict[_Group, int] = {} if groups is None else groups
+        #: Scratch of the running allocation: the residual, and how many
+        #: links moved out of the set.
+        self.res = cap
+        self.moved = 0
+
+
 class Network:
     """Fluid-flow network: manages active flows and their fair rates."""
 
     def __init__(self, engine: Engine):
         self.engine = engine
-        #: (links, cap) -> installed class (insertion-ordered).
-        self._classes: dict[tuple, _FlowClass] = {}
-        #: Links used by at least one installed class (an ordered set).
-        self._links: dict[Link, None] = {}
+        #: Link tuple -> interned path.
+        self._paths: dict[tuple, _Path] = {}
+        self._nclasses = 0
+        #: Live rate groups (an ordered set).
+        self._groups: dict[_Group, None] = {}
         #: Classes with unmerged arrivals (each listed at most once).
         self._pending_classes: list[_FlowClass] = []
 
@@ -386,11 +578,18 @@ class Network:
 
         self._n_active = 0
         self._order = 0
-        #: Allocation counter (see ``_FlowClass.frozen``).
+        #: Allocation counter (see ``_Group.frozen``, ``Link._stamp``).
         self._stamp = 0
         #: Links currently at zero capacity (their flows freeze at rate
         #: 0); maintained here so the allocator doesn't scan every link.
         self._zero_links: set[Link] = set()
+        #: ``(capacity, members)`` -> link set (see :class:`_LinkSet`).
+        self._lsets: dict[tuple, _LinkSet] = {}
+        #: Sequence counter for completion-index entries.
+        self._seq = 0
+        #: Links whose member count or capacity changed since they were
+        #: placed in their set.
+        self._stale_links: dict[Link, None] = {}
         #: Bumped on any arrival/completion/capacity change; the
         #: allocator is skipped while ``_alloc_epoch`` matches.
         self._epoch = 0
@@ -428,10 +627,13 @@ class Network:
         if cap <= 0:
             raise ValueError(f"flow cap must be positive, got {cap}")
         links = tuple(links)
-        for link in links:
-            if link._network is not self:
-                self._attach_link(link)
-        flow = Flow(self.engine, nbytes, links, cap, tag)
+        path = self._paths.get(links)
+        if path is None:
+            for link in links:
+                if link._network is not self:
+                    self._attach_link(link)
+            path = self._paths[links] = _Path(links)
+        flow = Flow(self.engine, nbytes, links, path, cap, tag)
         if nbytes <= _BYTE_EPS:
             if latency > 0.0:
                 self.engine.schedule(latency, self._finish_now, flow)
@@ -485,10 +687,10 @@ class Network:
     @property
     def class_count(self) -> int:
         """Number of distinct flow classes currently installed."""
-        return len(self._classes)
+        return self._nclasses
 
     # ------------------------------------------------------------------
-    # Class bookkeeping
+    # Class, group and index bookkeeping
     # ------------------------------------------------------------------
     def _attach_link(self, link: Link) -> None:
         if link._network is not None:
@@ -497,25 +699,366 @@ class Network:
         if link._capacity <= 0.0:
             self._zero_links.add(link)
 
-    def _install_class(self, key: tuple) -> _FlowClass:
-        cls = _FlowClass(key)
-        self._classes[key] = cls
-        used = self._links
-        for link in cls.link_mults:
-            classes = link._classes
-            if not classes:
-                used[link] = None
-            classes[cls] = None
+    def _class_of(self, path: _Path, cap: float) -> _FlowClass:
+        """The installed class of ``(path, cap)``, installed if absent."""
+        cls = path.classes.get(cap)
+        if cls is None:
+            cls = path.classes[cap] = _FlowClass(path, cap)
+            for link in path.mults:
+                link._classes[cls] = None
+            self._nclasses += 1
         return cls
 
     def _uninstall_class(self, cls: _FlowClass) -> None:
-        del self._classes[cls.key]
-        used = self._links
-        for link in cls.link_mults:
-            classes = link._classes
-            del classes[cls]
-            if not classes:
-                del used[link]
+        self._leave(cls, False)
+        path = cls.path
+        del path.classes[cls.cap]
+        for link in path.mults:
+            del link._classes[cls]
+        self._nclasses -= 1
+
+    def _join(self, cls: _FlowClass, group: _Group) -> None:
+        """Add ``cls`` (current minimum, no group) to ``group``."""
+        cls.group = group
+        cls.off = cls.roff = len(group.log)
+        classes = group.classes
+        classes[cls] = None
+        count = cls.count
+        path = cls.path
+        mults = path.mults
+        for link, mult in mults.items():
+            tally = link._groups.get(group)
+            if tally is None:
+                link._groups[group] = [1, mult * count]
+            else:
+                tally[0] += 1
+                tally[1] += mult * count
+            lset = link._set
+            if lset is not None:
+                counts = lset.groups
+                counts[group] = counts.get(group, 0) + 1
+        if len(mults) > 1:
+            group.multi += 1
+            if path.twin:
+                group.twins += 1
+        caps = group.caps
+        cap = cls.cap
+        caps[cap] = caps.get(cap, 0) + 1
+        if cap < group.lo:
+            group.lo = cap
+        if cap > group.hi:
+            group.hi = cap
+        if cls.tol > group.tol:
+            group.tol = cls.tol
+        m = cls.minrem
+        if m < group.minrem:
+            group.minrem = m
+        # A small group needs no index (see ``_INDEX_MIN``); the class
+        # that makes it large enough starts the index afresh.
+        n = len(classes)
+        if n == _INDEX_MIN:
+            group.heap = []
+            group.tail = None
+            for other in classes:
+                other.sync()
+                if other.minrem != _INF:
+                    self._push(other)
+        elif n > _INDEX_MIN and m != _INF:
+            self._push(cls)
+
+    def _leave(self, cls: _FlowClass, keep: bool = True) -> None:
+        """Remove ``cls`` from its group, first replaying the group's
+        log onto it if it is ``keep``-ing its members; a group left
+        empty is dropped."""
+        group = cls.group
+        if keep:
+            cls.sync()
+            cls.materialize()
+        cls.seq = 0
+        cls.group = None
+        mults = cls.path.mults
+        if len(group.classes) == 1:
+            for link in mults:
+                del link._groups[group]
+                lset = link._set
+                if lset is not None:
+                    lset.groups.pop(group, None)
+            del self._groups[group]
+            return
+        del group.classes[cls]
+        count = cls.count
+        for link, mult in mults.items():
+            tally = link._groups[group]
+            tally[0] -= 1
+            tally[1] -= mult * count
+            if not tally[0]:
+                del link._groups[group]
+            lset = link._set
+            if lset is not None:
+                left = lset.groups[group] - 1
+                if left:
+                    lset.groups[group] = left
+                else:
+                    del lset.groups[group]
+        if len(mults) > 1:
+            group.multi -= 1
+            if cls.path.twin:
+                group.twins -= 1
+        caps = group.caps
+        cap = cls.cap
+        left = caps[cap] - 1
+        if left:
+            caps[cap] = left
+        else:
+            del caps[cap]
+            if cap == group.lo:
+                group.lo = min(caps)
+            if cap == group.hi:
+                group.hi = max(caps)
+        group.stale = True
+
+    def _found(self, cls: _FlowClass) -> None:
+        """Put the new class ``cls`` (current, no group) in a group of
+        its own."""
+        group = _Group(cls)
+        self._groups[group] = None
+        cls.group = group
+        cls.off = cls.roff = 0
+        count = cls.count
+        for link, mult in cls.path.mults.items():
+            link._groups[group] = [1, mult * count]
+            lset = link._set
+            if lset is not None:
+                lset.groups[group] = lset.groups.get(group, 0) + 1
+
+    def _move(self, cls: _FlowClass, group: _Group) -> None:
+        self._leave(cls)
+        self._join(cls, group)
+
+    def _split(self, group: _Group, take: list, unf: list) -> _Group:
+        """Part the classes ``take`` (a proper, nonempty subset) from
+        unfrozen ``group``, moving whichever side is smaller into a new
+        group; returns the group that holds ``take``.  If the rest
+        moved, its new group is appended to ``unf``."""
+        new = _Group()
+        self._groups[new] = None
+        if 2 * len(take) <= len(group.classes):
+            for cls in take:
+                self._move(cls, new)
+            return new
+        taken = set(take)
+        for cls in [c for c in group.classes if c not in taken]:
+            self._move(cls, new)
+        unf.append(new)
+        return group
+
+    def _push(self, cls: _FlowClass) -> None:
+        """(Re-)enter ``cls``, synced, in its group's completion index.
+
+        A class entered right after one with the same minimum at the
+        same log position joins its entry: the two replay the same
+        decrements from the same value, so they stay equal.
+        """
+        group = cls.group
+        if len(group.classes) < _INDEX_MIN:
+            return
+        tail = group.tail
+        if tail is not None and tail[3] == cls.minrem and tail[4] == cls.off:
+            cls.seq = tail[1]
+            tail[2].append(cls)
+            return
+        self._enter(group, [cls], cls.minrem, cls.off)
+
+    def _enter(self, group: _Group, members: list, m: float,
+               off: int) -> None:
+        """Enter ``members``, whose current minimum is ``m`` as of log
+        position ``off``, as one completion-index entry."""
+        seq = self._seq = self._seq + 1
+        for cls in members:
+            cls.seq = seq
+        entry = (m + group.total, seq, members, m, off)
+        heap = group.heap
+        heappush(heap, entry)
+        group.tail = entry
+        if len(heap) > 2 * len(group.classes) + 8:
+            kept = []
+            for key, seq, members, m, off in heap:
+                live = [c for c in members if c.seq == seq]
+                if live:
+                    kept.append((key, seq, live, m, off))
+            heapify(kept)
+            heap[:] = kept
+            group.tail = None
+
+    def _pop(self, group: _Group, bound: float) -> Optional[tuple]:
+        """Pop the head entry of ``group``'s completion index if its
+        exact minimum may be at most ``bound`` (its key less the drift
+        bound is a lower bound); returns ``(live members, their exact
+        minimum, its log position)`` or None."""
+        heap = group.heap
+        total = group.total
+        slack = (len(group.log) + 2) * _KEY_SLACK
+        while heap:
+            entry = heap[0]
+            seq = entry[1]
+            live = [c for c in entry[2] if c.seq == seq]
+            if not live:
+                heappop(heap)
+                continue
+            key = entry[0]
+            if key - total - slack * (key + total) > bound:
+                return None
+            heappop(heap)
+            if entry is group.tail:
+                group.tail = None
+            head = live[0]
+            head.sync()
+            return live, head.minrem, head.off
+        return None
+
+    def _refresh(self, group: _Group) -> None:
+        """Recompute the exact ``minrem`` of a stale group: pop entries
+        while they may still hold the minimum, replay one class of
+        each exactly, and re-enter them.  A small group reads every
+        class instead."""
+        if len(group.classes) < _INDEX_MIN:
+            best = _INF
+            for cls in group.classes:
+                cls.sync()
+                if cls.minrem < best:
+                    best = cls.minrem
+            group.minrem = best
+            group.stale = False
+            return
+        best = _INF
+        popped = []
+        while True:
+            got = self._pop(group, best)
+            if got is None:
+                break
+            if got[1] < best:
+                best = got[1]
+            popped.append(got)
+        for live, m, off in popped:
+            self._enter(group, live, m, off)
+        group.minrem = best
+        group.stale = False
+
+    def _take_link(self, parts: dict, link: Link, stamp: int) -> None:
+        """Note saturated ``link`` against each unfrozen group on it.
+
+        ``parts`` maps a group to what freezes of it this round: its
+        own ``classes`` when all of them do, else ``[capped, count,
+        sources]``: the capped classes (or None), the class incidences
+        noted so far and their saturated links and sets, which
+        :meth:`_freeze` resolves once the round's freezes are known.
+        """
+        for group, (count, _) in link._groups.items():
+            if group.frozen == stamp:
+                continue
+            part = parts.get(group)
+            if part is group.classes:
+                continue
+            if count == len(group.classes):
+                parts[group] = group.classes
+            elif part is None:
+                parts[group] = [None, count, [link]]
+            else:
+                part[1] += count
+                part[2].append(link)
+
+    def _take_set(self, parts: dict, lset: _LinkSet, stamp: int) -> None:
+        """Note every link of saturated ``lset`` at once from the set's
+        group incidences.  A count equal to a group's size means all of
+        it freezes when no class can be counted twice: the set is one
+        link, or no class of the group has two links of equal capacity
+        (links in one set have equal capacity)."""
+        single = len(lset.links) == 1
+        for group, count in lset.groups.items():
+            if group.frozen == stamp:
+                continue
+            part = parts.get(group)
+            if part is group.classes:
+                continue
+            if count == len(group.classes) and (single or not group.twins):
+                parts[group] = group.classes
+            elif part is None:
+                parts[group] = [None, count, [lset]]
+            else:
+                part[1] += count
+                part[2].append(lset)
+
+    def _freeze(self, parts: dict, rate: float, stamp: int,
+                unf: list) -> list:
+        """Freeze each group's part at ``rate``, splitting a group only
+        where part of it stays unfrozen; returns the frozen groups.
+
+        Without capped classes, a group whose classes all have one-link
+        paths is counted from the noted incidences; any other part is
+        listed, class by class, against its saturated links.
+        """
+        frozen = []
+        for group, part in parts.items():
+            classes = group.classes
+            if part is not classes and len(classes) > 1:
+                capped, n, sources = part
+                if capped is not None or group.multi or n != len(classes):
+                    sat = set()
+                    for src in sources:
+                        if type(src) is _LinkSet:
+                            sat.update(src.links)
+                        else:
+                            sat.add(src)
+                    taken = [
+                        c for c in classes
+                        if (capped is not None and c in capped)
+                        or not sat.isdisjoint(c.path.mults)
+                    ]
+                    if len(taken) != len(classes):
+                        group = self._split(group, taken, unf)
+            group.frozen = stamp
+            group.rate = rate
+            frozen.append(group)
+        return frozen
+
+    def _place(self, link: Link) -> None:
+        """Move ``link`` to the set of its ``(capacity, members)``,
+        carrying its groups' class incidences.  A link alone in its set
+        takes the set along when no set has its new key."""
+        old = link._set
+        n = link._members
+        cap = link._capacity
+        lsets = self._lsets
+        live = n and cap > 0.0
+        if old is not None:
+            if len(old.links) == 1:
+                del lsets[old.cap, old.n]
+                if live and (cap, n) not in lsets:
+                    old.cap = cap
+                    old.n = n
+                    old.sat = link._sat
+                    lsets[cap, n] = old
+                    return
+            else:
+                del old.links[link]
+                counts = old.groups
+                for group, (count, _) in link._groups.items():
+                    left = counts[group] - count
+                    if left:
+                        counts[group] = left
+                    else:
+                        del counts[group]
+        if not live:
+            link._set = None
+            return
+        lset = lsets.get((cap, n))
+        if lset is None:
+            lset = lsets[cap, n] = _LinkSet(cap, n, link._sat)
+        lset.links[link] = None
+        counts = lset.groups
+        for group, (count, _) in link._groups.items():
+            counts[group] = counts.get(group, 0) + count
+        link._set = lset
 
     # ------------------------------------------------------------------
     # Internals
@@ -532,10 +1075,7 @@ class Network:
         order = self._order + 1
         self._order = order
         flow._order = order
-        key = (flow.links, flow.cap)
-        cls = self._classes.get(key)
-        if cls is None:
-            cls = self._install_class(key)
+        cls = self._class_of(flow._path, flow.cap)
         # Fresh arrivals hold rate 0 until the next water-filling pass
         # (the reference allocator behaves the same way): they sit on the
         # class's pending list so the advance/completion scans skip them;
@@ -563,29 +1103,24 @@ class Network:
             self._act_batch = None
         now = self.engine._now
         order = self._order
-        classes = self._classes
         pending_classes = self._pending_classes
         # Run-length class cache: bulk-synchronous batches are long runs
-        # of flows sharing a (links, cap) key (e.g. the ranks of one
+        # of flows sharing a (path, cap) key (e.g. the ranks of one
         # node all writing through its NIC), so remember the last class
-        # and skip the dict probe while the key repeats.  Content
-        # equality, not identity — each rank builds its own path tuple.
-        last_links: object = None
+        # and skip the lookup while the key repeats.
+        last_path: object = None
         last_cap = -1.0
         pending: list = []
         for flow in flows:
             flow.started_at = now
             order += 1
             flow._order = order
-            links = flow.links
+            path = flow._path
             cap = flow.cap
-            if cap != last_cap or links != last_links:
-                last_links = links
+            if cap != last_cap or path is not last_path:
+                last_path = path
                 last_cap = cap
-                key = (links, cap)
-                cls = classes.get(key)
-                if cls is None:
-                    cls = self._install_class(key)
+                cls = self._class_of(path, cap)
                 pending = cls.pending
                 if not pending:
                     pending_classes.append(cls)
@@ -624,9 +1159,9 @@ class Network:
         self._schedule_completion()
 
     def _advance_and_complete(self) -> None:
-        # Advance member residuals to ``now``, then complete drained
-        # flows.  Each class's advance and completion are independent of
-        # every other's, so the arithmetic matches the reference's
+        # Advance residuals to ``now``, then complete drained flows.
+        # Each class's advance and completion are independent of every
+        # other's, so the arithmetic matches the reference's
         # advance-all-then-scan-all sequence bit-for-bit.
         #
         # A flow is complete when its residual is negligible relative to
@@ -636,101 +1171,147 @@ class Network:
         now = self.engine._now
         dt = now - self._last_update
         self._last_update = now
-        classes = self._classes
-        if not classes:
+        groups = self._groups
+        if not groups:
             return
         time_eps = max(1e-12, abs(now) * 1e-12)
-        # Per-class selector: flag every class whose minimum residual
-        # might clear one of the three completion tests.  This is only a
-        # *selector* — the per-member scan below applies the exact
-        # reference tests, and scanning a class where nothing completes
-        # rewrites bit-identical state — so a conservative
-        # overapproximation is safe and lets the time test use a
-        # division-free bound: ``rem / r <= eps`` implies
+        # Per-group selector: flag every group whose minimum residual
+        # might clear one of the three completion tests for one of its
+        # classes.  This is only a *selector* — the per-member scan
+        # below applies the exact reference tests, and scanning a class
+        # where nothing completes rewrites bit-identical state — so a
+        # conservative overapproximation is safe and lets the time test
+        # use a division-free bound: ``rem / r <= eps`` implies
         # ``rem <= r * (eps * 1.0625)`` (two rounding steps fit well
         # inside the 6.25% margin; an inf rate makes the bound inf,
-        # correctly flagging instant-drain classes).  The two size tests
-        # share the class's precomputed ``tol``.  Memberless classes sit
-        # at minrem +inf and are never flagged.
+        # correctly flagging instant-drain classes).  The size tests
+        # use the class's precomputed ``tol`` (the group's bounds it).
         time_thr = time_eps * 1.0625
-        flagged: list[_FlowClass] = []
-        for cls in classes.values():
-            r = cls.rate
-            m = cls.minrem
+        flagged: list[_Group] = []
+        for group in groups:
+            r = group.rate
+            m = group.minrem
             if dt > 0.0:
-                # Log the decrement for the members' lazy replay (see
-                # _FlowClass.materialize) and advance the class minimum
-                # eagerly: subtraction is monotonic, so the minimizing
-                # member stays minimal, and this clamped subtraction is
-                # the same arithmetic the members replay, bit-for-bit.
-                # A zero decrement (rate 0) subtracts exactly nothing.
+                # Log the decrement for the members' lazy replay and
+                # advance the group minimum eagerly: the clamped
+                # subtraction is monotonic, so it stays the minimum
+                # (or a lower bound of it).  A zero decrement (rate 0)
+                # subtracts exactly nothing and is never logged.
                 d = r * dt
                 if d > 0.0:
-                    cls.decs.append(d)
+                    group.log.append(d)
+                    group.total += d
                     m = m - d
                     if m <= 0.0:
                         m = 0.0
-                    cls.minrem = m
-            if m <= cls.tol or m <= r * time_thr:
-                flagged.append(cls)
+                    group.minrem = m
+            if m <= group.tol or m <= r * time_thr:
+                flagged.append(group)
         if not flagged:
             return
         finished: list[Flow] = []
         inf = _INF
-        for cls in flagged:
-            r = cls.rate
-            # Replay the deferred decrements inline while scanning: the
-            # same clamped subtractions in the same order as
-            # :meth:`_FlowClass.materialize` (a run of equal residuals
-            # replayed once), fused into the member loop so the residual
-            # list is rebuilt once instead of twice.
-            decs = cls.decs
-            keep: list[Flow] = []
-            keep_rems: list[float] = []
-            new_min = inf
-            new_max = 0.0
+        stale_links = self._stale_links
+        for group in flagged:
+            r = group.rate
+            thr = r * time_thr
+            tol = group.tol
+            lim = tol if tol > thr else thr
+            # Pop every class whose minimum may pass the class-level
+            # selector (index keys less the drift bound) and apply it
+            # exactly; the rest go back.
+            hits: list[_FlowClass] = []
+            misses = []
+            if len(group.classes) < _INDEX_MIN:
+                best = inf
+                for cls in group.classes:
+                    cls.sync()
+                    m = cls.minrem
+                    if m <= cls.tol or m <= thr:
+                        hits.append(cls)
+                    elif m < best:
+                        best = m
+                if not hits:
+                    group.minrem = best
+                    group.stale = False
+            else:
+                while True:
+                    got = self._pop(group, lim)
+                    if got is None:
+                        break
+                    live, m, off = got
+                    rest = []
+                    for cls in live:
+                        if m <= cls.tol or m <= thr:
+                            hits.append(cls)
+                        else:
+                            rest.append(cls)
+                    if rest:
+                        misses.append((rest, m, off))
+            for rest, m, off in misses:
+                self._enter(group, rest, m, off)
+            if not hits:
+                continue
+            group.stale = True
+            log = group.log
             rpos = r > 0.0
-            last_in = last_out = -1.0
-            for f, rem in zip(cls.members, cls.rems):
-                if rem == last_in:
-                    rem = last_out
-                else:
-                    last_in = rem
-                    for d in decs:
-                        rem = rem - d
-                        if rem <= 0.0:
-                            rem = 0.0
-                    last_out = rem
-                if (
-                    rem <= _BYTE_EPS
-                    or rem <= f.nbytes * 1e-9
-                    or (rpos and rem / r <= time_eps)
-                ):
-                    f._rate = r
-                    f._klass = None
-                    f.finished_at = now
-                    f._rem = 0.0
-                    finished.append(f)
-                else:
-                    keep.append(f)
-                    keep_rems.append(rem)
-                    if rem < new_min:
-                        new_min = rem
-                    if f.nbytes > new_max:
-                        new_max = f.nbytes
-            decs.clear()
-            dropped = cls.count - len(keep)
-            cls.members = keep
-            cls.rems = keep_rems
-            cls.count = len(keep)
-            cls.minrem = new_min
-            tol = new_max * 1e-9
-            cls.tol = tol if tol > _BYTE_EPS else _BYTE_EPS
-            if dropped:
-                for link, mult in cls.link_mults.items():
-                    link._members -= mult * dropped
-                if not keep and not cls.pending:
-                    self._uninstall_class(cls)
+            for cls in hits:
+                # Replay the deferred decrements inline while scanning:
+                # the same clamped subtractions in the same order as
+                # :meth:`_FlowClass.materialize` (a run of equal
+                # residuals replayed once), fused into the member loop
+                # so the residual list is rebuilt once instead of twice.
+                decs = log[cls.roff:]
+                cls.off = cls.roff = len(log)
+                keep: list[Flow] = []
+                keep_rems: list[float] = []
+                new_min = inf
+                new_max = 0.0
+                last_in = last_out = -1.0
+                for f, rem in zip(cls.members, cls.rems):
+                    if rem == last_in:
+                        rem = last_out
+                    else:
+                        last_in = rem
+                        for d in decs:
+                            rem = rem - d
+                            if rem <= 0.0:
+                                rem = 0.0
+                        last_out = rem
+                    if (
+                        rem <= _BYTE_EPS
+                        or rem <= f.nbytes * 1e-9
+                        or (rpos and rem / r <= time_eps)
+                    ):
+                        f._rate = r
+                        f._klass = None
+                        f.finished_at = now
+                        f._rem = 0.0
+                        finished.append(f)
+                    else:
+                        keep.append(f)
+                        keep_rems.append(rem)
+                        if rem < new_min:
+                            new_min = rem
+                        if f.nbytes > new_max:
+                            new_max = f.nbytes
+                dropped = cls.count - len(keep)
+                cls.members = keep
+                cls.rems = keep_rems
+                cls.count = len(keep)
+                cls.minrem = new_min
+                tol = new_max * 1e-9
+                cls.tol = tol if tol > _BYTE_EPS else _BYTE_EPS
+                if dropped:
+                    for link, mult in cls.path.mults.items():
+                        link._members -= mult * dropped
+                        link._groups[group][1] -= mult * dropped
+                        stale_links[link] = None
+                    if not keep and not cls.pending:
+                        self._uninstall_class(cls)
+                        continue
+                if keep:
+                    self._push(cls)
         if not finished:
             return
         self._n_active -= len(finished)
@@ -760,14 +1341,19 @@ class Network:
         self.engine.schedule(0.0, _dispatch_batch, finished)
 
     def _merge_pending(self) -> None:
-        """Fold every class's pending arrivals into its members."""
-        pending_classes = self._pending_classes
-        for cls in pending_classes:
-            rems = cls.rems
-            if cls.decs:
+        """Fold every class's pending arrivals into its members and put
+        each new class in a rate group."""
+        stale_links = self._stale_links
+        # New classes of one cap that found no group: they most likely
+        # freeze together (a burst on private links), so they share one.
+        fresh: dict[float, _Group] = {}
+        for cls in self._pending_classes:
+            group = cls.group
+            if group is not None:
                 # Existing members must not replay decrements from
                 # after the merge as if they predated it — flush the
                 # deferred ones first.
+                cls.sync()
                 cls.materialize()
             pend = cls.pending
             for flow in pend:
@@ -777,10 +1363,8 @@ class Network:
             # two Python floats afterwards is the same comparison
             # chain the per-flow loop produced.
             new_rems = [flow._rem for flow in pend]
-            rems += new_rems
+            cls.rems += new_rems
             lo = min(new_rems)
-            if lo < cls.minrem:
-                cls.minrem = lo
             tol = max(new_rems) * 1e-9
             if tol > cls.tol:
                 cls.tol = tol
@@ -788,9 +1372,39 @@ class Network:
             n_new = len(pend)
             pend.clear()
             cls.count += n_new
-            for link, mult in cls.link_mults.items():
+            for link, mult in cls.path.mults.items():
                 link._members += mult * n_new
-        pending_classes.clear()
+                stale_links[link] = None
+                if group is not None:
+                    link._groups[group][1] += mult * n_new
+            if group is None:
+                # A new class most likely freezes with a group of its
+                # cap already on one of its links; the allocation splits
+                # it off if not.
+                cls.minrem = lo
+                most = 0
+                cap = cls.cap
+                for link in cls.path.mults:
+                    for other, (count, _) in link._groups.items():
+                        if count > most and cap in other.caps:
+                            most = count
+                            group = other
+                if group is None:
+                    group = fresh.get(cap)
+                if group is None:
+                    self._found(cls)
+                    fresh[cap] = cls.group
+                else:
+                    self._join(cls, group)
+                continue
+            if cls.tol > group.tol:
+                group.tol = cls.tol
+            if lo < cls.minrem:
+                cls.minrem = lo
+                if lo < group.minrem:
+                    group.minrem = lo
+                self._push(cls)
+        self._pending_classes.clear()
 
     def _allocate(self) -> None:
         """Max-min fair rates with per-flow caps (progressive filling).
@@ -800,56 +1414,75 @@ class Network:
         capped and saturated classes.  The order of value-changing steps
         (cap freeze, then residual update, then saturation freeze) is
         the reference per-flow allocator's, float for float.
+
+        Rounds run over rate groups and link sets: a round reads and
+        updates one residual per set of twin links, freezes whole
+        groups, and splits a group only where its classes part ways.
         """
         if self._pending_classes:
             self._merge_pending()
-        classes = self._classes
-        if not classes:
+        groups = self._groups
+        if not groups:
             return
+        stale_links = self._stale_links
+        if stale_links:
+            place = self._place
+            for link in stale_links:
+                lset = link._set
+                if (lset is None or lset.n != link._members
+                        or lset.cap != link._capacity):
+                    place(link)
+            stale_links.clear()
         # Every installed class is populated here (a class drained with
         # no arrivals pending was uninstalled, and the merge above
-        # populated the rest), so every used link has members.  A class
-        # is frozen in this pass iff its ``frozen`` equals ``stamp``.
+        # populated the rest), so every set's links have members.  A
+        # group is frozen in this pass iff its ``frozen`` equals
+        # ``stamp``; a link whose unfrozen count this pass changed
+        # carries ``stamp`` and sits in the scratch set ``_sset``.
         stamp = self._stamp = self._stamp + 1
-        for link in self._links:
-            link._n = link._members
-            link._res = link._capacity
-        unf = list(classes.values())
-        act = list(self._links)
+        act = list(self._lsets.values())
+        for lset in act:
+            lset.res = lset.cap
+            lset.moved = 0
+        # Scratch sets of links whose unfrozen count changed, keyed by
+        # (old set, new count, round): links that left one set in one
+        # round hold the same residual, so they stay twins.
+        derived: dict[tuple, _LinkSet] = {}
+        # Groups frozen per round; each round's groups share a rate.
+        rounds_frozen: list[list[_Group]] = []
+        unf = list(groups)
+        rate = 0.0
+        rounds = 0
         # Flows on a zero-capacity link can never move: freeze at rate 0.
         if self._zero_links:
+            parts: dict[_Group, Any] = {}
             for link in self._zero_links:
-                for cls in link._classes:
-                    if cls.frozen != stamp:
-                        cls.frozen = stamp
-                        cls.rate = 0.0
-                        cnt = cls.count
-                        for l, mult in cls.link_mults.items():
-                            l._n -= mult * cnt
-            unf = [cls for cls in unf if cls.frozen != stamp]
-            act = [link for link in act if link._n]
+                self._take_link(parts, link, stamp)
+            frozen = self._freeze(parts, 0.0, stamp, unf)
+            if frozen:
+                rounds_frozen.append(frozen)
+                unf = [g for g in unf if g.frozen != stamp]
+                act = self._leave_counts(act, frozen, stamp, 0, derived)
         # Every unfrozen class has received every increment since 0.0,
-        # so all of them hold one shared ``rate``: a class's rate is
+        # so all of them hold one shared ``rate``: a group's rate is
         # written once, when it freezes.  Subtraction and scaling are
         # monotonic, so the reference's minimum of ``cap - rate`` over
         # unfrozen flows is ``min_cap - rate`` and its cap test holds
         # for some class only if ``rate >= min_cap * (1 - eps)``.
-        rate = 0.0
-        min_cap = min([cls.cap for cls in unf]) if unf else _INF
-        rounds = 0
+        min_cap = min([g.lo for g in unf]) if unf else _INF
         inf = _INF
         while unf:
             rounds += 1
             # The reference takes the minimum of ``residual / n`` over
-            # links with unfrozen members (``act``) and clamps a
-            # negative result to 0 below; clamping the numerator instead
-            # gives the same increment up to the sign of a zero, which
-            # ``+``/``-`` on the non-negative rates and residuals it
-            # meets cannot observe.
+            # links with unfrozen members and clamps a negative result
+            # to 0 below; clamping the numerator instead gives the same
+            # increment up to the sign of a zero, which ``+``/``-`` on
+            # the non-negative rates and residuals it meets cannot
+            # observe.  Twin links share the quotient: one per set.
             inc = min_cap - rate
-            for link in act:
-                res = link._res
-                t = (res if res > 0.0 else 0.0) / link._n
+            for lset in act:
+                res = lset.res
+                t = (res if res > 0.0 else 0.0) / lset.n
                 if t < inc:
                     inc = t
             if inc == inf:
@@ -859,59 +1492,165 @@ class Network:
             if inc < 0.0:
                 inc = 0.0
             rate = rate + inc
+            # The round's freezes are collected per group first, so a
+            # group whose classes all freeze now (by cap or by any
+            # saturated link) freezes whole instead of being split.
+            parts = {}
             # Cap freezing reads rates before the residual update.
-            n_frozen = 0
             if rate >= min_cap * (1.0 - _REL_EPS):
-                for cls in unf:
-                    if rate >= cls.cap_thresh:
-                        cls.frozen = stamp
-                        cls.rate = rate
-                        n_frozen += 1
-            # Links without unfrozen members subtract ``inc * 0`` in the
-            # reference: nothing, so only ``act`` is updated.
-            for link in act:
-                res = link._res - link._n * inc
-                link._res = res
-                if res <= link._sat:
-                    for cls in link._classes:
-                        if cls.frozen != stamp:
-                            cls.frozen = stamp
-                            cls.rate = rate
-                            n_frozen += 1
-            if not n_frozen:
+                for group in unf:
+                    if rate >= group.lo * (1.0 - _REL_EPS):
+                        if rate >= group.hi * (1.0 - _REL_EPS):
+                            parts[group] = group.classes
+                        else:
+                            parts[group] = [{
+                                c: None for c in group.classes
+                                if rate >= c.cap_thresh
+                            }, 0, []]
+            # Residual update (the reference's ``res -= n * inc`` for
+            # each link, once per set of twins), then saturation.
+            # Links without unfrozen members subtract ``inc * 0`` in
+            # the reference: nothing, so they are in no set.
+            for lset in act:
+                res = lset.res = lset.res - lset.n * inc
+                if res <= lset.sat:
+                    if lset.moved:
+                        for link in lset.links:
+                            if link._stamp != stamp:
+                                self._take_link(parts, link, stamp)
+                    elif lset.groups:
+                        self._take_set(parts, lset, stamp)
+                    else:
+                        for link in lset.links:
+                            self._take_link(parts, link, stamp)
+            if not parts:
                 # Numerical stall safeguard; freeze everything.
                 break
-            if n_frozen == len(unf):
-                unf = []
-                break  # final round: nothing left to read the counts
-            # Frozen members leave the per-link unfrozen counts (exact
-            # small integers, so the accumulation order is immaterial).
-            keep = []
-            for cls in unf:
-                if cls.frozen == stamp:
-                    cnt = cls.count
-                    for link, mult in cls.link_mults.items():
-                        link._n -= mult * cnt
+            frozen = []
+            partial = None
+            for group, part in parts.items():
+                if part is group.classes or len(group.classes) == 1:
+                    group.frozen = stamp
+                    group.rate = rate
+                    frozen.append(group)
+                elif partial is None:
+                    partial = {group: part}
                 else:
-                    keep.append(cls)
-            unf = keep
-            act = [link for link in act if link._n]
-            min_cap = min([cls.cap for cls in unf])
-        for cls in unf:
-            cls.rate = rate
+                    partial[group] = part
+            if partial is not None:
+                frozen += self._freeze(partial, rate, stamp, unf)
+            elif len(frozen) == len(unf):
+                # The common last round: every group freezes whole.
+                rounds_frozen.append(unf)
+                unf = []
+                break
+            rounds_frozen.append(frozen)
+            unf = [g for g in unf if g.frozen != stamp]
+            if not unf:
+                break  # final round: nothing left to read the counts
+            act = self._leave_counts(act, frozen, stamp, rounds, derived)
+            min_cap = min([g.lo for g in unf])
+        for group in unf:
+            group.rate = rate
+        if len(unf) > 1:
+            rounds_frozen.append(unf)
+        # Groups frozen together share a rate from now on.  Merging
+        # them (smaller into larger) keeps the group count near the
+        # round count; below that bound a merge would only move
+        # classes that the next changes may part again.
+        if len(groups) > 2 * len(rounds_frozen) + 16:
+            for frozen in rounds_frozen:
+                if len(frozen) > 1:
+                    largest = max(frozen, key=lambda g: len(g.classes))
+                    for group in frozen:
+                        if group is not largest:
+                            for cls in list(group.classes):
+                                self._move(cls, largest)
         self.engine.stats.allocator_rounds += rounds
+
+    def _leave_counts(self, act: list, frozen: list, stamp: int,
+                      rounds: int, derived: dict) -> list:
+        """Take the members of the ``frozen`` groups out of the per-link
+        unfrozen counts; returns the live link sets.
+
+        The counts are exact small integers, so the accumulation order
+        is immaterial.  Small frozen groups are walked class by class;
+        otherwise each set is checked once: a set whose groups all
+        froze loses every member at once, and a mixed set's links are
+        read one by one.  Each link that lost members moves, with its
+        set's residual, to a scratch set for its new count, keyed by
+        (old set, new count, round): links that left one set in one
+        round hold the same residual, so they stay twins.
+        """
+        leaving: dict[Link, int] = {}
+        if sum([len(g.classes) for g in frozen]) <= 2 * len(act):
+            for group in frozen:
+                for cls in group.classes:
+                    count = cls.count
+                    for link, mult in cls.path.mults.items():
+                        leaving[link] = leaving.get(link, 0) + mult * count
+        else:
+            now = set(frozen)
+            for lset in act:
+                groups_on = lset.groups
+                if groups_on and not lset.moved:
+                    hit = 0
+                    for group in groups_on:
+                        if group in now:
+                            hit += 1
+                    if not hit:
+                        continue
+                    if hit == len(groups_on):
+                        lset.moved = len(lset.links)
+                        continue
+                for link in lset.links:
+                    if link._stamp == stamp and link._sset is not lset:
+                        continue  # moved on earlier in this pass
+                    k = 0
+                    for group, tally in link._groups.items():
+                        if group in now:
+                            k += tally[1]
+                    if k:
+                        leaving[link] = k
+        for link, k in leaving.items():
+            if link._stamp == stamp:
+                lset = link._sset
+                del lset.links[link]
+            else:
+                lset = link._set
+                if lset is None:
+                    continue  # a zero-capacity link
+                link._stamp = stamp
+                lset.moved += 1
+            n = lset.n - k
+            if not n:
+                link._sset = None
+                continue
+            key = (lset, n, rounds)
+            new = derived.get(key)
+            if new is None:
+                new = derived[key] = _LinkSet(lset.cap, n, lset.sat,
+                                              _NO_GROUPS)
+                new.res = lset.res
+                act.append(new)
+            new.links[link] = None
+            link._sset = new
+        return [s for s in act if len(s.links) > s.moved]
 
     def _schedule_completion(self) -> None:
         self._completion_token += 1
-        # min(remaining)/rate == min(remaining/rate) for each class's
-        # uniform positive rate, and the class minimum is tracked
-        # incrementally — no member scan.  An inf rate yields 0.0,
-        # exactly as in the reference's per-flow scan.
+        # min(remaining)/rate == min(remaining/rate) for each group's
+        # uniform positive rate, and the group minimum is tracked
+        # incrementally (refreshed from its index when stale) — no
+        # member scan.  An inf rate yields 0.0, exactly as in the
+        # reference's per-flow scan.
         next_dt = _INF
-        for cls in self._classes.values():
-            r = cls.rate
+        for group in self._groups:
+            r = group.rate
             if r > 0.0:
-                t = cls.minrem / r
+                if group.stale:
+                    self._refresh(group)
+                t = group.minrem / r
                 if t < next_dt:
                     next_dt = t
         if next_dt == _INF:

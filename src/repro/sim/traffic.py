@@ -21,6 +21,13 @@ workload shaped like the reproduction's hot paths:
 - :func:`many_links` — flows fanned across a wide link pool with long
   paths, stressing the per-link class sets and the saturated-link
   propagation of the filling loop.
+- :func:`wide_classes` — about a thousand live flow classes at once,
+  each on a private hop into one backend, with sizes and caps spread
+  so completions fall on many instants (the paper-scale class count).
+- :func:`cap_ladder` — overlapping waves whose caps climb a ladder
+  below the shared backend's fair share, so most allocations freeze
+  several cap levels in successive rounds before the backend
+  saturates (multi-round filling).
 
 All builders are deterministic: same arguments → same event trace.
 """
@@ -40,6 +47,8 @@ __all__ = [
     "fig3a_phase",
     "class_churn",
     "many_links",
+    "wide_classes",
+    "cap_ladder",
 ]
 
 
@@ -284,4 +293,74 @@ def many_links(
             nbytes * (1 + f % 4) / 2.0, path, cap=cap,
             latency=(f % 7) * 1e-3, tag=f,
         ))
+    return engine, net, flows
+
+
+def wide_classes(
+    net_mod: Optional[ModuleType] = None,
+    n_classes: int = 1000,
+    levels: int = 40,
+    hop_bw: float = 1e8,
+    backend_bw: float = 2e10,
+    nbytes: float = 1e5,
+) -> tuple[Engine, object, list]:
+    """``n_classes`` live classes, one flow each on a private hop.
+
+    Caps take seven levels under the hop capacity and sizes ``levels``
+    multiples of ``nbytes``, so the backend binds while most flows are
+    live and completions spread over many instants: every rebalance
+    sees hundreds of live classes but only a few change.
+    """
+    net_mod = net_mod or _network
+    engine = Engine()
+    net = net_mod.Network(engine)
+    backend = net_mod.Link("backend", backend_bw)
+    flows = []
+    for c in range(n_classes):
+        hop = net_mod.Link(f"hop{c}", hop_bw)
+        flows.append(net.transfer(
+            nbytes * (1 + c % levels), [hop, backend],
+            cap=hop_bw / (2.0 + c % 7), tag=c,
+        ))
+    return engine, net, flows
+
+
+def cap_ladder(
+    net_mod: Optional[ModuleType] = None,
+    waves: int = 40,
+    flows_per_wave: int = 10,
+    caps: tuple = (2e7, 4e7, 7e7, 1.1e8, 3e8),
+    nhops: int = 8,
+    hop_bw: float = 1e9,
+    backend_bw: float = 2.4e9,
+    nbytes: float = 2e6,
+    gap: float = 0.02,
+) -> tuple[Engine, object, list]:
+    """Overlapping waves of flows with a ladder of caps.
+
+    Each wave's flows take the caps in turn and spread over ``nhops``
+    first hops into one backend.  The lower caps sit under the
+    backend's fair share, so an allocation freezes them one level per
+    round before the backend saturates: most allocations run three or
+    more filling rounds.  Waves arrive every ``gap`` seconds, before
+    the last one drains, so arrivals and completions interleave.
+    """
+    net_mod = net_mod or _network
+    engine = Engine()
+    net = net_mod.Network(engine)
+    hops = [net_mod.Link(f"hop{i}", hop_bw) for i in range(nhops)]
+    backend = net_mod.Link("backend", backend_bw)
+    flows: list = []
+
+    def driver():
+        for w in range(waves):
+            for i in range(flows_per_wave):
+                flows.append(net.transfer(
+                    nbytes * (1 + (w + i) % 3),
+                    [hops[(w + 3 * i) % nhops], backend],
+                    cap=caps[(w + i) % len(caps)], tag=(w, i),
+                ))
+            yield engine.timeout(gap)
+
+    engine.process(driver(), name="ladder")
     return engine, net, flows

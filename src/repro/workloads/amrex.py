@@ -65,6 +65,7 @@ class BoxArray:
         self.max_grid_size = max_grid_size
         self._cells_cache: dict[int, list[int]] = {}
         self._prefix_cache: dict[int, list[int]] = {}
+        self._span_cache: dict[tuple[int, int], dict[int, Optional[Hyperslab]]] = {}
         self._ncells: Optional[int] = None
         self.boxes: list[Box] = []
         nx, ny, nz = self.domain
@@ -123,6 +124,23 @@ class BoxArray:
                 cached[r] = cached[r - 1] + cells[r - 1]
             self._prefix_cache[nranks] = cached
         return cached
+
+    def span(self, rank: int, nranks: int, per_cell: int) -> Optional[Hyperslab]:
+        """``rank``'s contiguous 1-D span of a flattened field with
+        ``per_cell`` values per cell, or None if it owns no cells.
+
+        Built once per ``(rank, nranks, per_cell)`` and shared by every
+        plotfile (a selection is immutable), so a run holds one span
+        per rank and field layout instead of one per write.
+        """
+        spans = self._span_cache.get((nranks, per_cell))
+        if spans is None:
+            spans = self._span_cache[nranks, per_cell] = {}
+        if rank not in spans:
+            count = self.cells_of_rank(rank, nranks) * per_cell
+            spans[rank] = None if not count else _rank_span(
+                self.cells_prefix(nranks)[rank] * per_cell, count)
+        return spans[rank]
 
 
 class MultiFab:
@@ -238,21 +256,19 @@ def write_plotfile(ctx, f: File, step: int, multifabs: Sequence[MultiFab],
     phase = step if phase is None else phase
     for mf in multifabs:
         ba = mf.boxarray
-        my_count = ba.cells_of_rank(ctx.rank, nranks) * mf.ncomp
-        my_start = ba.cells_prefix(nranks)[ctx.rank] * mf.ncomp
+        span = ba.span(ctx.rank, nranks, mf.ncomp)
         dset = group.create_dataset(mf.name, shape=(ba.ncells * mf.ncomp,),
                                     dtype=FLOAT64)
-        if my_count:
-            yield from dset.write(_rank_span(my_start, my_count), phase=phase,
+        if span is not None:
+            yield from dset.write(span, phase=phase,
                                   es=es, from_gpu=from_gpu, pinned=pinned)
     if particles is not None and particles.particles_per_cell > 0:
         ba = particles.boxarray
         per_cell = particles.particles_per_cell * particles.reals_per_particle
-        my_count = ba.cells_of_rank(ctx.rank, nranks) * per_cell
-        my_start = ba.cells_prefix(nranks)[ctx.rank] * per_cell
+        span = ba.span(ctx.rank, nranks, per_cell)
         dset = group.create_dataset(particles.name,
                                     shape=(ba.ncells * per_cell,),
                                     dtype=FLOAT64)
-        if my_count:
-            yield from dset.write(_rank_span(my_start, my_count), phase=phase,
+        if span is not None:
+            yield from dset.write(span, phase=phase,
                                   es=es, from_gpu=from_gpu, pinned=pinned)

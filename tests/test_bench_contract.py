@@ -234,6 +234,10 @@ DOCTORED = {
                    "3 Flow/SimEvent objects left in reference cycles"),
     "sim-gc-ceiling": ("sim", _set("vpic_async_gc_on", gc_on_s=60.0),
                        "vpic_async_gc_on 60 is above"),
+    "sim-point-ceiling": ("sim", _set("vpic_async_point", seconds=60.0),
+                          "vpic_async_point 60 is above"),
+    "sim-fig3a-seconds": ("sim", _set("fig3a_4096", fast_s=60.0),
+                          "fig3a_4096_s 60 is above"),
 }
 
 

@@ -622,6 +622,58 @@ def test_background_write_failure_surfaces_at_wait():
     assert math.isfinite(recs[1].t_complete)
 
 
+def test_event_set_never_waited_holds_only_unfinished_ops():
+    """A set that is never waited on does not keep every finished
+    write: adding ops drops the ones that completed successfully, while
+    every failure stays for the set's error accounting, in insertion
+    order.  The rank's own list of outstanding ops is swept the same
+    way, so neither grows with the number of writes."""
+    eng, cluster, job, lib = make_env()
+    vol = AsyncVOL(init_time=0.0)
+    n = 400
+    original = cluster.pfs_write
+    calls = {"n": 0}
+
+    def flaky_pfs_write(node, target, nbytes, tag=None):
+        calls["n"] += 1
+        if calls["n"] % 97 == 5:
+            raise IOError(f"OST failure {calls['n']}")
+        return original(node, target, nbytes, tag=tag)
+
+    cluster.pfs_write = flaky_pfs_write
+    held = []
+
+    def program(ctx):
+        f = yield from lib.create(ctx, "/never_waited.h5", vol)
+        es = EventSet(ctx.engine)
+        d = f.create_dataset("/d", shape=(64 * 1024,), dtype=FLOAT64)
+        state = vol._rank_state(ctx)
+        for _ in range(n):
+            yield from d.write(es=es, phase=0)
+            held.append((
+                sum(1 for _, ev in es._pending
+                    if ev._processed and ev._exc is None),
+                sum(1 for ev in state.outstanding
+                    if ev._processed and ev._exc is None),
+            ))
+        # Let the worker finish everything; the set is still not waited.
+        yield ctx.engine.timeout(1e3)
+        yield from f.close()
+        return es
+
+    es = job.run(program)[0]
+    assert es.op_counter == n
+    # Finished successful ops never pile up beyond one sweep's batch.
+    assert max(in_set for in_set, _ in held) < 64
+    assert max(in_rank for _, in_rank in held) < 64
+    failures = es.get_err_info()
+    expected = [i - 1 for i in range(1, n + 1) if i % 97 == 5]
+    assert [idx for idx, _ in failures] == expected
+    assert [str(exc) for _, exc in failures] == [
+        f"OST failure {i + 1}" for i in expected]
+    assert es.n_pending == 0
+
+
 def test_write_merging_coalesces_small_drains():
     """merge_writes=True: queued small writes drain as one big storage
     request — fewer per-request costs, same per-op completion records."""

@@ -19,11 +19,13 @@ from repro.sim import Engine, EngineStats
 from repro.sim import network as fastmod
 from repro.sim import network_ref as refmod
 from repro.sim.traffic import (
+    cap_ladder,
     class_churn,
     fig3a_phase,
     identical_flows,
     many_links,
     mixed_classes,
+    wide_classes,
 )
 
 
@@ -75,23 +77,64 @@ def test_random_workload_bit_identical_to_reference(seed):
     assert _random_workload(fastmod, seed) == _random_workload(refmod, seed)
 
 
+def _stats(events, fastpath, rebalances, skipped, rounds):
+    return dict(events=events, fastpath_events=fastpath,
+                rebalances=rebalances, rebalances_skipped=skipped,
+                allocator_rounds=rounds)
+
+
 @pytest.mark.parametrize(
-    "builder,kwargs",
+    "builder,kwargs,stats",
     [
-        (identical_flows, dict(n=200)),
-        (mixed_classes, dict(n_classes=8, flows_per_class=5)),
-        (fig3a_phase, dict(ranks=96, timesteps=2, datasets=3)),
-        (class_churn, dict(waves=20, flows_per_wave=6)),
-        (many_links, dict(nflows=80, nlinks=24, path_len=5)),
+        (identical_flows, dict(n=200), _stats(3, 2, 2, 0, 1)),
+        (mixed_classes, dict(n_classes=8, flows_per_class=5),
+         _stats(9, 5, 5, 0, 10)),
+        (fig3a_phase, dict(ranks=96, timesteps=2, datasets=3),
+         _stats(80, 36, 34, 0, 38)),
+        (class_churn, dict(waves=20, flows_per_wave=6),
+         _stats(282, 142, 140, 0, 420)),
+        (many_links, dict(nflows=80, nlinks=24, path_len=5),
+         _stats(231, 82, 82, 0, 297)),
+        # About a thousand live classes per rebalance.
+        (wide_classes, dict(), _stats(421, 211, 211, 0, 1187)),
+        # Mixed caps: most allocations take three or more rounds.
+        (cap_ladder, dict(waves=16, flows_per_wave=10),
+         _stats(297, 135, 140, 7, 595)),
     ],
+    # The ids predate the stats column: keep them.
+    ids=[f"{name}-kwargs{i}" for i, name in enumerate((
+        "identical_flows", "mixed_classes", "fig3a_phase", "class_churn",
+        "many_links", "wide_classes", "cap_ladder"))],
 )
-def test_traffic_shapes_bit_identical_to_reference(builder, kwargs):
+def test_traffic_shapes_bit_identical_to_reference(builder, kwargs, stats):
+    """Traces equal the reference's, and the engine counters equal the
+    ones recorded before the rate-group allocator: they are part of the
+    fleet artifact, so an optimisation must keep them identical."""
     traces = []
     for mod in (fastmod, refmod):
         engine, net, flows = builder(mod, **kwargs)
         engine.run()
         traces.append([(f.started_at, f.finished_at, f.rate) for f in flows])
+        if mod is fastmod:
+            assert engine.stats.snapshot() == stats
     assert traces[0] == traces[1]
+
+
+def test_cap_ladder_allocations_are_mostly_multi_round():
+    """The mixed-cap shape exercises multi-round filling: three or more
+    rounds in most allocations."""
+    engine, net, flows = cap_ladder(waves=16, flows_per_wave=10)
+    rounds = []
+    allocate = net._allocate
+
+    def counting():
+        before = engine.stats.allocator_rounds
+        allocate()
+        rounds.append(engine.stats.allocator_rounds - before)
+
+    net._allocate = counting
+    engine.run()
+    assert sum(r >= 3 for r in rounds) > 0.8 * len(rounds)
 
 
 def test_drained_network_holds_no_classes():

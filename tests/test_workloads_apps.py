@@ -210,6 +210,32 @@ def test_castro_per_rank_bytes_shrink_with_scale():
     assert mean8 < mean4
 
 
+def test_castro_builds_each_rank_span_once(monkeypatch):
+    """A rank's span of a multifab is built once, not once per plotfile:
+    a run holds at most one selection per rank and field, however many
+    plotfiles it writes."""
+    from dataclasses import replace
+
+    from repro.hdf5 import Hyperslab
+    from repro.workloads import amrex
+
+    built = []
+
+    class CountingSlab(Hyperslab):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(amrex, "Hyperslab", CountingSlab)
+    cfg = replace(SMALL_CASTRO, n_plotfiles=4)
+    nprocs = 4
+    vol = NativeVOL()
+    run_app(castro_program, cfg, vol, nprocs=nprocs)
+    writes = len(vol.log.select(op="write"))
+    assert writes == cfg.n_plotfiles * (cfg.n_multifabs + 1) * nprocs
+    assert 0 < len(built) <= nprocs * (cfg.n_multifabs + 1)
+
+
 # ---------------------------------------------------------------------------
 # SW4 / EQSIM
 # ---------------------------------------------------------------------------
