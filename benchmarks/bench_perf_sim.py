@@ -58,7 +58,10 @@ A ``vpic_async_point`` row times one async VPIC-IO point on Summit
 weak-scaling width in full mode (12,288 ranks on 2,048 nodes) and 1,536
 ranks in smoke mode: the width where the network's per-rebalance
 passes used to dominate.  Its seconds are gated by an absolute
-ceiling.  ``fig3a_4096`` carries a seconds ceiling beside its speedup
+ceiling.  The row also reports, from one more (untimed) run, how many
+allocations ran and how many of them needed class-level rounds
+(``Network.class_passes``: what the first round over link sets and
+rate groups left unsettled).  ``fig3a_4096`` carries a seconds ceiling beside its speedup
 floor, so the absolute time of the shape is gated too.
 
 A ``sweep_scaling`` row runs the same declarative grid through
@@ -329,8 +332,10 @@ def gc_on_row(smoke, repeats):
 
 def vpic_point_row(smoke, repeats):
     """One async VPIC-IO point on Summit, collector off (best of
-    ``repeats``), with the engine counters of the last run."""
+    ``repeats``), with the allocations and class-level passes of one
+    more run."""
     from repro.harness import run_experiment
+    from repro.sim import network
     from repro.platform import summit
     from repro.workloads import VPICConfig, vpic_program
 
@@ -347,11 +352,26 @@ def vpic_point_row(smoke, repeats):
             samples.append(time.perf_counter() - start)
         finally:
             gc.enable()
+    counts = {"allocations": 0, "class_passes": 0}
+    allocate = network.Network._allocate
+
+    def counting(net):
+        before = net.class_passes
+        allocate(net)
+        counts["allocations"] += 1
+        counts["class_passes"] += net.class_passes - before
+
+    network.Network._allocate = counting
+    try:
+        run_experiment(summit(), "vpic-io", vpic_program,
+                       VPICConfig(steps=1), mode="async", nranks=nranks)
+    finally:
+        network.Network._allocate = allocate
     return benchlib.row(
         "vpic_async_point",
         {"nranks": nranks, "mode": "async", "steps": 1, "gc": "off"},
         {"seconds": round(min(samples), 4),
-         "app_time": result.app_time},
+         "app_time": result.app_time, **counts},
         {"seconds": samples},
     )
 
@@ -402,8 +422,11 @@ def run_bench(smoke=False):
               f"ref {v['ref_s']:.3f}s  {v['speedup']:.2f}x  "
               f"identical={v['identical']}")
     point = vpic_point_row(smoke, repeats)
+    v = point["values"]
     print(f"{'vpic_async_point':>16}: {point['params']['nranks']} ranks "
-          f"{point['values']['seconds']:.3f}s with the collector off")
+          f"{v['seconds']:.3f}s with the collector off, "
+          f"{v['class_passes']} of {v['allocations']} allocations "
+          f"ran class-level rounds")
     gc_on = gc_on_row(smoke, repeats)
     v = gc_on["values"]
     print(f"{'vpic_async_gc_on':>16}: {gc_on['params']['nranks']} ranks "

@@ -63,6 +63,7 @@ from repro.faults.errors import (
     WorkerCrashError,
 )
 from repro.hdf5.dataspace import Hyperslab
+from repro.hdf5.eventset import SWEEP_MIN
 from repro.hdf5.vol import VOLConnector
 from repro.trace import IOLog, IOOpRecord
 
@@ -273,7 +274,7 @@ class _RankState:
         #: Completion events of ops a drain has not yet seen finish;
         #: once it reaches ``sweep_at`` events, :meth:`sweep` runs.
         self.outstanding: list[SimEvent] = []
-        self.sweep_at = 64
+        self.sweep_at = SWEEP_MIN
         self.initialized = False
         #: Live background streams; 0 after every worker has crashed.
         self.workers_alive = 0
@@ -282,14 +283,13 @@ class _RankState:
         self.crashed = False
 
     def sweep(self) -> None:
-        """Drop the outstanding events that already finished
-        successfully (a drain skips them anyway), so a rank that never
-        closes its file does not hold every completion event it
-        produced; the next sweep comes when the list has doubled."""
+        """Drop the outstanding events that already triggered (a drain
+        skips them anyway), so a rank that never closes its file does
+        not hold every completion event it produced; the next sweep
+        comes when the list has doubled."""
         outstanding = self.outstanding
-        outstanding[:] = [ev for ev in outstanding
-                          if not ev._processed or ev._exc is not None]
-        self.sweep_at = max(64, 2 * len(outstanding))
+        outstanding[:] = [ev for ev in outstanding if not ev.triggered]
+        self.sweep_at = max(SWEEP_MIN, 2 * len(outstanding))
 
 
 class _WriteDesc:

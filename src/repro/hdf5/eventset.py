@@ -22,6 +22,12 @@ from repro.sim.engine import AllOf, Engine, Interrupted, SimEvent
 
 __all__ = ["EventSet"]
 
+#: Least list length at which finished operations are swept out of an
+#: event set (and of the async connector's per-rank outstanding list);
+#: after a sweep, the next one comes when the list has doubled, so the
+#: sweeps cost O(1) per insertion.
+SWEEP_MIN = 64
+
 
 class EventSet:
     """A set of pending asynchronous operations."""
@@ -32,9 +38,8 @@ class EventSet:
         #: (insertion index, completion event) of ops not yet harvested.
         self._pending: list[tuple[int, SimEvent]] = []
         #: Length of ``_pending`` at which :meth:`add` next drops the
-        #: finished successful ops (twice what a drop left, so the
-        #: sweeps cost O(1) per insertion).
-        self._sweep_at = 64
+        #: finished successful ops (see :data:`SWEEP_MIN`).
+        self._sweep_at = SWEEP_MIN
         #: (insertion index, exception) of every failed op seen so far.
         self._errors: list[tuple[int, BaseException]] = []
         #: Total operations ever inserted (H5ESget_op_counter analogue).
@@ -58,7 +63,7 @@ class EventSet:
         if len(pending) >= self._sweep_at:
             pending[:] = [(idx, ev) for idx, ev in pending
                           if not ev._processed or ev._exc is not None]
-            self._sweep_at = max(64, 2 * len(pending))
+            self._sweep_at = max(SWEEP_MIN, 2 * len(pending))
 
     @property
     def n_pending(self) -> int:

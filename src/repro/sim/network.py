@@ -18,23 +18,28 @@ Fast path (see ``docs/architecture.md``, "Simulator fast path"): active
 flows are grouped into **flow classes** keyed by ``(path, cap)``, where
 each distinct link path is interned once with its link multiplicities.
 All members of a class receive identical rates, so water-filling runs
-over classes.  Classes that froze in the same filling round share one
-rate, so they live in one **rate group**, and a rebalance pays for the
-groups, classes and links that changed rather than for every live one:
+over classes.  A class holds its own rate and decrement log (it is
+*loose*) until at least ``_GROUP_MIN`` classes share its rate; then it
+lives in a **rate group**, and a rebalance pays for the groups and the
+classes and links that changed rather than for every live one:
 
 - the advance logs one decrement per group; a class replays its
   group's log onto its minimum residual, and onto its members, only
   when they are read;
-- each group of eight or more classes indexes them by minimum
-  residual (a heap whose entries hold classes known to be equal), so
-  the completion scan and the next-completion pick read group heads;
-- links with equal capacity and member count form one **link set**,
-  kept up to date as counts change: twin links hold the same residual
-  in every round, so a round reads one residual per set, and a
-  saturated set freezes its groups from its per-group class counts;
-- a round freezes whole groups and splits a group only where its
-  classes part ways; past a bound on their number, groups frozen in
-  the same round are merged, smaller into larger.
+- each group indexes its classes by minimum residual (a heap whose
+  entries hold classes known to be equal), so the completion scan and
+  the next-completion pick read group heads;
+- while groups exist, links with equal capacity and member count form
+  one **link set**, kept up to date as counts change: twin links hold
+  the same residual in the first filling round, so that round reads
+  one residual per set, and freezes a group whole when a saturated
+  set or its caps cover all of it;
+- what the first round does not settle runs class by class, as the
+  reference does flow by flow, and classes whose rates part ways move
+  to the group (or loose state) of their new rate.
+
+Without groups, every allocation runs class by class: at a few dozen
+classes that costs less than keeping sets and groups.
 
 Bit-identity: the reference per-flow implementation is preserved in
 :mod:`repro.sim.network_ref`; the fast path is required (and tested) to
@@ -76,14 +81,17 @@ _BYTE_EPS = 1e-6
 #: decrement total, can drift from the exact replayed residual.
 _KEY_SLACK = 1e-15
 
-#: A group indexes its classes for completion once it has this many;
-#: below it, reading every class costs less than keeping a heap.
-_INDEX_MIN = 8
+#: A rate gets a group once this many loose classes share it; fewer
+#: classes cost less loose than the group's bookkeeping.
+_GROUP_MIN = 128
+
+#: A group's decrement log is replayed onto all its classes and cleared
+#: once it holds this many entries more than twice its class count, so
+#: the log (and the index's drift bound) stays bounded at O(1) amortized
+#: cost per entry.
+_LOG_SLACK = 64
 
 _INF = math.inf
-
-#: The (never filled) group incidences of an allocation's scratch sets.
-_NO_GROUPS: dict = {}
 
 #: Completion callbacks fire in activation order (see _advance_and_complete).
 _ORDER_KEY = attrgetter("_order")
@@ -98,7 +106,7 @@ class Link:
 
     __slots__ = (
         "name", "_capacity", "_sat", "_network", "_members", "_classes",
-        "_groups", "_set", "_sset", "_stamp", "_paths",
+        "_groups", "_set", "_paths", "_n", "_res", "_on", "_stamp",
     )
 
     def __init__(self, name: str, capacity: float):
@@ -116,18 +124,20 @@ class Link:
         self._members = 0
         #: Installed classes whose path uses this link (an ordered set).
         self._classes: dict[_FlowClass, None] = {}
-        #: Rate groups with classes on this link -> ``[classes,
-        #: members]`` of those classes here (members by multiplicity).
-        self._groups: dict[_Group, list] = {}
+        #: Rate groups with classes on this link -> how many.
+        self._groups: dict[_Group, int] = {}
         #: The link set of its ``(capacity, members)`` (None while it
         #: has no members or no capacity).
         self._set: Optional[_LinkSet] = None
-        #: Water-filling scratch: once an allocation (``_stamp``) has
-        #: changed this link's unfrozen count, the set it moved to.
-        self._sset: Optional[_LinkSet] = None
-        self._stamp = 0
         #: Interned paths through this link.
         self._paths: list[_Path] = []
+        #: Class-level rounds scratch, valid only inside
+        #: :meth:`Network._class_rounds` pass ``_stamp``: unfrozen member
+        #: count, residual and unfrozen classes.
+        self._n = 0
+        self._res = 0.0
+        self._on: list = []
+        self._stamp = 0
 
     @property
     def capacity(self) -> float:
@@ -152,7 +162,8 @@ class Link:
         if network is not None:
             if changed:
                 network._epoch += 1
-                network._stale_links[self] = None
+                if network._stale_links is not None:
+                    network._stale_links[self] = None
                 for path in self._paths:
                     if path.recheck():
                         for cls in path.classes.values():
@@ -252,7 +263,7 @@ class Flow(SimEvent):
     def rate(self) -> float:
         """Current allocated rate (read lazily from the flow's class)."""
         klass = self._klass
-        return klass.group.rate if klass is not None else self._rate
+        return klass.rate if klass is not None else self._rate
 
     @property
     def remaining(self) -> float:
@@ -312,7 +323,6 @@ class Flow(SimEvent):
         )
 
 
-
 class _Path:
     """An interned link path: each distinct link with its multiplicity
     (a duplicated link counts twice toward that link's member count,
@@ -349,12 +359,17 @@ class _FlowClass:
 
     Progressive filling assigns identical rates to all members, so the
     allocator operates on classes and members read their rate through
-    their class's rate group (:attr:`Flow.rate`).
+    their class (:attr:`Flow.rate`).  A class is *loose* unless it
+    belongs to a rate group: it holds its own rate ``fr`` and log
+    ``decs``.  An allocation puts a loose class in the rate group of
+    its new rate if there is one, and gives a rate that at least
+    ``_GROUP_MIN`` loose classes share a group of its own.
     """
 
     __slots__ = (
         "path", "cap", "cap_thresh", "members", "rems", "pending",
         "count", "minrem", "tol", "group", "off", "roff", "seq",
+        "decs", "fz", "fr",
     )
 
     def __init__(self, path: _Path, cap: float):
@@ -371,13 +386,21 @@ class _FlowClass:
         self.pending: list[Flow] = []
         self.count = 0
         #: Minimum member residual (+inf when memberless), current once
-        #: :meth:`sync` has replayed the group's log.
+        #: :meth:`sync` has replayed the group's log (always, while
+        #: loose).
         self.minrem = _INF
         #: ``max(_BYTE_EPS, largest member size * 1e-9)``: a member whose
         #: residual is above it can only complete by the time test.
         self.tol = _BYTE_EPS
-        #: The rate group (None until the first allocation merges it).
+        #: The rate group (None while loose).
         self.group: Optional[_Group] = None
+        #: While loose, the advance decrements not yet replayed onto
+        #: ``rems`` (``minrem`` is advanced eagerly).
+        self.decs: list[float] = []
+        #: The rate while loose; inside class-level rounds, the rate it
+        #: froze at in pass ``fz`` (see ``Network.class_passes``).
+        self.fr = 0.0
+        self.fz = 0
         #: Entries of the group's decrement log already replayed onto
         #: ``minrem`` (``off``) and onto ``rems`` (``roff``).
         self.off = 0
@@ -388,7 +411,7 @@ class _FlowClass:
     @property
     def rate(self) -> float:
         group = self.group
-        return group.rate if group is not None else 0.0
+        return group.rate if group is not None else self.fr
 
     def sync(self) -> None:
         """Replay the group's new decrements onto ``minrem``.
@@ -413,21 +436,25 @@ class _FlowClass:
 
         Applying decrements member-by-member at every checkpoint would
         be O(members) per rebalance; instead each advance appends one
-        decrement per group and members replay the sequence — the same
-        clamped subtractions in the same order, so bit-identical — only
-        when their residuals are actually read.  The replay is a pure
+        decrement per group (and per loose class), and members replay
+        the sequence — the same clamped subtractions in the same order,
+        so bit-identical — only when their residuals are actually read.  The replay is a pure
         function of the starting residual, and members that merged
         together start from the same one, so a run of equal residuals
         is replayed once.
         """
         group = self.group
         if group is None:
-            return
-        log = group.log
-        if self.roff == len(log):
-            return
-        decs = log[self.roff:]
-        self.roff = len(log)
+            decs = self.decs
+            if not decs:
+                return
+            self.decs = []
+        else:
+            log = group.log
+            if self.roff == len(log):
+                return
+            decs = log[self.roff:]
+            self.roff = len(log)
         rems = self.rems
         last_in = last_out = -1.0
         for i, r in enumerate(rems):
@@ -446,12 +473,12 @@ class _FlowClass:
 
 
 class _Group:
-    """Classes that froze in the same filling round: one shared rate.
+    """Classes that share one rate.
 
     ``log`` holds the advance decrements ``rate * dt`` (positive ones
     only) since the group was formed, and ``total`` their running float
-    sum.  With ``_INDEX_MIN`` or more classes, the completion index
-    ``heap`` keys each entry by its classes' ``minrem + total`` at
+    sum.  The completion index ``heap`` keys each entry by its classes'
+    ``minrem + total`` at
     entry: every member subtracts the same decrements, so the keys keep
     the order of the current minima, and ``key - total`` stays within
     ``_KEY_SLACK`` per log entry of the exact replayed value.  An entry
@@ -461,48 +488,32 @@ class _Group:
 
     __slots__ = (
         "rate", "log", "total", "heap", "tail", "minrem", "stale", "tol",
-        "classes", "caps", "lo", "hi", "multi", "twins", "frozen",
+        "classes", "caps", "lo", "hi", "twins",
     )
 
-    def __init__(self, cls: Optional[_FlowClass] = None) -> None:
-        """An empty group, or one holding just ``cls`` (current, and
-        not yet entered on its links: see :meth:`Network._found`)."""
-        self.rate = 0.0
+    def __init__(self, rate: float) -> None:
+        self.rate = rate
         self.log: list[float] = []
         self.total = 0.0
+        #: The completion index.
         self.heap: list[tuple] = []
         #: The last entry pushed, while it is in ``heap``.
         self.tail: Optional[tuple] = None
+        #: Minimum of the members' current ``minrem``: exact unless
+        #: ``stale`` (a member left or grew), a lower bound always.
+        self.minrem = _INF
         self.stale = False
-        #: The allocation stamp of the pass that froze this group.
-        self.frozen = 0
-        if cls is None:
-            #: Minimum of the members' current ``minrem``: exact unless
-            #: ``stale`` (a member left or grew), a lower bound always.
-            self.minrem = _INF
-            #: Upper bound of the members' ``tol``.
-            self.tol = _BYTE_EPS
-            self.classes: dict[_FlowClass, None] = {}
-            #: Cap -> number of member classes with it, and the least
-            #: and greatest of them.
-            self.caps: dict[float, int] = {}
-            self.lo = _INF
-            self.hi = 0.0
-            #: Member classes whose path has more than one distinct
-            #: link, and those with two links of equal capacity (the
-            #: only ones a link set can count twice).
-            self.multi = 0
-            self.twins = 0
-            return
-        cap = cls.cap
-        self.minrem = cls.minrem
-        self.tol = cls.tol
-        self.classes = {cls: None}
-        self.caps = {cap: 1}
-        self.lo = self.hi = cap
-        path = cls.path
-        self.multi = 1 if len(path.mults) > 1 else 0
-        self.twins = 1 if path.twin else 0
+        #: Upper bound of the members' ``tol``.
+        self.tol = _BYTE_EPS
+        self.classes: dict[_FlowClass, None] = {}
+        #: Cap -> number of member classes with it, and the least and
+        #: greatest of them.
+        self.caps: dict[float, int] = {}
+        self.lo = _INF
+        self.hi = 0.0
+        #: Member classes with two links of equal capacity (the only
+        #: ones a link set can count twice).
+        self.twins = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RateGroup rate={self.rate:.3g} classes={len(self.classes)}>"
@@ -523,35 +534,23 @@ def _dispatch_batch(events: list) -> None:
 
 
 class _LinkSet:
-    """Links with equal capacity and unfrozen member count.
+    """Links with equal capacity and member count.
 
     Such links start every allocation with the same residual and
-    subtract the same ``n * inc`` every round, so a water-filling round
+    subtract the same ``n * inc`` in its first round, so that round
     reads and updates one residual per set instead of one per link.
-    Between allocations the network keeps one set per ``(capacity,
-    members)`` with ``groups``, the number of class incidences of each
-    rate group on the set's links; an allocation that changes a link's
-    unfrozen count moves the link to a scratch set derived from its old
-    one.
+    The network keeps one set per ``(capacity, members)``.
     """
 
-    __slots__ = (
-        "cap", "n", "sat", "links", "groups", "res", "moved",
-    )
+    __slots__ = ("cap", "n", "sat", "links", "res")
 
-    def __init__(self, cap: float, n: int, sat: float,
-                 groups: Optional[dict] = None):
+    def __init__(self, cap: float, n: int, sat: float):
         self.cap = cap
         self.n = n
         self.sat = sat
         self.links: dict[Link, None] = {}
-        #: Class incidences per group (kept for the network's sets; a
-        #: scratch set shares the empty ``_NO_GROUPS``).
-        self.groups: dict[_Group, int] = {} if groups is None else groups
-        #: Scratch of the running allocation: the residual, and how many
-        #: links moved out of the set.
+        #: The residual after the running allocation's first round.
         self.res = cap
-        self.moved = 0
 
 
 class Network:
@@ -562,6 +561,8 @@ class Network:
         #: Link tuple -> interned path.
         self._paths: dict[tuple, _Path] = {}
         self._nclasses = 0
+        #: Links used by at least one installed class (an ordered set).
+        self._links: dict[Link, None] = {}
         #: Live rate groups (an ordered set).
         self._groups: dict[_Group, None] = {}
         #: Classes with unmerged arrivals (each listed at most once).
@@ -576,10 +577,13 @@ class Network:
         self._act_deadline = 0.0
         self._act_seq = -1
 
+        #: Loose classes (see :class:`_FlowClass`; an ordered set).
+        self._loose: dict[_FlowClass, None] = {}
         self._n_active = 0
         self._order = 0
-        #: Allocation counter (see ``_Group.frozen``, ``Link._stamp``).
-        self._stamp = 0
+        #: Allocations that ran class-level rounds (observability: with
+        #: groups, the first round runs over link sets and groups).
+        self.class_passes = 0
         #: Links currently at zero capacity (their flows freeze at rate
         #: 0); maintained here so the allocator doesn't scan every link.
         self._zero_links: set[Link] = set()
@@ -588,8 +592,9 @@ class Network:
         #: Sequence counter for completion-index entries.
         self._seq = 0
         #: Links whose member count or capacity changed since they were
-        #: placed in their set.
-        self._stale_links: dict[Link, None] = {}
+        #: placed in their set; None while there are no groups, when
+        #: the link sets are not kept.
+        self._stale_links: Optional[dict[Link, None]] = None
         #: Bumped on any arrival/completion/capacity change; the
         #: allocator is skipped while ``_alloc_epoch`` matches.
         self._epoch = 0
@@ -705,17 +710,47 @@ class Network:
         if cls is None:
             cls = path.classes[cap] = _FlowClass(path, cap)
             for link in path.mults:
-                link._classes[cls] = None
+                classes = link._classes
+                if not classes:
+                    self._links[link] = None
+                classes[cls] = None
             self._nclasses += 1
+            self._loose[cls] = None
         return cls
 
-    def _uninstall_class(self, cls: _FlowClass) -> None:
-        self._leave(cls, False)
-        path = cls.path
-        del path.classes[cls.cap]
-        for link in path.mults:
-            del link._classes[cls]
-        self._nclasses -= 1
+    def _uninstall(self, classes: list) -> None:
+        """Uninstall drained ``classes``.  A group they all belonged to
+        is dropped in one go."""
+        loose = self._loose
+        left: dict[_Group, list] = {}
+        for cls in classes:
+            group = cls.group
+            if group is None:
+                del loose[cls]
+            else:
+                part = left.get(group)
+                if part is None:
+                    left[group] = [cls]
+                else:
+                    part.append(cls)
+            path = cls.path
+            del path.classes[cls.cap]
+            for link in path.mults:
+                on = link._classes
+                del on[cls]
+                if not on:
+                    del self._links[link]
+        self._nclasses -= len(classes)
+        for group, part in left.items():
+            if len(part) == len(group.classes):
+                del self._groups[group]
+                for cls in part:
+                    cls.group = None
+                    for link in cls.path.mults:
+                        link._groups.pop(group, None)
+            else:
+                for cls in part:
+                    self._leave(cls, False)
 
     def _join(self, cls: _FlowClass, group: _Group) -> None:
         """Add ``cls`` (current minimum, no group) to ``group``."""
@@ -723,24 +758,12 @@ class Network:
         cls.off = cls.roff = len(group.log)
         classes = group.classes
         classes[cls] = None
-        count = cls.count
         path = cls.path
-        mults = path.mults
-        for link, mult in mults.items():
-            tally = link._groups.get(group)
-            if tally is None:
-                link._groups[group] = [1, mult * count]
-            else:
-                tally[0] += 1
-                tally[1] += mult * count
-            lset = link._set
-            if lset is not None:
-                counts = lset.groups
-                counts[group] = counts.get(group, 0) + 1
-        if len(mults) > 1:
-            group.multi += 1
-            if path.twin:
-                group.twins += 1
+        for link in path.mults:
+            tally = link._groups
+            tally[group] = tally.get(group, 0) + 1
+        if path.twin:
+            group.twins += 1
         caps = group.caps
         cap = cls.cap
         caps[cap] = caps.get(cap, 0) + 1
@@ -753,17 +776,7 @@ class Network:
         m = cls.minrem
         if m < group.minrem:
             group.minrem = m
-        # A small group needs no index (see ``_INDEX_MIN``); the class
-        # that makes it large enough starts the index afresh.
-        n = len(classes)
-        if n == _INDEX_MIN:
-            group.heap = []
-            group.tail = None
-            for other in classes:
-                other.sync()
-                if other.minrem != _INF:
-                    self._push(other)
-        elif n > _INDEX_MIN and m != _INF:
+        if m != _INF:
             self._push(cls)
 
     def _leave(self, cls: _FlowClass, keep: bool = True) -> None:
@@ -780,30 +793,18 @@ class Network:
         if len(group.classes) == 1:
             for link in mults:
                 del link._groups[group]
-                lset = link._set
-                if lset is not None:
-                    lset.groups.pop(group, None)
             del self._groups[group]
             return
         del group.classes[cls]
-        count = cls.count
-        for link, mult in mults.items():
-            tally = link._groups[group]
-            tally[0] -= 1
-            tally[1] -= mult * count
-            if not tally[0]:
-                del link._groups[group]
-            lset = link._set
-            if lset is not None:
-                left = lset.groups[group] - 1
-                if left:
-                    lset.groups[group] = left
-                else:
-                    del lset.groups[group]
-        if len(mults) > 1:
-            group.multi -= 1
-            if cls.path.twin:
-                group.twins -= 1
+        for link in mults:
+            tally = link._groups
+            left = tally[group] - 1
+            if left:
+                tally[group] = left
+            else:
+                del tally[group]
+        if cls.path.twin:
+            group.twins -= 1
         caps = group.caps
         cap = cls.cap
         left = caps[cap] - 1
@@ -817,40 +818,20 @@ class Network:
                 group.hi = max(caps)
         group.stale = True
 
-    def _found(self, cls: _FlowClass) -> None:
-        """Put the new class ``cls`` (current, no group) in a group of
-        its own."""
-        group = _Group(cls)
-        self._groups[group] = None
-        cls.group = group
-        cls.off = cls.roff = 0
-        count = cls.count
-        for link, mult in cls.path.mults.items():
-            link._groups[group] = [1, mult * count]
-            lset = link._set
-            if lset is not None:
-                lset.groups[group] = lset.groups.get(group, 0) + 1
-
-    def _move(self, cls: _FlowClass, group: _Group) -> None:
-        self._leave(cls)
-        self._join(cls, group)
-
-    def _split(self, group: _Group, take: list, unf: list) -> _Group:
-        """Part the classes ``take`` (a proper, nonempty subset) from
-        unfrozen ``group``, moving whichever side is smaller into a new
-        group; returns the group that holds ``take``.  If the rest
-        moved, its new group is appended to ``unf``."""
-        new = _Group()
-        self._groups[new] = None
-        if 2 * len(take) <= len(group.classes):
-            for cls in take:
-                self._move(cls, new)
-            return new
-        taken = set(take)
-        for cls in [c for c in group.classes if c not in taken]:
-            self._move(cls, new)
-        unf.append(new)
-        return group
+    def _compact(self, group: _Group) -> None:
+        """Replay ``group``'s log onto every class and start it afresh,
+        re-keying the completion index against the empty log."""
+        for cls in group.classes:
+            cls.sync()
+            cls.materialize()
+            cls.off = cls.roff = 0
+        group.log = []
+        group.total = 0.0
+        group.heap = []
+        group.tail = None
+        for cls in group.classes:
+            if cls.minrem != _INF:
+                self._push(cls)
 
     def _push(self, cls: _FlowClass) -> None:
         """(Re-)enter ``cls``, synced, in its group's completion index.
@@ -860,8 +841,6 @@ class Network:
         decrements from the same value, so they stay equal.
         """
         group = cls.group
-        if len(group.classes) < _INDEX_MIN:
-            return
         tail = group.tail
         if tail is not None and tail[3] == cls.minrem and tail[4] == cls.off:
             cls.seq = tail[1]
@@ -919,17 +898,7 @@ class Network:
     def _refresh(self, group: _Group) -> None:
         """Recompute the exact ``minrem`` of a stale group: pop entries
         while they may still hold the minimum, replay one class of
-        each exactly, and re-enter them.  A small group reads every
-        class instead."""
-        if len(group.classes) < _INDEX_MIN:
-            best = _INF
-            for cls in group.classes:
-                cls.sync()
-                if cls.minrem < best:
-                    best = cls.minrem
-            group.minrem = best
-            group.stale = False
-            return
+        each exactly, and re-enter them."""
         best = _INF
         popped = []
         while True:
@@ -944,110 +913,26 @@ class Network:
         group.minrem = best
         group.stale = False
 
-    def _take_link(self, parts: dict, link: Link, stamp: int) -> None:
-        """Note saturated ``link`` against each unfrozen group on it.
-
-        ``parts`` maps a group to what freezes of it this round: its
-        own ``classes`` when all of them do, else ``[capped, count,
-        sources]``: the capped classes (or None), the class incidences
-        noted so far and their saturated links and sets, which
-        :meth:`_freeze` resolves once the round's freezes are known.
-        """
-        for group, (count, _) in link._groups.items():
-            if group.frozen == stamp:
-                continue
-            part = parts.get(group)
-            if part is group.classes:
-                continue
-            if count == len(group.classes):
-                parts[group] = group.classes
-            elif part is None:
-                parts[group] = [None, count, [link]]
-            else:
-                part[1] += count
-                part[2].append(link)
-
-    def _take_set(self, parts: dict, lset: _LinkSet, stamp: int) -> None:
-        """Note every link of saturated ``lset`` at once from the set's
-        group incidences.  A count equal to a group's size means all of
-        it freezes when no class can be counted twice: the set is one
-        link, or no class of the group has two links of equal capacity
-        (links in one set have equal capacity)."""
-        single = len(lset.links) == 1
-        for group, count in lset.groups.items():
-            if group.frozen == stamp:
-                continue
-            part = parts.get(group)
-            if part is group.classes:
-                continue
-            if count == len(group.classes) and (single or not group.twins):
-                parts[group] = group.classes
-            elif part is None:
-                parts[group] = [None, count, [lset]]
-            else:
-                part[1] += count
-                part[2].append(lset)
-
-    def _freeze(self, parts: dict, rate: float, stamp: int,
-                unf: list) -> list:
-        """Freeze each group's part at ``rate``, splitting a group only
-        where part of it stays unfrozen; returns the frozen groups.
-
-        Without capped classes, a group whose classes all have one-link
-        paths is counted from the noted incidences; any other part is
-        listed, class by class, against its saturated links.
-        """
-        frozen = []
-        for group, part in parts.items():
-            classes = group.classes
-            if part is not classes and len(classes) > 1:
-                capped, n, sources = part
-                if capped is not None or group.multi or n != len(classes):
-                    sat = set()
-                    for src in sources:
-                        if type(src) is _LinkSet:
-                            sat.update(src.links)
-                        else:
-                            sat.add(src)
-                    taken = [
-                        c for c in classes
-                        if (capped is not None and c in capped)
-                        or not sat.isdisjoint(c.path.mults)
-                    ]
-                    if len(taken) != len(classes):
-                        group = self._split(group, taken, unf)
-            group.frozen = stamp
-            group.rate = rate
-            frozen.append(group)
-        return frozen
-
     def _place(self, link: Link) -> None:
-        """Move ``link`` to the set of its ``(capacity, members)``,
-        carrying its groups' class incidences.  A link alone in its set
-        takes the set along when no set has its new key."""
+        """Move ``link`` to the set of its ``(capacity, members)``.  A
+        link alone in its set takes the set along when no set has its
+        new key."""
         old = link._set
         n = link._members
         cap = link._capacity
         lsets = self._lsets
         live = n and cap > 0.0
         if old is not None:
-            if len(old.links) == 1:
+            del old.links[link]
+            if not old.links:
                 del lsets[old.cap, old.n]
                 if live and (cap, n) not in lsets:
                     old.cap = cap
                     old.n = n
                     old.sat = link._sat
+                    old.links[link] = None
                     lsets[cap, n] = old
                     return
-            else:
-                del old.links[link]
-                counts = old.groups
-                for group, (count, _) in link._groups.items():
-                    left = counts[group] - count
-                    if left:
-                        counts[group] = left
-                    else:
-                        del counts[group]
         if not live:
             link._set = None
             return
@@ -1055,9 +940,6 @@ class Network:
         if lset is None:
             lset = lsets[cap, n] = _LinkSet(cap, n, link._sat)
         lset.links[link] = None
-        counts = lset.groups
-        for group, (count, _) in link._groups.items():
-            counts[group] = counts.get(group, 0) + count
         link._set = lset
 
     # ------------------------------------------------------------------
@@ -1120,7 +1002,9 @@ class Network:
             if cap != last_cap or path is not last_path:
                 last_path = path
                 last_cap = cap
-                cls = self._class_of(path, cap)
+                cls = path.classes.get(cap)
+                if cls is None:
+                    cls = self._class_of(path, cap)
                 pending = cls.pending
                 if not pending:
                     pending_classes.append(cls)
@@ -1172,46 +1056,62 @@ class Network:
         dt = now - self._last_update
         self._last_update = now
         groups = self._groups
-        if not groups:
+        loose = self._loose
+        if not groups and not loose:
             return
         time_eps = max(1e-12, abs(now) * 1e-12)
-        # Per-group selector: flag every group whose minimum residual
+        # Selector: flag every class or group whose minimum residual
         # might clear one of the three completion tests for one of its
         # classes.  This is only a *selector* — the per-member scan
-        # below applies the exact reference tests, and scanning a class
-        # where nothing completes rewrites bit-identical state — so a
-        # conservative overapproximation is safe and lets the time test
-        # use a division-free bound: ``rem / r <= eps`` implies
-        # ``rem <= r * (eps * 1.0625)`` (two rounding steps fit well
-        # inside the 6.25% margin; an inf rate makes the bound inf,
-        # correctly flagging instant-drain classes).  The size tests
-        # use the class's precomputed ``tol`` (the group's bounds it).
+        # below applies the exact reference tests, and
+        # scanning a class where nothing completes rewrites
+        # bit-identical state — so a conservative overapproximation is
+        # safe and lets the time test use a division-free bound:
+        # ``rem / r <= eps`` implies ``rem <= r * (eps * 1.0625)`` (two
+        # rounding steps fit well inside the 6.25% margin; an inf rate
+        # makes the bound inf, correctly flagging instant-drain
+        # classes).  The size tests use the class's precomputed ``tol``
+        # (the group's bounds it).
         time_thr = time_eps * 1.0625
+        # Classes to scan.
+        todo: list[_FlowClass] = []
+        if loose:
+            # A loose class logs the decrement for its members' lazy
+            # replay and advances its minimum eagerly, as a group does
+            # (see :meth:`_FlowClass.materialize`).  A zero decrement
+            # (rate 0) subtracts exactly nothing and is never logged.
+            for cls in loose:
+                r = cls.fr
+                m = cls.minrem
+                if dt > 0.0:
+                    d = r * dt
+                    if d > 0.0:
+                        cls.decs.append(d)
+                        m = m - d
+                        if m <= 0.0:
+                            m = 0.0
+                        cls.minrem = m
+                if m <= cls.tol or m <= r * time_thr:
+                    todo.append(cls)
         flagged: list[_Group] = []
         for group in groups:
             r = group.rate
             m = group.minrem
             if dt > 0.0:
-                # Log the decrement for the members' lazy replay and
-                # advance the group minimum eagerly: the clamped
-                # subtraction is monotonic, so it stays the minimum
-                # (or a lower bound of it).  A zero decrement (rate 0)
-                # subtracts exactly nothing and is never logged.
                 d = r * dt
                 if d > 0.0:
-                    group.log.append(d)
+                    log = group.log
+                    log.append(d)
                     group.total += d
                     m = m - d
                     if m <= 0.0:
                         m = 0.0
                     group.minrem = m
+                    if len(log) > _LOG_SLACK + 2 * len(group.classes):
+                        self._compact(group)
             if m <= group.tol or m <= r * time_thr:
                 flagged.append(group)
-        if not flagged:
-            return
-        finished: list[Flow] = []
         inf = _INF
-        stale_links = self._stale_links
         for group in flagged:
             r = group.rate
             thr = r * time_thr
@@ -1222,96 +1122,97 @@ class Network:
             # exactly; the rest go back.
             hits: list[_FlowClass] = []
             misses = []
-            if len(group.classes) < _INDEX_MIN:
-                best = inf
-                for cls in group.classes:
-                    cls.sync()
-                    m = cls.minrem
+            while True:
+                got = self._pop(group, lim)
+                if got is None:
+                    break
+                live, m, off = got
+                rest = []
+                for cls in live:
                     if m <= cls.tol or m <= thr:
                         hits.append(cls)
-                    elif m < best:
-                        best = m
-                if not hits:
-                    group.minrem = best
-                    group.stale = False
-            else:
-                while True:
-                    got = self._pop(group, lim)
-                    if got is None:
-                        break
-                    live, m, off = got
-                    rest = []
-                    for cls in live:
-                        if m <= cls.tol or m <= thr:
-                            hits.append(cls)
-                        else:
-                            rest.append(cls)
-                    if rest:
-                        misses.append((rest, m, off))
+                    else:
+                        rest.append(cls)
+                if rest:
+                    misses.append((rest, m, off))
             for rest, m, off in misses:
                 self._enter(group, rest, m, off)
-            if not hits:
-                continue
-            group.stale = True
-            log = group.log
-            rpos = r > 0.0
-            for cls in hits:
-                # Replay the deferred decrements inline while scanning:
-                # the same clamped subtractions in the same order as
-                # :meth:`_FlowClass.materialize` (a run of equal
-                # residuals replayed once), fused into the member loop
-                # so the residual list is rebuilt once instead of twice.
+            if hits:
+                group.stale = True
+                todo += hits
+        if not todo:
+            return
+        finished: list[Flow] = []
+        stale_links = self._stale_links
+        gone: list[_FlowClass] = []
+        for cls in todo:
+            # Replay the deferred decrements inline while scanning: the
+            # same clamped subtractions in the same order as
+            # :meth:`_FlowClass.materialize` (a run of equal residuals
+            # replayed once), fused into the member loop so the residual
+            # list is rebuilt once instead of twice.
+            group = cls.group
+            if group is None:
+                r = cls.fr
+                decs = cls.decs
+                cls.decs = []
+            else:
+                r = group.rate
+                log = group.log
                 decs = log[cls.roff:]
                 cls.off = cls.roff = len(log)
-                keep: list[Flow] = []
-                keep_rems: list[float] = []
-                new_min = inf
-                new_max = 0.0
-                last_in = last_out = -1.0
-                for f, rem in zip(cls.members, cls.rems):
-                    if rem == last_in:
-                        rem = last_out
-                    else:
-                        last_in = rem
-                        for d in decs:
-                            rem = rem - d
-                            if rem <= 0.0:
-                                rem = 0.0
-                        last_out = rem
-                    if (
-                        rem <= _BYTE_EPS
-                        or rem <= f.nbytes * 1e-9
-                        or (rpos and rem / r <= time_eps)
-                    ):
-                        f._rate = r
-                        f._klass = None
-                        f.finished_at = now
-                        f._rem = 0.0
-                        finished.append(f)
-                    else:
-                        keep.append(f)
-                        keep_rems.append(rem)
-                        if rem < new_min:
-                            new_min = rem
-                        if f.nbytes > new_max:
-                            new_max = f.nbytes
-                dropped = cls.count - len(keep)
-                cls.members = keep
-                cls.rems = keep_rems
-                cls.count = len(keep)
-                cls.minrem = new_min
-                tol = new_max * 1e-9
-                cls.tol = tol if tol > _BYTE_EPS else _BYTE_EPS
-                if dropped:
-                    for link, mult in cls.path.mults.items():
-                        link._members -= mult * dropped
-                        link._groups[group][1] -= mult * dropped
+            keep: list[Flow] = []
+            keep_rems: list[float] = []
+            new_min = inf
+            new_max = 0.0
+            rpos = r > 0.0
+            last_in = last_out = -1.0
+            for f, rem in zip(cls.members, cls.rems):
+                if rem == last_in:
+                    rem = last_out
+                else:
+                    last_in = rem
+                    for d in decs:
+                        rem = rem - d
+                        if rem <= 0.0:
+                            rem = 0.0
+                    last_out = rem
+                if (
+                    rem <= _BYTE_EPS
+                    or rem <= f.nbytes * 1e-9
+                    or (rpos and rem / r <= time_eps)
+                ):
+                    f._rate = r
+                    f._klass = None
+                    f.finished_at = now
+                    f._rem = 0.0
+                    finished.append(f)
+                else:
+                    keep.append(f)
+                    keep_rems.append(rem)
+                    if rem < new_min:
+                        new_min = rem
+                    if f.nbytes > new_max:
+                        new_max = f.nbytes
+            dropped = cls.count - len(keep)
+            cls.members = keep
+            cls.rems = keep_rems
+            cls.count = len(keep)
+            cls.minrem = new_min
+            tol = new_max * 1e-9
+            cls.tol = tol if tol > _BYTE_EPS else _BYTE_EPS
+            if dropped:
+                for link, mult in cls.path.mults.items():
+                    link._members -= mult * dropped
+                    if stale_links is not None:
                         stale_links[link] = None
-                    if not keep and not cls.pending:
-                        self._uninstall_class(cls)
-                        continue
-                if keep:
-                    self._push(cls)
+                if not keep and not cls.pending:
+                    gone.append(cls)
+                    continue
+            if keep and group is not None:
+                self._push(cls)
+        if gone:
+            self._uninstall(gone)
         if not finished:
             return
         self._n_active -= len(finished)
@@ -1341,19 +1242,17 @@ class Network:
         self.engine.schedule(0.0, _dispatch_batch, finished)
 
     def _merge_pending(self) -> None:
-        """Fold every class's pending arrivals into its members and put
-        each new class in a rate group."""
+        """Fold every class's pending arrivals into its members."""
         stale_links = self._stale_links
-        # New classes of one cap that found no group: they most likely
-        # freeze together (a burst on private links), so they share one.
-        fresh: dict[float, _Group] = {}
         for cls in self._pending_classes:
             group = cls.group
+            # Existing members must not replay decrements from after
+            # the merge as if they predated it — flush the deferred
+            # ones first.
             if group is not None:
-                # Existing members must not replay decrements from
-                # after the merge as if they predated it — flush the
-                # deferred ones first.
                 cls.sync()
+                cls.materialize()
+            elif cls.decs:
                 cls.materialize()
             pend = cls.pending
             for flow in pend:
@@ -1374,36 +1273,16 @@ class Network:
             cls.count += n_new
             for link, mult in cls.path.mults.items():
                 link._members += mult * n_new
-                stale_links[link] = None
-                if group is not None:
-                    link._groups[group][1] += mult * n_new
-            if group is None:
-                # A new class most likely freezes with a group of its
-                # cap already on one of its links; the allocation splits
-                # it off if not.
-                cls.minrem = lo
-                most = 0
-                cap = cls.cap
-                for link in cls.path.mults:
-                    for other, (count, _) in link._groups.items():
-                        if count > most and cap in other.caps:
-                            most = count
-                            group = other
-                if group is None:
-                    group = fresh.get(cap)
-                if group is None:
-                    self._found(cls)
-                    fresh[cap] = cls.group
-                else:
-                    self._join(cls, group)
-                continue
-            if cls.tol > group.tol:
-                group.tol = cls.tol
+                if stale_links is not None:
+                    stale_links[link] = None
             if lo < cls.minrem:
                 cls.minrem = lo
-                if lo < group.minrem:
-                    group.minrem = lo
-                self._push(cls)
+                if group is not None:
+                    if lo < group.minrem:
+                        group.minrem = lo
+                    self._push(cls)
+            if group is not None and cls.tol > group.tol:
+                group.tol = cls.tol
         self._pending_classes.clear()
 
     def _allocate(self) -> None:
@@ -1415,17 +1294,47 @@ class Network:
         (cap freeze, then residual update, then saturation freeze) is
         the reference per-flow allocator's, float for float.
 
-        Rounds run over rate groups and link sets: a round reads and
-        updates one residual per set of twin links, freezes whole
-        groups, and splits a group only where its classes part ways.
+        With groups, the first round runs over link sets and groups,
+        plus the loose classes one by one: it reads one residual per set
+        of twin links and, in the common case that every group freezes
+        whole, is the only round.  Otherwise the classes still
+        unfrozen, and those of groups that froze only in part, go on
+        class by class (:meth:`_class_rounds`), as every class does in
+        an allocation without groups.
         """
         if self._pending_classes:
             self._merge_pending()
         groups = self._groups
-        if not groups:
+        loose = self._loose
+        if not groups or self._zero_links:
+            # Without groups the link sets have nothing to save, and
+            # flows on a zero-capacity link can never move (they freeze
+            # at rate 0 before the first round, so the member counts the
+            # sets hold do not apply): the allocation runs class by
+            # class from the start.  Without groups the sets are
+            # dropped, and rebuilt when a group forms.
+            if not groups and self._stale_links is not None:
+                for lset in self._lsets.values():
+                    for link in lset.links:
+                        link._set = None
+                self._lsets.clear()
+                self._stale_links = None
+            if self._zero_links:
+                frozen = {cls: None for link in self._zero_links
+                          for cls in link._classes}
+                unf = [cls for group in groups for cls in group.classes
+                       if cls not in frozen]
+                unf += [cls for cls in loose if cls not in frozen]
+                self._class_rounds(list(groups), frozen, unf, 0.0, 0, {})
+            elif loose:
+                self._class_rounds([], None, loose, 0.0, 0, {})
             return
         stale_links = self._stale_links
-        if stale_links:
+        if stale_links is None:
+            self._stale_links = {}
+            for link in self._links:
+                self._place(link)
+        elif stale_links:
             place = self._place
             for link in stale_links:
                 lset = link._set
@@ -1433,56 +1342,203 @@ class Network:
                         or lset.cap != link._capacity):
                     place(link)
             stale_links.clear()
-        # Every installed class is populated here (a class drained with
-        # no arrivals pending was uninstalled, and the merge above
-        # populated the rest), so every set's links have members.  A
-        # group is frozen in this pass iff its ``frozen`` equals
-        # ``stamp``; a link whose unfrozen count this pass changed
-        # carries ``stamp`` and sits in the scratch set ``_sset``.
-        stamp = self._stamp = self._stamp + 1
-        act = list(self._lsets.values())
-        for lset in act:
-            lset.res = lset.cap
-            lset.moved = 0
-        # Scratch sets of links whose unfrozen count changed, keyed by
-        # (old set, new count, round): links that left one set in one
-        # round hold the same residual, so they stay twins.
-        derived: dict[tuple, _LinkSet] = {}
-        # Groups frozen per round; each round's groups share a rate.
-        rounds_frozen: list[list[_Group]] = []
-        unf = list(groups)
-        rate = 0.0
-        rounds = 0
-        # Flows on a zero-capacity link can never move: freeze at rate 0.
-        if self._zero_links:
-            parts: dict[_Group, Any] = {}
-            for link in self._zero_links:
-                self._take_link(parts, link, stamp)
-            frozen = self._freeze(parts, 0.0, stamp, unf)
-            if frozen:
-                rounds_frozen.append(frozen)
-                unf = [g for g in unf if g.frozen != stamp]
-                act = self._leave_counts(act, frozen, stamp, 0, derived)
-        # Every unfrozen class has received every increment since 0.0,
-        # so all of them hold one shared ``rate``: a group's rate is
-        # written once, when it freezes.  Subtraction and scaling are
-        # monotonic, so the reference's minimum of ``cap - rate`` over
-        # unfrozen flows is ``min_cap - rate`` and its cap test holds
-        # for some class only if ``rate >= min_cap * (1 - eps)``.
-        min_cap = min([g.lo for g in unf]) if unf else _INF
+        # Round one.  Every class is unfrozen at rate 0, so the cap
+        # headroom is the least cap, each link's residual is its
+        # capacity and its unfrozen count its member count; twin links
+        # share the quotient, one per set.
+        lsets = self._lsets.values()
+        caps = [g.lo for g in groups]
+        caps += [cls.cap for cls in loose]
+        inc = min(caps)
+        for lset in lsets:
+            t = lset.cap / lset.n
+            if t < inc:
+                inc = t
+        if inc == _INF:
+            # No finite constraint: flows are effectively unbounded.
+            self._one_rate(_INF)
+            return
+        rate = 0.0 + inc
+        # Groups that freeze whole (``None``) or in part (``False``).
+        # Cap freezing reads rates before the residual update; a cap
+        # test ``rate >= cap * (1 - eps)`` is monotonic in the cap.
+        part: dict[_Group, Optional[bool]] = {}
+        thr = 1.0 - _REL_EPS
+        for group in groups:
+            if rate >= group.lo * thr:
+                part[group] = None if rate >= group.hi * thr else False
+        for lset in lsets:
+            res = lset.res = lset.cap - lset.n * inc
+            if res <= lset.sat:
+                # Saturated sets are few and small, so their groups
+                # are counted here from the links' tallies.  A count
+                # equal to a group's size means all of it is on the set
+                # when no class can be counted twice: the set is one
+                # link, or no class of the group has two links of equal
+                # capacity (links in one set have equal capacity).
+                links = lset.links
+                if len(links) == 1:
+                    for link in links:
+                        counts = link._groups
+                else:
+                    counts = {}
+                    for link in links:
+                        for group, count in link._groups.items():
+                            counts[group] = counts.get(group, 0) + count
+                single = len(links) == 1
+                for group, count in counts.items():
+                    if part.get(group, False) is not None:
+                        part[group] = (
+                            None if count == len(group.classes)
+                            and (single or not group.twins) else False)
+        # Loose classes and those of groups that froze in part are
+        # tested exactly.
+        unf = []
+        for cls in loose:
+            if rate < cls.cap_thresh:
+                for link in cls.path.mults:
+                    lset = link._set
+                    if lset.res <= lset.sat:
+                        break
+                else:
+                    unf.append(cls)
+        whole = [group for group, how in part.items() if how is None]
+        if (len(whole) == len(groups) and not unf
+                or not part and len(unf) == len(loose)):
+            # Every class froze in this round, or none did (the
+            # numerical stall safeguard: freeze everything).
+            self._one_rate(rate)
+            return
+        frozen = dict.fromkeys(loose)
+        for cls in unf:
+            del frozen[cls]
+        rest = []
+        for group in groups:
+            how = part.get(group, True)
+            if how is None:
+                group.rate = rate
+                continue
+            rest.append(group)
+            if how:
+                unf += group.classes
+                continue
+            for cls in group.classes:
+                if rate >= cls.cap_thresh:
+                    frozen[cls] = None
+                    continue
+                for link in cls.path.mults:
+                    lset = link._set
+                    if lset.res <= lset.sat:
+                        frozen[cls] = None
+                        break
+                else:
+                    unf.append(cls)
+        self._class_rounds(rest, frozen, unf, rate, 1,
+                           {rate: whole[0]} if whole else {})
+
+    def _one_rate(self, rate: float) -> None:
+        """End a one-round allocation that gave every class ``rate``."""
+        self.engine.stats.allocator_rounds += 1
+        groups = self._groups
+        for group in groups:
+            group.rate = rate
+        loose = self._loose
+        if loose:
+            for cls in loose:
+                cls.fr = rate
+            self._regroup({rate: next(iter(groups))}, ())
+
+    def _regroup(self, by_rate: dict, moves) -> None:
+        """Place the loose classes and the ``(rate, classes)`` parts in
+        ``moves`` that leave their groups: each joins the group of its
+        rate in ``by_rate`` if there is one, else is (or stays) loose;
+        at least ``_GROUP_MIN`` loose classes of one rate found a group
+        together."""
+        loose = self._loose
+        for r, part in moves:
+            group = by_rate.get(r)
+            for cls in part:
+                self._leave(cls)
+                if group is None:
+                    loose[cls] = None
+                else:
+                    self._join(cls, group)
+        if not by_rate and len(loose) < _GROUP_MIN:
+            return
+        joins = []
+        shared: dict[float, list] = {}
+        for cls in loose:
+            r = cls.fr
+            group = by_rate.get(r)
+            if group is not None:
+                joins.append((cls, group))
+            elif r in shared:
+                shared[r].append(cls)
+            else:
+                shared[r] = [cls]
+        for r, classes in shared.items():
+            if len(classes) >= _GROUP_MIN:
+                group = _Group(r)
+                self._groups[group] = None
+                joins += [(cls, group) for cls in classes]
+        for cls, group in joins:
+            cls.materialize()
+            del loose[cls]
+            self._join(cls, group)
+
+    def _class_rounds(self, groups: list, frozen: Optional[dict], unf,
+                      rate: float, rounds: int, by_rate: dict) -> None:
+        """Finish an allocation class by class, as the reference does
+        flow by flow: the classes in ``frozen`` froze at ``rate`` and
+        those in ``unf`` are still unfrozen after ``rounds`` rounds;
+        ``groups`` are the groups they belong to (loose classes belong
+        to none) and ``by_rate`` maps the rate of groups frozen whole to
+        one of them.  Then regroup by rate.  ``frozen`` is None when
+        ``unf`` holds every class, before the first round."""
+        stamp = self.class_passes = self.class_passes + 1
+        if frozen is None:
+            # Every member counts on every used link.
+            act = list(self._links)
+            for link in act:
+                link._n = link._members
+                link._res = link._capacity
+                link._on = link._classes
+        else:
+            for cls in frozen:
+                cls.fz = stamp
+                cls.fr = rate
+            # Unfrozen member counts and classes of each link they use;
+            # a link's residual is its set's after round one, else its
+            # capacity.  Counts are exact small integers, so the order
+            # of accumulation is immaterial.
+            act = []
+            for cls in unf:
+                count = cls.count
+                for link, mult in cls.path.mults.items():
+                    if link._stamp != stamp:
+                        link._stamp = stamp
+                        link._on = [cls]
+                        link._n = mult * count
+                        link._res = (link._set.res if rounds
+                                     else link._capacity)
+                        act.append(link)
+                    else:
+                        link._on.append(cls)
+                        link._n += mult * count
+        min_cap = min([cls.cap for cls in unf]) if unf else _INF
         inf = _INF
         while unf:
             rounds += 1
             # The reference takes the minimum of ``residual / n`` over
-            # links with unfrozen members and clamps a negative result
-            # to 0 below; clamping the numerator instead gives the same
-            # increment up to the sign of a zero, which ``+``/``-`` on
-            # the non-negative rates and residuals it meets cannot
-            # observe.  Twin links share the quotient: one per set.
+            # links with unfrozen members (``act``) and clamps a
+            # negative result to 0 below; clamping the numerator instead
+            # gives the same increment up to the sign of a zero, which
+            # ``+``/``-`` on the non-negative rates and residuals it
+            # meets cannot observe.
             inc = min_cap - rate
-            for lset in act:
-                res = lset.res
-                t = (res if res > 0.0 else 0.0) / lset.n
+            for link in act:
+                res = link._res
+                t = (res if res > 0.0 else 0.0) / link._n
                 if t < inc:
                     inc = t
             if inc == inf:
@@ -1492,159 +1548,86 @@ class Network:
             if inc < 0.0:
                 inc = 0.0
             rate = rate + inc
-            # The round's freezes are collected per group first, so a
-            # group whose classes all freeze now (by cap or by any
-            # saturated link) freezes whole instead of being split.
-            parts = {}
             # Cap freezing reads rates before the residual update.
+            n_frozen = 0
             if rate >= min_cap * (1.0 - _REL_EPS):
-                for group in unf:
-                    if rate >= group.lo * (1.0 - _REL_EPS):
-                        if rate >= group.hi * (1.0 - _REL_EPS):
-                            parts[group] = group.classes
-                        else:
-                            parts[group] = [{
-                                c: None for c in group.classes
-                                if rate >= c.cap_thresh
-                            }, 0, []]
-            # Residual update (the reference's ``res -= n * inc`` for
-            # each link, once per set of twins), then saturation.
-            # Links without unfrozen members subtract ``inc * 0`` in
-            # the reference: nothing, so they are in no set.
-            for lset in act:
-                res = lset.res = lset.res - lset.n * inc
-                if res <= lset.sat:
-                    if lset.moved:
-                        for link in lset.links:
-                            if link._stamp != stamp:
-                                self._take_link(parts, link, stamp)
-                    elif lset.groups:
-                        self._take_set(parts, lset, stamp)
-                    else:
-                        for link in lset.links:
-                            self._take_link(parts, link, stamp)
-            if not parts:
+                for cls in unf:
+                    if rate >= cls.cap_thresh:
+                        cls.fz = stamp
+                        cls.fr = rate
+                        n_frozen += 1
+            # Links without unfrozen members subtract ``inc * 0`` in the
+            # reference: nothing, so only ``act`` is updated.
+            for link in act:
+                res = link._res - link._n * inc
+                link._res = res
+                if res <= link._sat:
+                    for cls in link._on:
+                        if cls.fz != stamp:
+                            cls.fz = stamp
+                            cls.fr = rate
+                            n_frozen += 1
+            if not n_frozen:
                 # Numerical stall safeguard; freeze everything.
                 break
-            frozen = []
-            partial = None
-            for group, part in parts.items():
-                if part is group.classes or len(group.classes) == 1:
-                    group.frozen = stamp
-                    group.rate = rate
-                    frozen.append(group)
-                elif partial is None:
-                    partial = {group: part}
-                else:
-                    partial[group] = part
-            if partial is not None:
-                frozen += self._freeze(partial, rate, stamp, unf)
-            elif len(frozen) == len(unf):
-                # The common last round: every group freezes whole.
-                rounds_frozen.append(unf)
+            if n_frozen == len(unf):
                 unf = []
-                break
-            rounds_frozen.append(frozen)
-            unf = [g for g in unf if g.frozen != stamp]
-            if not unf:
                 break  # final round: nothing left to read the counts
-            act = self._leave_counts(act, frozen, stamp, rounds, derived)
-            min_cap = min([g.lo for g in unf])
-        for group in unf:
-            group.rate = rate
-        if len(unf) > 1:
-            rounds_frozen.append(unf)
-        # Groups frozen together share a rate from now on.  Merging
-        # them (smaller into larger) keeps the group count near the
-        # round count; below that bound a merge would only move
-        # classes that the next changes may part again.
-        if len(groups) > 2 * len(rounds_frozen) + 16:
-            for frozen in rounds_frozen:
-                if len(frozen) > 1:
-                    largest = max(frozen, key=lambda g: len(g.classes))
-                    for group in frozen:
-                        if group is not largest:
-                            for cls in list(group.classes):
-                                self._move(cls, largest)
-        self.engine.stats.allocator_rounds += rounds
-
-    def _leave_counts(self, act: list, frozen: list, stamp: int,
-                      rounds: int, derived: dict) -> list:
-        """Take the members of the ``frozen`` groups out of the per-link
-        unfrozen counts; returns the live link sets.
-
-        The counts are exact small integers, so the accumulation order
-        is immaterial.  Small frozen groups are walked class by class;
-        otherwise each set is checked once: a set whose groups all
-        froze loses every member at once, and a mixed set's links are
-        read one by one.  Each link that lost members moves, with its
-        set's residual, to a scratch set for its new count, keyed by
-        (old set, new count, round): links that left one set in one
-        round hold the same residual, so they stay twins.
-        """
-        leaving: dict[Link, int] = {}
-        if sum([len(g.classes) for g in frozen]) <= 2 * len(act):
-            for group in frozen:
-                for cls in group.classes:
+            # Frozen members leave the per-link unfrozen counts.
+            keep = []
+            for cls in unf:
+                if cls.fz == stamp:
                     count = cls.count
                     for link, mult in cls.path.mults.items():
-                        leaving[link] = leaving.get(link, 0) + mult * count
-        else:
-            now = set(frozen)
-            for lset in act:
-                groups_on = lset.groups
-                if groups_on and not lset.moved:
-                    hit = 0
-                    for group in groups_on:
-                        if group in now:
-                            hit += 1
-                    if not hit:
-                        continue
-                    if hit == len(groups_on):
-                        lset.moved = len(lset.links)
-                        continue
-                for link in lset.links:
-                    if link._stamp == stamp and link._sset is not lset:
-                        continue  # moved on earlier in this pass
-                    k = 0
-                    for group, tally in link._groups.items():
-                        if group in now:
-                            k += tally[1]
-                    if k:
-                        leaving[link] = k
-        for link, k in leaving.items():
-            if link._stamp == stamp:
-                lset = link._sset
-                del lset.links[link]
+                        link._n -= mult * count
+                else:
+                    keep.append(cls)
+            unf = keep
+            act = [link for link in act if link._n]
+            min_cap = min([cls.cap for cls in unf])
+        for cls in unf:
+            cls.fr = rate
+        self.engine.stats.allocator_rounds += rounds
+        # Regroup: a group whose classes froze at one rate keeps them;
+        # otherwise its largest part stays and the others move (see
+        # :meth:`_regroup`).
+        moves = []
+        for group in groups:
+            parts: dict[float, list] = {}
+            for cls in group.classes:
+                r = cls.fr
+                part = parts.get(r)
+                if part is None:
+                    parts[r] = [cls]
+                else:
+                    part.append(cls)
+            if len(parts) == 1:
+                stay = r
             else:
-                lset = link._set
-                if lset is None:
-                    continue  # a zero-capacity link
-                link._stamp = stamp
-                lset.moved += 1
-            n = lset.n - k
-            if not n:
-                link._sset = None
-                continue
-            key = (lset, n, rounds)
-            new = derived.get(key)
-            if new is None:
-                new = derived[key] = _LinkSet(lset.cap, n, lset.sat,
-                                              _NO_GROUPS)
-                new.res = lset.res
-                act.append(new)
-            new.links[link] = None
-            link._sset = new
-        return [s for s in act if len(s.links) > s.moved]
+                stay = max(parts, key=lambda r: len(parts[r]))
+                for r, part in parts.items():
+                    if r != stay:
+                        moves.append((r, part))
+            group.rate = stay
+            if stay not in by_rate:
+                by_rate[stay] = group
+        if moves or by_rate or len(self._loose) >= _GROUP_MIN:
+            self._regroup(by_rate, moves)
 
     def _schedule_completion(self) -> None:
         self._completion_token += 1
-        # min(remaining)/rate == min(remaining/rate) for each group's
-        # uniform positive rate, and the group minimum is tracked
-        # incrementally (refreshed from its index when stale) — no
-        # member scan.  An inf rate yields 0.0, exactly as in the
+        # min(remaining)/rate == min(remaining/rate) for the uniform
+        # positive rate of each loose class and group, and the minimum
+        # is tracked incrementally (a group's refreshed from its index
+        # when stale) — no member scan.  An inf rate yields 0.0, exactly as in the
         # reference's per-flow scan.
         next_dt = _INF
+        for cls in self._loose:
+            r = cls.fr
+            if r > 0.0:
+                t = cls.minrem / r
+                if t < next_dt:
+                    next_dt = t
         for group in self._groups:
             r = group.rate
             if r > 0.0:

@@ -272,3 +272,102 @@ def test_engine_stats_reset():
     engine.stats.reset()
     assert engine.stats.events == 0
     assert engine.stats.rebalances == 0
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_workload_with_small_groups_bit_identical(seed, monkeypatch):
+    """With the group threshold at its least, the random workloads run
+    through rate groups, link sets, class-level rounds, regrouping and
+    completion indexes: still bit-identical."""
+    monkeypatch.setattr(fastmod, "_GROUP_MIN", 2)
+    assert _random_workload(fastmod, seed) == _random_workload(refmod, seed)
+
+
+@pytest.mark.parametrize("builder,kwargs", [
+    (mixed_classes, dict(n_classes=8, flows_per_class=5)),
+    (fig3a_phase, dict(ranks=96, timesteps=2, datasets=3)),
+    (many_links, dict(nflows=80, nlinks=24, path_len=5)),
+    (cap_ladder, dict(waves=16, flows_per_wave=10)),
+])
+def test_traffic_shapes_with_small_groups_bit_identical(builder, kwargs,
+                                                        monkeypatch):
+    """The same with the shapes; the engine counters do not depend on
+    how classes are grouped."""
+    engine, net, flows = builder(fastmod, **kwargs)
+    engine.run()
+    stats = engine.stats.snapshot()
+    monkeypatch.setattr(fastmod, "_GROUP_MIN", 2)
+    traces = []
+    groups = []
+    for mod in (fastmod, refmod):
+        engine, net, flows = builder(mod, **kwargs)
+        if mod is fastmod:
+            allocate = net._allocate
+
+            def counting():
+                allocate()
+                groups.append(len(net._groups))
+
+            net._allocate = counting
+        engine.run()
+        traces.append([(f.started_at, f.finished_at, f.rate) for f in flows])
+        if mod is fastmod:
+            assert engine.stats.snapshot() == stats
+    assert traces[0] == traces[1]
+    assert max(groups) > 0
+
+
+def test_wide_classes_form_rate_groups():
+    """A thousand classes at one rate share a rate group."""
+    engine, net, flows = wide_classes(fastmod)
+    most = []
+    allocate = net._allocate
+
+    def counting():
+        allocate()
+        most.append(max((len(g.classes) for g in net._groups), default=0))
+
+    net._allocate = counting
+    engine.run()
+    assert max(most) >= fastmod._GROUP_MIN
+
+
+def test_group_log_stays_bounded(monkeypatch):
+    """A long-lived rate group under a stream of rebalances replays and
+    clears its decrement log instead of growing it without bound."""
+    monkeypatch.setattr(fastmod, "_GROUP_MIN", 2)
+
+    def build(mod):
+        engine = Engine()
+        net = mod.Network(engine)
+        shared = mod.Link("shared", 1e9)
+        hops = [mod.Link(f"hop{i}", 1e9) for i in range(12)]
+        side = mod.Link("side", 1e6)
+        flows = [net.transfer(5e7, [shared, hop], cap=1e6, tag=i)
+                 for i, hop in enumerate(hops)]
+
+        def stream():
+            for i in range(400):
+                flows.append(net.transfer(1e3 * (1 + i % 7), [side],
+                                          tag=("s", i)))
+                yield engine.timeout(0.01)
+
+        engine.process(stream())
+        return engine, net, flows
+
+    engine, net, flows = build(fastmod)
+    longest = []
+    advance = net._advance_and_complete
+
+    def sampling():
+        advance()
+        longest.append(max((len(g.log) for g in net._groups), default=0))
+
+    net._advance_and_complete = sampling
+    engine.run()
+    assert max(longest) <= fastmod._LOG_SLACK + 2 * 12 + 1
+    assert sum(n > 0 for n in longest) > 400
+    ref_engine, _, ref_flows = build(refmod)
+    ref_engine.run()
+    assert ([(f.started_at, f.finished_at, f.rate) for f in flows]
+            == [(f.started_at, f.finished_at, f.rate) for f in ref_flows])
