@@ -1,9 +1,11 @@
 """The paper's figure claims, one gated artifact.
 
 Regenerates every evaluation figure of §V, the §III-B1 micro-benchmarks,
-the §V-C model-accuracy table, the ablations, the co-tenant extension
-and the fault/scheduler extension tables, and writes each as one row of
-``BENCH_claims.json`` (``repro-bench/v1``, see ``benchlib.py``)::
+the §V-C model-accuracy table, the ablations, the co-tenant extension,
+the fault/scheduler extension tables (checkpoint recovery, scheduling
+policy, scheduling under node crashes) and the staging-cache prefetch
+comparison, and writes each as one row of ``BENCH_claims.json``
+(``repro-bench/v1``, see ``benchlib.py``)::
 
     {"name": "fig3a", "params": {"title": ..., "profile": "quick"},
      "values": {"columns": [...], "rows": [[...], ...], "meta": {...},
@@ -13,6 +15,10 @@ and the fault/scheduler extension tables, and writes each as one row of
 gated by nothing.  Every shape the paper (or the ablation) claims is a
 ``true`` gate on the row it judges; :func:`gates` reads only the
 artifact, so a committed file can be re-gated without re-running it.
+The rows in :data:`REPLAYED` run twice and record whether the rerun
+reproduced every result field for field (``replay_identical``); the
+``cache-prefetch`` row's stall reduction is a floor from
+``perf_budget.json``.
 
 The figures' scale profile comes from ``REPRO_PROFILE`` alone (default
 ``quick``, see :mod:`repro.harness.figures`)::
@@ -30,12 +36,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import time
 
 import benchlib
 from repro.analysis import fit_sweep_points
+from repro.faults import chaos_config
 from repro.harness import best_by_config, figures, run_experiment, scale_sweep
 from repro.harness.report import FigureData
+from repro.harness.sched import run_fleet, sched_testbed
 from repro.hdf5 import (
     FLOAT32,
     FLOAT64,
@@ -59,8 +68,17 @@ from repro.model import (
 from repro.mpi import MPIJob
 from repro.platform import Cluster, cori_haswell, summit
 from repro.platform import testbed as make_testbed
+from repro.sched import StreamConfig
 from repro.sim import Engine
-from repro.workloads import CastroConfig, VPICConfig, castro_program, vpic_program
+from repro.workloads import (
+    BDCATSConfig,
+    CastroConfig,
+    VPICConfig,
+    bdcats_program,
+    castro_program,
+    prepopulate_vpic_file,
+    vpic_program,
+)
 
 BENCH = "claims"
 
@@ -71,22 +89,17 @@ Mi = 1 << 20
 # ----------------------------------------------------------------------
 # §V-C model accuracy
 # ----------------------------------------------------------------------
-MODEL_SCALES = [96, 192, 384, 768, 1536]
-
-
-def model_accuracy() -> FigureData:
-    """Eq. 4 fits on the VPIC-IO Summit sweep: r², in-sample error, and
-    the error of a fit on 96–768 ranks predicting 1536.
+def model_accuracy(fig3a: FigureData) -> FigureData:
+    """Eq. 4 fits on fig3a's own VPIC-IO Summit sweep: r², in-sample
+    error, and the error of a fit without the largest scale predicting
+    it.
 
     The meta carries the Eq. 2a/2b epoch costs at the largest scale
     from the full-sweep fits, so the epoch ordering can be re-gated.
     """
-    cfg = VPICConfig(steps=3)
-    points = best_by_config(scale_sweep(
-        summit(), "vpic-io", vpic_program, lambda n: cfg,
-        scales=MODEL_SCALES, reps=2,
-    ))
-    target = MODEL_SCALES[-1]
+    points = fig3a.results
+    scales = fig3a.column("ranks")
+    target = scales[-1]
     fig = FigureData(
         "model-acc", "Eq. 4 fit accuracy on the VPIC-IO sweep (Summit)",
         columns=["mode", "transform", "r2", "max rel err %",
@@ -95,7 +108,7 @@ def model_accuracy() -> FigureData:
     fits = {}
     for mode in ("sync", "async"):
         fit = fits[mode] = fit_sweep_points(points, mode)
-        held_out = fit_sweep_points(points, mode, max_ranks=MODEL_SCALES[-2])
+        held_out = fit_sweep_points(points, mode, max_ranks=scales[-2])
         observed = {p.nranks: p.peak_bandwidth for p in points
                     if p.mode == mode}
         rel_errs = [abs(fit.estimates[n] - observed[n]) / observed[n]
@@ -104,9 +117,11 @@ def model_accuracy() -> FigureData:
                        / observed[target])
         fig.add_row(mode, fit.transform, fit.r2, 100 * max(rel_errs),
                     100 * predict_err)
-    phase_bytes = cfg.bytes_per_rank_per_step() * target
-    fig.meta["fit ranks"] = f"{MODEL_SCALES[0]}-{MODEL_SCALES[-2]}"
-    fig.meta["t_comp s"] = cfg.compute_seconds
+    top = next(p for p in points if p.mode == "sync" and p.nranks == target)
+    phase_bytes = top.total_bytes / top.n_phases
+    fig.meta["fit ranks"] = f"{scales[0]}-{scales[-2]}"
+    # fig3a runs VPIC-IO's default compute phase.
+    fig.meta["t_comp s"] = VPICConfig().compute_seconds
     fig.meta["t_io s"] = phase_bytes / fits["sync"].estimates[target]
     fig.meta["t_transact s"] = phase_bytes / fits["async"].estimates[target]
     return fig
@@ -468,7 +483,93 @@ def cotenant() -> FigureData:
     return fig
 
 
-#: Every row, in artifact order: the figure functions take the profile.
+# ----------------------------------------------------------------------
+# Scheduling under node crashes, and deadline prefetch
+# ----------------------------------------------------------------------
+CHAOS_RATE = 10.0  # expected node crashes per node per 1000 sim-seconds
+CHAOS_FAULT_SEED = 3
+CHAOS_SEEDS = (0, 1, 2)
+
+
+def _chaos_fleet(seed, checkpoint_restart=True, **stream):
+    """One FIFO fleet under ``seed``'s crash schedule (decorrelated
+    across stream seeds)."""
+    return run_fleet(
+        sched_testbed(), StreamConfig(seed=seed, **stream), "fifo",
+        fault_config=chaos_config(CHAOS_RATE,
+                                  seed=CHAOS_FAULT_SEED + 7919 * seed),
+        checkpoint_restart=checkpoint_restart)
+
+
+def sched_chaos() -> FigureData:
+    """Fleets under rate-based node crashes: restarting crash victims
+    from durable checkpoints beats restarting them from scratch, and
+    async checkpointing loses less work than sync.
+
+    Two fleet shapes, chosen so crashes reliably hit running jobs:
+    compute-heavy streams (long phases, a big crash cross-section) for
+    the checkpoint-vs-scratch comparison, and I/O-heavy streams whose
+    checkpoint writes cost seconds, so sync durability (blocks until
+    landed) trails async (lands during the next compute phase) at kill
+    time, for the sync-vs-async one.
+    """
+    fig = FigureData(
+        "sched-chaos",
+        f"FIFO fleets on {sched_testbed().name} under {CHAOS_RATE:g} node "
+        f"crashes per node per 1000 s",
+        columns=["section", "variant", "seed", "done", "node kills",
+                 "requeues", "lost work s", "jobs/h", "fault signature"],
+    )
+    fleets = [("checkpoint", variant, seed, _chaos_fleet(
+        seed, variant == "checkpoint", n_jobs=12, mean_interarrival=5.0,
+        compute_scale=6.0))
+        for seed in CHAOS_SEEDS for variant in ("checkpoint", "scratch")]
+    fleets += [("ckpt-mode", mode, seed, _chaos_fleet(
+        seed, n_jobs=10, mean_interarrival=6.0, compute_scale=4.0,
+        size_scale=12.0, mode_mix=((mode, 1.0),)))
+        for seed in CHAOS_SEEDS for mode in ("sync", "async")]
+    for section, variant, seed, m in fleets:
+        fig.add_row(section, variant, seed, m.completed, m.node_kills,
+                    m.requeues, m.lost_work_seconds, m.goodput_jobs_per_hour,
+                    m.fault_signature)
+        fig.results.append(m)
+    return fig
+
+
+PREFETCH_RANKS = 16
+
+
+def cache_prefetch() -> FigureData:
+    """Deadline prefetch cuts the BD-CATS-IO read stall at equal bytes
+    read.  The async VOL's own heuristic prefetcher is off on both
+    sides, so the deadline planner is the only read-ahead in play."""
+    cfg = BDCATSConfig(particles_per_rank=Mi, n_properties=8, steps=3,
+                       compute_seconds=30.0)
+    machine = make_testbed(nodes=PREFETCH_RANKS // 4, ranks_per_node=4)
+    fig = FigureData(
+        "cache-prefetch",
+        f"BD-CATS-IO async read on a {PREFETCH_RANKS}-rank testbed: "
+        f"staging cache off vs deadline prefetch on",
+        columns=["cache", "app time s", "read stall s", "bytes read"],
+    )
+    for cache_mode in ("off", "on"):
+        res = run_experiment(
+            machine, "bdcats", bdcats_program, cfg, mode="async",
+            nranks=PREFETCH_RANKS, op="read",
+            prepopulate=lambda lib, n: prepopulate_vpic_file(lib, cfg, n),
+            vol_kwargs={"prefetcher": None}, cache_mode=cache_mode,
+        )
+        fig.add_row(cache_mode, res.app_time, res.read_stall_seconds,
+                    res.total_bytes)
+    off, on = fig.column("read stall s")
+    fig.meta["stall reduction"] = 1.0 - on / off
+    fig.meta["cache hits"] = res.cache_stats["hits"]
+    fig.meta["on-time ratio"] = res.cache_stats["on_time_ratio"]
+    return fig
+
+
+#: Every row, in artifact order: the figure functions take the profile,
+#: model-acc fits fig3a's sweep, and the extensions take nothing.
 FIGURES = [
     figures.fig3a, figures.fig3b, figures.fig3c, figures.fig3d,
     figures.fig4a, figures.fig4b, figures.fig4c, figures.fig4d,
@@ -477,27 +578,50 @@ FIGURES = [
     figures.microbench_memcpy, figures.microbench_gpu,
 ]
 EXTENSIONS = [
-    model_accuracy, ablation_advisor, ablation_chunking, ablation_collective,
+    ablation_advisor, ablation_chunking, ablation_collective,
     ablation_efficiency, ablation_merging, ablation_short_jobs,
-    ablation_staging, ablation_striping, cotenant,
+    ablation_staging, ablation_striping, cotenant, sched_chaos,
+    cache_prefetch,
 ]
+#: Rows whose every result a same-seed rerun must reproduce.
+REPLAYED = ("fig-faults", "fig-sched", "sched-chaos")
+
+
+def _dump(results) -> str:
+    """Every field of every result, nested records included."""
+    return json.dumps([dataclasses.asdict(r) for r in results],
+                      sort_keys=True)
 
 
 def _row(make, params):
+    """``(figure, artifact row)`` of one call to ``make``."""
     start = time.perf_counter()
     fig = make()
-    wall = time.perf_counter() - start
-    return benchlib.row(fig.name, {"title": fig.title, **params},
-                        {"columns": fig.columns, "rows": fig.rows,
-                         "meta": fig.meta, "wall_s": round(wall, 3)})
+    values = {"columns": fig.columns, "rows": fig.rows, "meta": fig.meta,
+              "wall_s": round(time.perf_counter() - start, 3)}
+    if fig.name in REPLAYED:
+        values["replay_identical"] = _dump(make().results) == _dump(
+            fig.results)
+    if fig.name == "fig-sched":
+        # What the table leaves out of each fleet's terminal states.
+        values["ledger"] = [
+            {"load": m.mean_interarrival, "policy": m.policy,
+             "submitted": m.n_jobs, "timeouts": m.timeouts,
+             "failed": m.failed, "rejected": m.rejected}
+            for m in fig.results]
+    return fig, benchlib.row(fig.name, {"title": fig.title, **params}, values)
 
 
 def run_bench(smoke):
     # ``smoke`` runs the same rows: a smaller claim is a different claim.
     profile = figures.resolve_profile()
-    return ([_row(functools.partial(make, profile), {"profile": profile})
-             for make in FIGURES]
-            + [_row(make, {}) for make in EXTENSIONS])
+    made = [_row(functools.partial(make, profile), {"profile": profile})
+            for make in FIGURES]
+    fig3a = next(fig for fig, _row in made if fig.name == "fig3a")
+    made.append(_row(functools.partial(model_accuracy, fig3a),
+                     {"profile": profile}))
+    made += [_row(make, {}) for make in EXTENSIONS]
+    return [row for _fig, row in made]
 
 
 # ----------------------------------------------------------------------
@@ -508,9 +632,10 @@ class _Table:
     figure's scalars."""
 
     def __init__(self, r):
-        self.columns = r["values"]["columns"]
-        self.rows = r["values"]["rows"]
-        self.meta = r["values"]["meta"]
+        self.values = r["values"]
+        self.columns = self.values["columns"]
+        self.rows = self.values["rows"]
+        self.meta = self.values["meta"]
 
     def __getitem__(self, column):
         i = self.columns.index(column)
@@ -535,18 +660,33 @@ def _approx(actual, expected, rel):
     return abs(actual - expected) <= max(rel * abs(expected), 1e-12)
 
 
-def _async_faulted(t):
-    """``(durable, lost, sync durable)`` of fig-faults at every rate > 0."""
-    sync = {rate: durable for mode, rate, durable, *_ in t.rows
-            if mode == "sync"}
-    return [(durable, lost, sync[rate])
-            for mode, rate, durable, lost, *_ in t.rows
-            if mode == "async" and rate > 0]
+def _async_runs(t, faulted=True):
+    """``(async run, sync run)`` of fig-faults at every fault rate > 0,
+    or at every rate unless ``faulted``; each run maps column to value."""
+    runs = {(row[0], row[1]): dict(zip(t.columns, row)) for row in t.rows}
+    return [(run, runs["sync", rate]) for (mode, rate), run in runs.items()
+            if mode == "async" and (rate > 0 or not faulted)]
 
 
-def _p95(t):
-    """fig-sched's p95 completion keyed by ``(load, policy)``."""
-    return dict(zip(zip(t["load"], t["policy"]), t["compl p95"]))
+def _fleets(t, column):
+    """fig-sched's ``column`` keyed by ``(load, policy)``."""
+    return dict(zip(zip(t["load"], t["policy"]), t[column]))
+
+
+def _io_aware_beats_fifo(t, column, better):
+    return all(better(_fleets(t, column)[load, "io-aware"],
+                      _fleets(t, column)[load, "fifo"])
+               for load in set(t["load"]))
+
+
+def _chaos(t, variant, column):
+    """sched-chaos's ``column`` of the ``variant`` fleets, keyed by seed."""
+    return {seed: value for v, seed, value
+            in zip(t["variant"], t["seed"], t[column]) if v == variant}
+
+
+def _chaos_total(t, variant, column):
+    return sum(_chaos(t, variant, column).values())
 
 
 def _epoch_costs(t):
@@ -677,16 +817,33 @@ CLAIMS = {
     ],
     "fig-faults": [
         ("async_loses_no_checkpoint", "async loses no checkpoint to faults",
-         lambda t: all(lost == 0 for _d, lost, _s in _async_faulted(t))),
+         lambda t: all(a["lost ckpts"] == 0 for a, _s in _async_runs(t))),
         ("async_durable_vs_sync", "async keeps >= sync's durable checkpoints "
          "at every fault rate", lambda t: all(
-             durable >= sync for durable, _l, sync in _async_faulted(t))),
+             a["durable ckpts"] >= s["durable ckpts"]
+             for a, s in _async_runs(t, faulted=False))),
+        ("faults_absorbed", "async retries or falls back at every fault "
+         "rate > 0", lambda t: all(a["retries"] + a["fallbacks"] > 0
+                                   for a, _s in _async_runs(t))),
+        ("replay_identical", "a same-seed rerun reproduces every recovery "
+         "run and its fault trace", lambda t: t.values["replay_identical"]),
     ],
     "fig-sched": [
         ("io_aware_beats_fifo_p95", "io-aware beats FIFO on p95 completion "
-         "at every load", lambda t: all(
-             _p95(t)[load, "io-aware"] < _p95(t)[load, "fifo"]
-             for load in set(t["load"]))),
+         "at every load", lambda t: _io_aware_beats_fifo(
+             t, "compl p95", lambda io, fifo: io < fifo)),
+        # The advisor must win by switching modes, not by accident.
+        ("more_async_than_fifo", "io-aware runs more jobs async than FIFO "
+         "at every load", lambda t: _io_aware_beats_fifo(
+             t, "async", lambda io, fifo: io > fifo)),
+        ("all_terminal", "every submission of every fleet completes, times "
+         "out or fails", lambda t: all(
+             _fleets(t, "done")[f["load"], f["policy"]] + f["timeouts"]
+             + f["failed"] == f["submitted"] for f in t.values["ledger"])),
+        ("none_rejected", "no fleet rejects a submission",
+         lambda t: all(f["rejected"] == 0 for f in t.values["ledger"])),
+        ("replay_identical", "a same-seed rerun reproduces every fleet and "
+         "its per-job records", lambda t: t.values["replay_identical"]),
     ],
     "mb-memcpy": [
         ("memcpy_flat_above_32mib", "memcpy 512 MiB < 1.06x 32 MiB",
@@ -797,6 +954,37 @@ CLAIMS = {
         ("248_stripes_injection_limited", "248 stripes < half their ceiling",
          lambda t: t["peak GB/s"][-1] < t["stripe ceiling GB/s"][-1] * 0.5),
     ],
+    "sched-chaos": [
+        ("fault_signature", "every chaos fleet carries a fault signature",
+         lambda t: all(t["fault signature"])),
+        ("checkpoint_beats_scratch", "checkpoint restart beats scratch "
+         "restart on summed goodput and lost work", lambda t:
+         _chaos_total(t, "checkpoint", "jobs/h")
+         > _chaos_total(t, "scratch", "jobs/h")
+         and _chaos_total(t, "checkpoint", "lost work s")
+         < _chaos_total(t, "scratch", "lost work s")),
+        ("async_loses_less_than_sync", "async checkpointing loses no more "
+         "work than sync on any seed and less in total", lambda t: all(
+             lost <= _chaos(t, "sync", "lost work s")[seed] + 1e-9
+             for seed, lost in _chaos(t, "async", "lost work s").items())
+         and _chaos_total(t, "async", "lost work s")
+         < _chaos_total(t, "sync", "lost work s")),
+        ("node_kills", "the chaos fleets saw node kills",
+         lambda t: sum(t["node kills"]) > 0),
+        ("requeues", "the chaos fleets requeued jobs",
+         lambda t: sum(t["requeues"]) > 0),
+        ("replay_identical", "a same-seed rerun reproduces every chaos "
+         "fleet", lambda t: t.values["replay_identical"]),
+    ],
+    "cache-prefetch": [
+        ("equal_bytes", "prefetch on reads exactly the bytes prefetch off "
+         "reads", lambda t: t.by("cache", "bytes read")["on"]
+         == t.by("cache", "bytes read")["off"]),
+        ("on_time", "every declared read lands by its deadline",
+         lambda t: t.meta["on-time ratio"] >= 1.0),
+        ("hits", "the prefetch-on run serves cache hits",
+         lambda t: t.meta["cache hits"] > 0),
+    ],
     "cotenant": [
         ("victims_finish", "every victim rank finishes",
          lambda t: t.meta["victim ranks left running"] == 0),
@@ -818,6 +1006,8 @@ def gates(artifact):
         t = _Table(r)
         for gate, claim, holds in claims:
             g.require(r, gate, holds(t), f"{claim}: does not hold")
+    r = benchlib.find(artifact["rows"], "cache-prefetch")
+    g.floor(r, "cache_stall_reduction", _Table(r).meta["stall reduction"])
     return g.failures()
 
 

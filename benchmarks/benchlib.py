@@ -1,7 +1,6 @@
 """One contract for the gated benchmark scripts.
 
-``bench_perf_sim.py``, ``bench_check.py``, ``bench_cache.py``,
-``bench_sched.py``, ``bench_faults.py`` and ``bench_claims.py`` each
+``bench_perf_sim.py``, ``bench_check.py`` and ``bench_claims.py`` each
 build rows, declare their gates in one ``gates(artifact) -> list[str]``
 function and hand both to :func:`main` (the CLI) or :func:`run` (their
 pytest entry, where they have one), so the command line and pytest

@@ -118,6 +118,7 @@ def _bandwidth_figure(
         title=title,
         columns=["ranks", "nodes", "sync GB/s", "est sync GB/s",
                  "async GB/s", "est async GB/s"],
+        results=points,
     )
     sync_points = {p.nranks: p for p in points if p.mode == "sync"}
     async_points = {p.nranks: p for p in points if p.mode == "async"}
@@ -426,6 +427,7 @@ def fig_faults(profile: Optional[str] = None) -> FigureData:
               f"({nranks} ranks, kill at 60%)",
         columns=["mode", "fault rate", "durable ckpts", "lost ckpts",
                  "loss window s", "goodput", "retries", "fallbacks"],
+        results=results,
     )
     for r in results:
         fig.add_row(r.mode, r.fault_rate, r.durable_checkpoints,
@@ -463,6 +465,7 @@ def fig_sched(profile: Optional[str] = None) -> FigureData:
         columns=["load", "policy", "done", "async", "jobs/h",
                  "wait p95", "compl p50", "compl p95", "compl p99",
                  "makespan", "PFS util"],
+        results=fleets,
     )
     for m in fleets:
         fig.add_row(

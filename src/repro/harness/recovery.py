@@ -19,10 +19,10 @@ paper-style bottom line: the **data-loss window** (kill time minus the
 moment the last durable checkpoint landed) and **goodput** (useful
 compute seconds per wall-clock second across kill + restart).
 :func:`recovery_sweep` runs the sync-vs-async comparison across fault
-rates — the ``fig_faults`` figure and ``benchmarks/bench_faults.py``
-both sit on top of it.  Everything is deterministic per seed: the sweep
-also returns each run's fault-trace signature so CI can gate on
-replay-identity.
+rates — the ``fig_faults`` figure and its ``fig-faults`` row of
+``benchmarks/bench_claims.py`` sit on top of it.  Everything is
+deterministic per seed: the sweep also returns each run's fault-trace
+signature so CI can gate on replay-identity.
 """
 
 from __future__ import annotations

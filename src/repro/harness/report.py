@@ -13,7 +13,9 @@ class FigureData:
     """One regenerated figure: labelled columns and data rows.
 
     ``meta`` carries figure-level scalars (e.g. fitted r², chosen
-    regression transform) that the paper reports in prose.
+    regression transform) that the paper reports in prose.  ``results``
+    keeps the per-point results a figure tabulated, for callers that
+    gate more than the table; it is never rendered.
     """
 
     name: str
@@ -21,6 +23,7 @@ class FigureData:
     columns: list[str]
     rows: list[list[Any]] = field(default_factory=list)
     meta: dict[str, Any] = field(default_factory=dict)
+    results: list[Any] = field(default_factory=list, repr=False)
 
     def add_row(self, *values: Any) -> None:
         """Append one row (must match the column count)."""

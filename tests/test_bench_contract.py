@@ -1,4 +1,4 @@
-"""The ``repro-bench/v1`` contract of the six gated benchmark scripts.
+"""The ``repro-bench/v1`` contract of the three gated benchmark scripts.
 
 Nothing here times anything: the committed ``BENCH_*.json`` artifacts
 are checked against the schema and their own gates, then doctored
@@ -22,9 +22,6 @@ import benchlib  # noqa: E402
 SCRIPTS = {
     "sim": "bench_perf_sim",
     "check": "bench_check",
-    "cache": "bench_cache",
-    "sched": "bench_sched",
-    "faults": "bench_faults",
     "claims": "bench_claims",
 }
 
@@ -128,12 +125,15 @@ def _set(name, **values):
     return doctor
 
 
-def _set_chaos(**values):
-    """Doctor: overwrite ``values`` on every chaos fleet row."""
+def _cell(name, key, column, change):
+    """Doctor: apply ``change`` to ``column`` of the table rows of claims
+    row ``name`` whose leading cells are ``key`` (every row for ``()``)."""
     def doctor(artifact):
-        for row in artifact["rows"]:
-            if "variant" in row["params"]:
-                row["values"].update(values)
+        values = benchlib.find(artifact["rows"], name)["values"]
+        i = values["columns"].index(column)
+        for row in values["rows"]:
+            if tuple(row[:len(key)]) == key:
+                row[i] = change(row[i])
     return doctor
 
 
@@ -149,9 +149,13 @@ def _async_cv_as_sync(artifact):
     meta["async CV"] = meta["sync CV"]
 
 
-def _shift(name, field, delta):
+def _ledger(load, policy, **values):
+    """Doctor: overwrite ``values`` on one fleet of fig-sched's ledger."""
     def doctor(artifact):
-        benchlib.find(artifact["rows"], name)["values"][field] += delta
+        for fleet in benchlib.find(artifact["rows"],
+                                   "fig-sched")["values"]["ledger"]:
+            if (fleet["load"], fleet["policy"]) == (load, policy):
+                fleet.update(values)
     return doctor
 
 
@@ -160,53 +164,68 @@ DOCTORED = {
     "claims-fig8-cv": ("claims", _async_cv_as_sync, "sync CV > 5x async CV"),
     "claims-fig3a-fit": ("claims", _set_meta("fig3a", "fit sync", "linear"),
                          "fit sync is linear-log"),
-    # bench_sched: fleet determinism and the io-aware invariants.
-    "sched-replay": ("sched", _set("backfill@2", replay_identical=False),
-                     "replay diverged"),
-    "sched-p95": ("sched", _set("io-aware@4", completion_p95=1e9),
-                  "does not beat FIFO"),
-    "sched-n-async": ("sched", _set("io-aware@2", n_async=0),
-                      "async jobs"),
-    "sched-terminal": ("sched", _shift("io-aware@4", "completed", -1),
-                       "terminal state"),
-    "sched-rejected": ("sched", _set("io-aware@2", rejected=1),
-                       "rejected"),
-    # bench_sched: the chaos section.
-    "sched-node-kills": ("sched", _set_chaos(node_kills=0),
-                         "no node kills"),
-    "sched-requeues": ("sched", _set_chaos(requeues=0), "requeued no job"),
-    "sched-signature": ("sched", _set("checkpoint/scratch/1",
-                                      fault_signature=""),
-                        "no fault signature"),
-    "sched-checkpoint": ("sched",
-                         _set("checkpoint/checkpoint/0",
-                              goodput_jobs_per_hour=0.0),
-                         "checkpoint restart did not beat"),
-    "sched-async-lost": ("sched", _shift("ckpt-mode/async/1",
-                                         "lost_work_seconds", 1e6),
-                         "did not lose less work"),
-    "sched-chaos-replay": ("sched", _set("chaos", replay_identical=False),
-                           "chaos replay diverged"),
-    # bench_faults: determinism and the async recovery ladder.
-    "faults-replay": ("faults", _set("sync@0.05", replay_identical=False),
-                      "replay diverged"),
-    "faults-durable": ("faults", _shift("sync@0", "durable_checkpoints", 1),
-                       "durable checkpoints"),
-    "faults-absorbed": ("faults", _set("async@0.2", retries=0, fallbacks=0),
-                        "no retry or fallback"),
-    "faults-lost": ("faults", _set("async@0.05", lost_checkpoints=1),
-                    "checkpoint(s) lost"),
-    # bench_cache: equal bytes, stall floor, deadlines, hits.
-    "cache-bytes": ("cache", _shift("prefetch_on", "total_bytes", 1.0),
-                    "byte mismatch"),
-    "cache-stall": ("cache", _set("prefetch_on", stall_reduction=0.1),
-                    "cache_stall_reduction"),
-    "cache-on-time": ("cache", lambda a: benchlib.find(
-        a["rows"], "prefetch_on")["values"]["cache_stats"].update(
-            on_time_ratio=0.9), "missed deadlines"),
-    "cache-hits": ("cache", lambda a: benchlib.find(
-        a["rows"], "prefetch_on")["values"]["cache_stats"].update(hits=0),
-        "zero cache hits"),
+    # fig-sched: fleet determinism and the io-aware invariants.
+    "sched-replay": ("claims", _set("fig-sched", replay_identical=False),
+                     "reproduces every fleet"),
+    "sched-p95": ("claims", _cell("fig-sched", (4.0, "io-aware"),
+                                  "compl p95", lambda _: 1e9),
+                  "io-aware beats FIFO on p95"),
+    "sched-n-async": ("claims", _cell("fig-sched", (2.0, "io-aware"),
+                                      "async", lambda _: 0),
+                      "more jobs async than FIFO"),
+    "sched-terminal": ("claims", _cell("fig-sched", (4.0, "io-aware"),
+                                       "done", lambda done: done - 1),
+                       "every submission of every fleet"),
+    "sched-rejected": ("claims", _ledger(2.0, "io-aware", rejected=1),
+                       "rejects a submission"),
+    # all_terminal covers every policy, not only io-aware.
+    "sched-terminal-backfill": ("claims", _cell("fig-sched",
+                                                (2.0, "backfill"), "done",
+                                                lambda done: done - 1),
+                                "every submission of every fleet"),
+    # sched-chaos: the fleets under node crashes.
+    "sched-node-kills": ("claims", _cell("sched-chaos", (), "node kills",
+                                         lambda _: 0), "saw node kills"),
+    "sched-requeues": ("claims", _cell("sched-chaos", (), "requeues",
+                                       lambda _: 0), "requeued jobs"),
+    "sched-signature": ("claims", _cell("sched-chaos",
+                                        ("checkpoint", "scratch", 1),
+                                        "fault signature", lambda _: ""),
+                        "carries a fault signature"),
+    "sched-checkpoint": ("claims", _cell("sched-chaos",
+                                         ("checkpoint", "checkpoint", 0),
+                                         "jobs/h", lambda _: 0.0),
+                         "checkpoint restart beats scratch"),
+    "sched-async-lost": ("claims", _cell("sched-chaos",
+                                         ("ckpt-mode", "async", 1),
+                                         "lost work s", lambda s: s + 1e6),
+                         "loses no more work than sync"),
+    "sched-chaos-replay": ("claims", _set("sched-chaos",
+                                          replay_identical=False),
+                           "reproduces every chaos fleet"),
+    # fig-faults: determinism and the async recovery ladder.
+    "faults-replay": ("claims", _set("fig-faults", replay_identical=False),
+                      "reproduces every recovery run"),
+    "faults-durable": ("claims", _cell("fig-faults", ("sync", 0),
+                                       "durable ckpts", lambda d: d + 1),
+                       "durable checkpoints at every fault rate"),
+    "faults-absorbed": ("claims", _cell("fig-faults", ("async", 0.2),
+                                        "retries", lambda _: 0),
+                        "retries or falls back"),
+    "faults-lost": ("claims", _cell("fig-faults", ("async", 0.05),
+                                    "lost ckpts", lambda _: 1),
+                    "loses no checkpoint"),
+    # cache-prefetch: equal bytes, stall floor, deadlines, hits.
+    "cache-bytes": ("claims", _cell("cache-prefetch", ("on",), "bytes read",
+                                    lambda b: b + 1.0),
+                    "reads exactly the bytes"),
+    "cache-stall": ("claims", _set_meta("cache-prefetch", "stall reduction",
+                                        0.1),
+                    "cache_stall_reduction 0.1 is below"),
+    "cache-on-time": ("claims", _set_meta("cache-prefetch", "on-time ratio",
+                                          0.9), "lands by its deadline"),
+    "cache-hits": ("claims", _set_meta("cache-prefetch", "cache hits", 0),
+                   "serves cache hits"),
     # bench_check: clean tree, identity, cache, incrementality, budget.
     "check-findings": ("check", _set("check_full", findings=2),
                        "2 finding(s)"),

@@ -305,8 +305,9 @@ def test_no_degradation_without_pending_work():
 # Fleet metrics, quarantine and chaos replay determinism
 # ---------------------------------------------------------------------------
 
-#: The calibrated chaos shape bench_sched.py uses: long compute phases
-#: and a busy queue make node crashes land on resident jobs.
+#: The calibrated chaos shape the sched-chaos claims row uses: long
+#: compute phases and a busy queue make node crashes land on resident
+#: jobs.
 CHAOS_STREAM = dict(n_jobs=12, mean_interarrival=5.0, compute_scale=6.0)
 
 
