@@ -13,14 +13,16 @@ Each row measures four legs:
 
 - **cold, 1 worker** and **cold, N workers** — empty caches, full
   summary computation, fanned-out lint; N is the host's width,
-  ``max(2, nproc)``, recorded in each row's ``params``;
+  ``max(2, nproc)``, recorded in each row's ``params``.  In full mode
+  each is the best of five alternating runs, so the fan-out ratio
+  stands clear of the host's run-to-run noise;
 - **warm** — unchanged tree, which must short-circuit on the tree key
   without parsing a single file;
 - **diff** — one helper file touched, which must re-analyze only that
   file plus whatever the reverse call graph invalidates.
 
-The cold 1-worker leg also counts, through wrappers on every module
-binding, how often ``ast.parse``, ``build_cfg`` and
+The first cold 1-worker run also counts, through wrappers on every
+module binding, how often ``ast.parse``, ``build_cfg`` and
 ``ast.iter_child_nodes`` run: ``parse_per_file``, ``cfg_per_function``
 and ``child_iter_per_node`` are exact counts, independent of the
 machine.  A cold run parses each file once, builds each function's CFG
@@ -41,6 +43,9 @@ Gates (per row):
   ``benchmarks/perf_budget.json`` — for ``check_concurrency`` this is
   the budget gate on the tier's warm-cache overhead: a slow warm rerun
   (i.e. the conc index failing to ride the tree key) sinks the ratio;
+- in full mode, the lint fan-out beats the serial run: cold 1-worker
+  over cold N-worker wall time at or above the ``check_fanout`` floor
+  (the smoke tree is too small for the win to stand clear of noise);
 - ``parse_per_file``, ``cfg_per_function`` and ``child_iter_per_node``
   at or below the ``check_parse_per_file`` / ``check_cfg_per_function``
   / ``check_child_iter_per_node`` ceilings there.
@@ -132,9 +137,11 @@ def _leg(paths, **kwargs):
     return benchlib.timed(lambda: check_paths(paths, **kwargs))
 
 
-def _cold_and_warm(paths, name, extra, params):
+def _cold_and_warm(paths, name, extra, params, repeats):
     """Cold/warm legs for one row (the diff leg is added later); returns
-    the row and the cold leg's findings."""
+    the row and the cold leg's findings.  The cold legs are the best of
+    ``repeats`` alternating runs; the call counts come from the first
+    1-worker run."""
     # Import the whole analyzer first: a module first imported inside
     # ``count_calls`` would bind the counting wrapper for good.
     import repro.check.driver  # noqa: F401
@@ -144,10 +151,17 @@ def _cold_and_warm(paths, name, extra, params):
     workers = params["workers"]
     with count_calls(ast.parse, build_cfg,
                      ast.iter_child_nodes) as (parses, cfgs, child_iters):
-        cold_1w_s, cold_1w = _leg(paths, workers=1,
-                                  cache_dir=f".{name}.c1", **extra)
-    cold_nw_s, cold_nw = _leg(paths, workers=workers,
-                              cache_dir=f".{name}.cn", **extra)
+        s, cold_1w = _leg(paths, workers=1, cache_dir=f".{name}.c1",
+                          **extra)
+    samples_1w, samples_nw = [s], []
+    for i in range(repeats):
+        if i:
+            samples_1w.append(_leg(paths, workers=1, use_cache=False,
+                                   cache_dir=f".{name}.c1", **extra)[0])
+        s, cold_nw = _leg(paths, workers=workers, use_cache=False,
+                          cache_dir=f".{name}.cn", **extra)
+        samples_nw.append(s)
+    cold_1w_s, cold_nw_s = min(samples_1w), min(samples_nw)
     warm_s, warm = _leg(paths, workers=workers,
                         cache_dir=f".{name}.cn", **extra)
     values = {
@@ -166,7 +180,7 @@ def _cold_and_warm(paths, name, extra, params):
             _wire(cold_nw.findings) == _wire(warm.findings),
     }
     return benchlib.row(name, {**params, **extra}, values,
-                        {"cold_1w_s": [cold_1w_s], "cold_nw_s": [cold_nw_s],
+                        {"cold_1w_s": samples_1w, "cold_nw_s": samples_nw,
                          "warm_s": [warm_s]}), _wire(cold_nw.findings)
 
 
@@ -180,7 +194,9 @@ def run_bench(smoke=False, before=None):
         functions, nodes = _tree_counts(paths)
         params = {"files": files, "functions": functions, "nodes": nodes,
                   "workers": benchlib.host_workers()}
-        rows, cold_wires = zip(*(_cold_and_warm(paths, name, extra, params)
+        repeats = 1 if smoke else 5
+        rows, cold_wires = zip(*(_cold_and_warm(paths, name, extra, params,
+                                                repeats)
                                  for name, extra in ROWS))
 
         # One shared touch serves every row's diff leg: the warm caches
@@ -242,6 +258,9 @@ def gates(artifact):
                   f"({v['diff_reanalyzed']}/{r['params']['files']}): "
                   f"invalidation is not incremental")
         g.floor(r, r["name"], v["warm_speedup"])
+        if artifact["mode"] == "full":
+            g.floor(r, "check_fanout",
+                    round(v["cold_1w_s"] / v["cold_nw_s"], 3))
         for metric in ("parse_per_file", "cfg_per_function",
                        "child_iter_per_node"):
             g.ceiling(r, f"check_{metric}", v[metric])

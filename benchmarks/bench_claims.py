@@ -568,15 +568,9 @@ def cache_prefetch() -> FigureData:
     return fig
 
 
-#: Every row, in artifact order: the figure functions take the profile,
-#: model-acc fits fig3a's sweep, and the extensions take nothing.
-FIGURES = [
-    figures.fig3a, figures.fig3b, figures.fig3c, figures.fig3d,
-    figures.fig4a, figures.fig4b, figures.fig4c, figures.fig4d,
-    figures.fig5, figures.fig6, figures.fig7, figures.fig8,
-    figures.fig_faults, figures.fig_sched,
-    figures.microbench_memcpy, figures.microbench_gpu,
-]
+#: The rows after ``figures.FIGURES`` and model-acc, in artifact order:
+#: the figure makers take the profile, model-acc fits fig3a's sweep, and
+#: these take nothing.
 EXTENSIONS = [
     ablation_advisor, ablation_chunking, ablation_collective,
     ablation_efficiency, ablation_merging, ablation_short_jobs,
@@ -616,7 +610,7 @@ def run_bench(smoke):
     # ``smoke`` runs the same rows: a smaller claim is a different claim.
     profile = figures.resolve_profile()
     made = [_row(functools.partial(make, profile), {"profile": profile})
-            for make in FIGURES]
+            for make in figures.FIGURES.values()]
     fig3a = next(fig for fig, _row in made if fig.name == "fig3a")
     made.append(_row(functools.partial(model_accuracy, fig3a),
                      {"profile": profile}))

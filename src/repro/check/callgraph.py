@@ -82,11 +82,6 @@ class FunctionInfo:
     #: (``yield from`` / ``await``).
     deferred: bool = False
 
-    @property
-    def bound_offset(self) -> int:
-        """Parameters consumed by the receiver at ``obj.m(...)`` sites."""
-        return 1 if self.kind in ("method", "classmethod") else 0
-
 
 @dataclass
 class ClassInfo:

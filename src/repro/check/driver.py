@@ -246,10 +246,10 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
     ``concurrency`` (implies ``inter``; runs the RC6xx conc tier over
     the assembled project-wide ``ConcIndex``).
 
-    ``workers`` caps the lint fan-out, which :func:`repro.pool.fan_out`
-    also caps at the CPUs (``None``/``1`` runs serially — the output is
-    byte-identical either way).  ``use_cache=False`` forces a cold run
-    and still writes a fresh cache.
+    The lint fans out through :func:`repro.pool.fan_out`, one worker
+    per CPU; ``workers`` caps that width (``1`` runs serially — the
+    output is byte-identical either way).  ``use_cache=False`` forces a
+    cold run and still writes a fresh cache.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -312,7 +312,7 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
             [functools.partial(lint_source, texts[p], p, ctx, flow=flow,
                                inter=inter, concurrency=concurrency)
              for p in lint],
-            [len(texts[p]) for p in lint], max_workers=workers or 1)))
+            [len(texts[p]) for p in lint], max_workers=workers)))
 
     findings: List[Finding] = []
     for posix in order:

@@ -40,11 +40,11 @@ Commands
 ``sweep``
     The one way to run a grid of repeated experiments.  Fans a
     declarative (machine × mode × scale × cache × seed) grid across
-    worker processes and writes one merged JSON artifact — byte
-    identical for every ``--workers`` value::
+    the CPUs and writes one merged JSON artifact — byte identical for
+    any number of CPUs (``taskset -c 0`` runs it serially)::
 
         python -m repro sweep --workload vpic --scales 8 16 \\
-            --seeds 0 1 2 3 --workers 4 --out sweep.json
+            --seeds 0 1 2 3 --out sweep.json
         python -m repro sweep --workload bdcats --machines summit \\
             --modes async --scales 8 --seeds 0 1 2 --cache off on
 
@@ -82,8 +82,8 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
-from repro.harness import figures as figures_mod
 from repro.harness import registry
+from repro.harness.figures import FIGURES, MICROBENCH_IDS
 from repro.harness.sweepengine import (
     SweepSpec, SweepTask, execute, expand_grid, merged_sweep_points,
     run_sweep, sweepable_grids,
@@ -92,34 +92,6 @@ from repro.pool import fan_out
 
 __all__ = ["main"]
 
-#: Micro-benchmark ids (a subset of the figure makers, listed apart).
-_MICROBENCH_IDS = ["mb-memcpy", "mb-gpu"]
-
-_FIGURE_IDS = [
-    "fig3a", "fig3b", "fig3c", "fig3d",
-    "fig4a", "fig4b", "fig4c", "fig4d",
-    "fig5", "fig6", "fig7", "fig8",
-    "fig-faults", "fig-sched",
-] + _MICROBENCH_IDS
-
-_FIGURE_MAKERS = {
-    "fig3a": figures_mod.fig3a,
-    "fig3b": figures_mod.fig3b,
-    "fig3c": figures_mod.fig3c,
-    "fig3d": figures_mod.fig3d,
-    "fig4a": figures_mod.fig4a,
-    "fig4b": figures_mod.fig4b,
-    "fig4c": figures_mod.fig4c,
-    "fig4d": figures_mod.fig4d,
-    "fig5": figures_mod.fig5,
-    "fig6": figures_mod.fig6,
-    "fig7": figures_mod.fig7,
-    "fig8": figures_mod.fig8,
-    "fig-faults": figures_mod.fig_faults,
-    "fig-sched": figures_mod.fig_sched,
-    "mb-memcpy": figures_mod.microbench_memcpy,
-    "mb-gpu": figures_mod.microbench_gpu,
-}
 
 def _execute(command: str, tasks: Sequence[SweepTask], **kwargs) -> list:
     """Results of ``tasks``, in order, fanned across the CPUs.
@@ -145,19 +117,18 @@ def _workload_task(args, **fields) -> SweepTask:
 def _cmd_list(_args) -> int:
     width = 11
     print("figures:")
-    for fid in _FIGURE_IDS:
-        if fid in _MICROBENCH_IDS:
-            continue
-        doc = (_FIGURE_MAKERS[fid].__doc__ or "").strip().splitlines()[0]
-        print(f"  {fid:{width}s}  {doc}")
+    for fid, make in FIGURES.items():
+        if fid not in MICROBENCH_IDS:
+            doc = (make.__doc__ or "").strip().splitlines()[0]
+            print(f"  {fid:{width}s}  {doc}")
     print()
     print("workloads (for 'run', 'profile', 'cache' and 'sweep'):")
     for name, entry in sorted(registry.WORKLOADS.items()):
         print(f"  {name:{width}s}  {entry.description} [{entry.op}]")
     print()
     print("micro-benchmarks:")
-    for fid in _MICROBENCH_IDS:
-        doc = (_FIGURE_MAKERS[fid].__doc__ or "").strip().splitlines()[0]
+    for fid in MICROBENCH_IDS:
+        doc = (FIGURES[fid].__doc__ or "").strip().splitlines()[0]
         print(f"  {fid:{width}s}  {doc}")
     print()
     print("sweepable grids (for 'sweep'; workload grids also take a "
@@ -175,15 +146,15 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    ids = args.ids or _FIGURE_IDS
-    unknown = [i for i in ids if i not in _FIGURE_MAKERS]
+    ids = args.ids or list(FIGURES)
+    unknown = [i for i in ids if i not in FIGURES]
     if unknown:
         raise SystemExit(f"unknown figure ids: {unknown}; try 'list'")
     out_dir = pathlib.Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     for fid in ids:
-        fig = _FIGURE_MAKERS[fid](args.profile)
+        fig = FIGURES[fid](args.profile)
         text = fig.to_text()
         if getattr(args, "plot", False):
             from repro.analysis import render_figure
@@ -197,7 +168,7 @@ def _cmd_figures(args) -> int:
 
 def _cmd_microbench(args) -> int:
     return _cmd_figures(argparse.Namespace(
-        ids=["mb-memcpy", "mb-gpu"], profile=args.profile, out=args.out,
+        ids=list(MICROBENCH_IDS), profile=args.profile, out=args.out,
         plot=getattr(args, "plot", False),
     ))
 
@@ -286,11 +257,10 @@ def _cmd_sweep(args) -> int:
             faults=tuple(args.faults), fault_seed=args.fault_seed,
             checkpoint=not args.no_checkpoint, cache=tuple(args.cache),
         )
-        print(f"sweep: {spec.describe()} = {len(expand_grid(spec))}"
-              f" points on {args.workers} worker(s)", file=sys.stderr)
+        print(f"sweep: {spec.describe()} = {len(expand_grid(spec))} points",
+              file=sys.stderr)
         outcome = run_sweep(
-            spec, workers=args.workers,
-            progress=_sweep_progress if not args.quiet else None)
+            spec, progress=_sweep_progress if not args.quiet else None)
     except ValueError as err:
         raise SystemExit(f"repro sweep: {err}") from None
     points = outcome.merged["points"]
@@ -370,7 +340,6 @@ def _cmd_check(args) -> int:
             print(json.dumps(stats, indent=2, sort_keys=True))
             return 0
         result = check_paths(paths, flow=args.flow, inter=args.inter,
-                             workers=args.workers,
                              cache_dir=args.cache_dir,
                              concurrency=args.concurrency)
     except (FileNotFoundError, ValueError) as err:
@@ -419,7 +388,7 @@ def _cmd_check(args) -> int:
 
         if args.runtime == "fig3a":
             def make() -> str:
-                return _FIGURE_MAKERS["fig3a"]("quick").to_text()
+                return FIGURES["fig3a"]("quick").to_text()
         else:
             make = _runtime_smoke_text
         print(f"runtime gate ({args.runtime}): baseline run ...")
@@ -560,9 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="fan a (machine x mode x scale x seed) grid across worker "
-             "processes; merged JSON is byte-identical for every "
-             "--workers value",
+        help="fan a (machine x mode x scale x seed) grid across the "
+             "CPUs; merged JSON is byte-identical for any CPU count",
     )
     p_sweep.add_argument("--kind", choices=["workload", "sched"],
                          default="workload")
@@ -598,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="staging-cache axis (kind=workload): none = "
                               "no cache subsystem, off = inert, write = "
                               "write-through, on = also deadline prefetch")
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", default=None,
                          help="write the merged JSON artifact here")
     p_sweep.add_argument("--quiet", action="store_true",
@@ -663,10 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "re-analyzed this run (changed files plus, "
                               "with --inter, everything the reverse call "
                               "graph invalidated)")
-    p_check.add_argument("--workers", type=int, default=None,
-                         help="lint fan-out processes, capped at the "
-                              "CPUs (output is byte-identical for any "
-                              "value)")
     p_check.add_argument("--cache-dir", default=".repro-check-cache",
                          help="incremental cache directory, one section "
                               "per tier (default: .repro-check-cache)")

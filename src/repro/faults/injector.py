@@ -204,11 +204,6 @@ class FaultConfig:
                     or self.pfs_outages)
 
     @property
-    def any_tier_faults(self) -> bool:
-        """Whether any staging-cache tier degradation is scheduled."""
-        return bool(self.tier_degraded)
-
-    @property
     def any_node_faults(self) -> bool:
         """Whether any whole-node fault is scheduled."""
         return bool(self.node_crashes or self.node_drains
@@ -455,10 +450,6 @@ class FaultInjector:
             if window.covers(t):
                 return window
         return None
-
-    def pfs_available(self, t: Optional[float] = None) -> bool:
-        """Whether the PFS accepts new requests at ``t`` (default: now)."""
-        return self._outage_at(self.engine.now if t is None else t) is None
 
     def outage_end(self, t: Optional[float] = None) -> Optional[float]:
         """End of the outage window covering ``t`` (None when PFS is up).

@@ -17,7 +17,6 @@ qualitative shape (saturation points scale accordingly).
 from repro.harness.experiment import ExperimentResult, build_vol, run_experiment
 from repro.harness.sweep import SweepPoint, best_by_config, scale_sweep
 from repro.harness.report import FigureData
-from repro.harness.store import load_results, save_results
 from repro.harness.recovery import (
     RecoveryResult,
     durable_progress,
@@ -37,12 +36,10 @@ __all__ = [
     "build_vol",
     "durable_progress",
     "figures",
-    "load_results",
     "recovery_sweep",
     "run_experiment",
     "run_fleet",
     "run_recovery",
-    "save_results",
     "scale_sweep",
     "sched_testbed",
 ]

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 from repro.platform import ContentionModel, cori_haswell, summit
 from repro.platform.spec import MachineSpec
 from repro.analysis import fit_sweep_points, variability_stats
+from repro.harness import registry
 from repro.harness.experiment import run_experiment
 from repro.harness.report import FigureData
 from repro.harness.sched import sched_testbed
@@ -37,17 +38,11 @@ from repro.workloads import (
     NyxConfig,
     SW4Config,
     VPICConfig,
-    bdcats_program,
-    castro_program,
-    cosmoflow_program,
-    nyx_program,
-    prepopulate_vpic_file,
-    sw4_program,
-    vpic_program,
 )
 
 __all__ = [
-    "all_figures",
+    "FIGURES",
+    "MICROBENCH_IDS",
     "fig3a", "fig3b", "fig3c", "fig3d",
     "fig4a", "fig4b", "fig4c", "fig4d",
     "fig5", "fig6", "fig7", "fig8",
@@ -95,21 +90,21 @@ def _bandwidth_figure(
     name: str,
     title: str,
     machine: MachineSpec,
-    workload_name: str,
-    program_factory: Callable,
-    config_factory: Callable[[int], object],
+    workload: str,
+    config: object,
     scales: Sequence[int],
     reps: int,
-    op: str = "write",
-    prepopulate_factory: Optional[Callable] = None,
     seed: int = 0,
 ) -> FigureData:
-    """Shared sweep → fit → table pipeline for Figs. 3-6."""
+    """Shared sweep → fit → table pipeline for Figs. 3-6: one
+    :data:`~repro.harness.registry.WORKLOADS` entry run with ``config``
+    at every scale."""
+    entry = registry.workload(workload)
     results = scale_sweep(
-        machine, workload_name, program_factory, config_factory,
+        machine, workload, entry.program, lambda nranks: config,
         scales=scales, modes=("sync", "async"), reps=reps,
-        contention=_contention(seed), prepopulate_factory=prepopulate_factory,
-        op=op,
+        contention=_contention(seed), prepopulate_factory=entry.prepopulate,
+        op=entry.op,
     )
     points = best_by_config(results)
     fits = {mode: fit_sweep_points(points, mode) for mode in ("sync", "async")}
@@ -146,36 +141,29 @@ def _bandwidth_figure(
 def fig3a(profile: Optional[str] = None) -> FigureData:
     """VPIC-IO write bandwidth on Summit (weak scaling, sync vs async)."""
     p = resolve_profile(profile)
-    cfg = VPICConfig(steps=_STEPS[p])
     return _bandwidth_figure(
         "fig3a", "VPIC-IO write aggregate bandwidth, Summit (weak scaling)",
-        summit(), "vpic-io", vpic_program, lambda nranks: cfg,
-        scales=_SCALES[("summit", p)], reps=_REPS[p], op="write", seed=31,
+        summit(), "vpic", VPICConfig(steps=_STEPS[p]),
+        scales=_SCALES[("summit", p)], reps=_REPS[p], seed=31,
     )
 
 
 def fig3b(profile: Optional[str] = None) -> FigureData:
     """VPIC-IO write bandwidth on Cori-Haswell."""
     p = resolve_profile(profile)
-    cfg = VPICConfig(steps=_STEPS[p])
     return _bandwidth_figure(
         "fig3b", "VPIC-IO write aggregate bandwidth, Cori-Haswell (weak scaling)",
-        cori_haswell(), "vpic-io", vpic_program, lambda nranks: cfg,
-        scales=_SCALES[("cori", p)], reps=_REPS[p], op="write", seed=32,
+        cori_haswell(), "vpic", VPICConfig(steps=_STEPS[p]),
+        scales=_SCALES[("cori", p)], reps=_REPS[p], seed=32,
     )
 
 
 def _bdcats_figure(name: str, machine: MachineSpec, scales, reps, seed,
                    profile: str) -> FigureData:
-    cfg = BDCATSConfig(steps=_STEPS[profile])
     return _bandwidth_figure(
         name, f"BD-CATS-IO read aggregate bandwidth, {machine.name} (weak scaling)",
-        machine, "bdcats-io", bdcats_program, lambda nranks: cfg,
-        scales=scales, reps=reps, op="read",
-        prepopulate_factory=lambda config: (
-            lambda lib, nranks: prepopulate_vpic_file(lib, config, nranks)
-        ),
-        seed=seed,
+        machine, "bdcats", BDCATSConfig(steps=_STEPS[profile]),
+        scales=scales, reps=reps, seed=seed,
     )
 
 
@@ -207,44 +195,41 @@ def fig4a(profile: Optional[str] = None) -> FigureData:
     return _bandwidth_figure(
         "fig4a", "Nyx large (2048^3, GPU) write aggregate bandwidth, Summit "
                  "(strong scaling)",
-        summit(), "nyx-large", nyx_program, lambda nranks: cfg,
-        scales=_SCALES[("summit-sat", p)], reps=_REPS[p], op="write", seed=41,
+        summit(), "nyx-large", cfg,
+        scales=_SCALES[("summit-sat", p)], reps=_REPS[p], seed=41,
     )
 
 
 def fig4b(profile: Optional[str] = None) -> FigureData:
     """Nyx small (256³) plotfile bandwidth on Cori-Haswell."""
     p = resolve_profile(profile)
-    cfg = NyxConfig.small(n_plotfiles=_STEPS[p])
     return _bandwidth_figure(
         "fig4b", "Nyx small (256^3) write aggregate bandwidth, Cori-Haswell "
                  "(strong scaling)",
-        cori_haswell(), "nyx-small", nyx_program, lambda nranks: cfg,
-        scales=_SCALES[("cori", p)], reps=_REPS[p], op="write", seed=42,
+        cori_haswell(), "nyx-small", NyxConfig.small(n_plotfiles=_STEPS[p]),
+        scales=_SCALES[("cori", p)], reps=_REPS[p], seed=42,
     )
 
 
 def fig4c(profile: Optional[str] = None) -> FigureData:
     """Castro plotfile bandwidth on Summit (strong scaling)."""
     p = resolve_profile(profile)
-    cfg = CastroConfig(n_plotfiles=_STEPS[p])
     return _bandwidth_figure(
         "fig4c", "Castro (128^3, 6 comps, 2 particles/cell) write aggregate "
                  "bandwidth, Summit (strong scaling)",
-        summit(), "castro", castro_program, lambda nranks: cfg,
-        scales=_SCALES[("summit-app", p)], reps=_REPS[p], op="write", seed=43,
+        summit(), "castro", CastroConfig(n_plotfiles=_STEPS[p]),
+        scales=_SCALES[("summit-app", p)], reps=_REPS[p], seed=43,
     )
 
 
 def fig4d(profile: Optional[str] = None) -> FigureData:
     """Castro plotfile bandwidth on Cori-Haswell."""
     p = resolve_profile(profile)
-    cfg = CastroConfig(n_plotfiles=_STEPS[p])
     return _bandwidth_figure(
         "fig4d", "Castro write aggregate bandwidth, Cori-Haswell "
                  "(strong scaling)",
-        cori_haswell(), "castro", castro_program, lambda nranks: cfg,
-        scales=_SCALES[("cori-app", p)], reps=_REPS[p], op="write", seed=44,
+        cori_haswell(), "castro", CastroConfig(n_plotfiles=_STEPS[p]),
+        scales=_SCALES[("cori-app", p)], reps=_REPS[p], seed=44,
     )
 
 
@@ -262,24 +247,19 @@ def fig5(profile: Optional[str] = None) -> FigureData:
     )
     return _bandwidth_figure(
         "fig5", "Cosmoflow batch read aggregate bandwidth, Summit",
-        summit(), "cosmoflow", cosmoflow_program, lambda nranks: cfg,
-        scales=_SCALES[("summit-app", p)], reps=_REPS[p], op="read",
-        prepopulate_factory=lambda config: (
-            lambda lib, nranks: config.prepopulate(lib, nranks)
-        ),
-        seed=50,
+        summit(), "cosmoflow", cfg,
+        scales=_SCALES[("summit-app", p)], reps=_REPS[p], seed=50,
     )
 
 
 def fig6(profile: Optional[str] = None) -> FigureData:
     """EQSIM/SW4 checkpoint bandwidth on Summit (strong scaling)."""
     p = resolve_profile(profile)
-    cfg = SW4Config(n_checkpoints=_STEPS[p])
     return _bandwidth_figure(
         "fig6", "EQSIM (SW4, grid 50, 30000x30000x17000) checkpoint aggregate "
                 "bandwidth, Summit (strong scaling)",
-        summit(), "eqsim-sw4", sw4_program, lambda nranks: cfg,
-        scales=_SCALES[("summit-sat", p)], reps=_REPS[p], op="write", seed=60,
+        summit(), "sw4", SW4Config(n_checkpoints=_STEPS[p]),
+        scales=_SCALES[("summit-sat", p)], reps=_REPS[p], seed=60,
     )
 
 
@@ -316,14 +296,15 @@ def fig7(profile: Optional[str] = None) -> FigureData:
 
     grid = [(mode, interval) for interval in intervals
             for mode in ("sync", "async")]
+    nyx = registry.workload("nyx-small")
     # The most I/O phases take longest: fan them out first.
     results = fan_out(
         [functools.partial(
-            run_experiment, machine, "nyx-overlap", nyx_program,
+            run_experiment, machine, "nyx-small", nyx.program,
             NyxConfig.small(plot_int=interval,
                             n_plotfiles=total_steps // interval,
                             seconds_per_step=seconds_per_step),
-            mode=mode, nranks=nranks, op="write",
+            mode=mode, nranks=nranks, op=nyx.op,
         ) for mode, interval in grid],
         costs=[total_steps // interval for _mode, interval in grid],
     )
@@ -378,9 +359,10 @@ def fig8(profile: Optional[str] = None) -> FigureData:
         columns=["day", "availability", "sync GB/s", "async GB/s"],
     )
     # Grid order is (mode, day): the sync days, then the async days.
+    vpic = registry.workload("vpic")
     results = scale_sweep(
-        machine, "vpic-io", vpic_program, lambda nranks: cfg,
-        scales=[nranks], reps=days, contention=contention, op="write",
+        machine, "vpic", vpic.program, lambda nranks: cfg,
+        scales=[nranks], reps=days, contention=contention, op=vpic.op,
     )
     sync_runs, async_runs = results[:days], results[days:]
     for s_run, a_run in zip(sync_runs, async_runs):
@@ -513,9 +495,13 @@ def microbench_gpu(profile: Optional[str] = None) -> FigureData:
     return fig
 
 
-def all_figures(profile: Optional[str] = None) -> dict[str, FigureData]:
-    """Regenerate every evaluation figure; keyed by figure id."""
-    makers = [fig3a, fig3b, fig3c, fig3d, fig4a, fig4b, fig4c, fig4d,
-              fig5, fig6, fig7, fig8, fig_faults, fig_sched,
-              microbench_memcpy, microbench_gpu]
-    return {fig.name: fig for fig in (m(profile) for m in makers)}
+#: Every figure id, in ``repro figures`` order, with its maker.
+FIGURES: dict[str, Callable[[Optional[str]], FigureData]] = {
+    "fig3a": fig3a, "fig3b": fig3b, "fig3c": fig3c, "fig3d": fig3d,
+    "fig4a": fig4a, "fig4b": fig4b, "fig4c": fig4c, "fig4d": fig4d,
+    "fig5": fig5, "fig6": fig6, "fig7": fig7, "fig8": fig8,
+    "fig-faults": fig_faults, "fig-sched": fig_sched,
+    "mb-memcpy": microbench_memcpy, "mb-gpu": microbench_gpu,
+}
+#: The §III-B1 micro-benchmark ids among :data:`FIGURES`.
+MICROBENCH_IDS = ("mb-memcpy", "mb-gpu")

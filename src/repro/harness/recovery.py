@@ -236,18 +236,22 @@ def recovery_sweep(
 ) -> list[RecoveryResult]:
     """Sync-vs-async recovery across flaky-write fault rates.
 
-    One :func:`run_recovery` per (mode, rate); rate 0 runs with no
-    injector at all (the zero-cost-off path).  Deterministic per
-    ``seed``.
+    One :func:`run_recovery` per (mode, rate), all killed at the same
+    time per mode: the fault-free reference run behind ``t_kill`` runs
+    once per mode.  Rate 0 runs with no injector at all (the
+    zero-cost-off path).  Deterministic per ``seed``.
     """
+    config = config if config is not None else RestartConfig()
     results = []
     for mode in ("sync", "async"):
+        t_kill = kill_fraction * _clean_wall(
+            machine, mode, nranks, config, ranks_per_node)
         for rate in fault_rates:
             fc = (FaultConfig(seed=seed, write_error_rate=rate)
                   if rate > 0.0 else None)
             results.append(run_recovery(
                 machine, mode, nranks, config=config,
                 kill_fraction=kill_fraction, fault_config=fc,
-                ranks_per_node=ranks_per_node,
+                ranks_per_node=ranks_per_node, t_kill=t_kill,
             ))
     return results

@@ -113,15 +113,6 @@ class FleetMetrics:
     #: Per-job rows (JobRecord.summary()) for drill-down / JSON.
     jobs: tuple = field(default_factory=tuple, repr=False)
 
-    def row(self) -> list:
-        """Row for the ``fig-sched`` table."""
-        return [
-            self.policy, self.completed, self.n_async,
-            self.goodput_jobs_per_hour, self.wait_p50, self.wait_p95,
-            self.completion_p50, self.completion_p95, self.completion_p99,
-            self.makespan, self.pfs_utilization,
-        ]
-
     def to_dict(self, with_jobs: bool = True) -> dict:
         """Plain dict for benchmark JSON."""
         out = {

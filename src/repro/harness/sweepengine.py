@@ -306,23 +306,24 @@ def run_point(task: SweepTask) -> dict:
 
 def run_sweep(
     spec: SweepSpec,
-    workers: int = 1,
+    workers: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
 ) -> SweepOutcome:
     """Run the whole grid; returns the merged artifact plus telemetry.
 
-    ``workers > 1`` fans points across a process pool through
-    :func:`~repro.pool.fan_out`, at most one worker per CPU
-    this process may use (``SweepOutcome.workers`` reports the capped
-    count).  Workload points are taken largest scale first, so the
-    longest points never start last; sched points keep grid order.
-    The merged artifact is in task-index order, so it is byte-identical
-    for every worker count.
+    The points fan out through :func:`~repro.pool.fan_out`, one worker
+    per CPU this process may use and at most one per point; ``workers``
+    caps that width (``SweepOutcome.workers`` reports the width used).
+    Workload points are taken largest scale first, so the longest
+    points never start last; sched points keep grid order.  The merged
+    artifact is in task-index order, so it is byte-identical for every
+    worker count.
     """
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, available_cpus())
     tasks = expand_grid(spec)
+    cpus = available_cpus()
+    workers = min(workers or cpus, cpus, max(1, len(tasks)))
     costs = [t.scale for t in tasks] if spec.kind == "workload" else None
     on_result = None if progress is None else (
         lambda done, point: progress(done, len(tasks), point))

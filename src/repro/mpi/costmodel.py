@@ -54,13 +54,6 @@ class CollectiveCostModel:
         total = max(0, nprocs - 1) * nbytes_per_rank
         return self.spec.alpha * depth + total / self.spec.beta
 
-    def alltoall(self, nprocs: int, nbytes_per_rank: float) -> float:
-        """Each rank exchanges with every other: p·n bytes per rank."""
-        return (
-            self.spec.alpha * max(0, nprocs - 1)
-            + nprocs * nbytes_per_rank / self.spec.beta
-        )
-
     def point_to_point(self, nbytes: float) -> float:
         """Single message cost."""
         return self.spec.alpha + nbytes / self.spec.beta

@@ -215,11 +215,6 @@ class ParallelFileSystem:
         self._availability = factor
         self._apply_capacity_factors()
 
-    @property
-    def fault_factor(self) -> float:
-        """Current fault-layer degradation factor (1.0 = healthy)."""
-        return self._fault_factor
-
     def set_fault_factor(self, factor: float) -> None:
         """Scale shared capacity by a *fault-layer* factor.
 

@@ -142,10 +142,6 @@ class JobSpec:
         rpn = self.ranks_per_node or default_rpn
         return (self.nranks + rpn - 1) // rpn
 
-    def per_rank_phase_bytes(self) -> float:
-        """One rank's share of an I/O phase (the transactional copy size)."""
-        return self.phase_bytes / self.nranks
-
 
 class JobRecord:
     """Mutable scheduler-side ledger entry for one submitted job."""

@@ -46,10 +46,6 @@ class RestartConfig:
         """Dataset path of checkpoint ``index``."""
         return f"/ckpt{index:05d}/state"
 
-    def state_bytes_per_rank(self) -> int:
-        """Bytes of state each rank holds (and checkpoints)."""
-        return self.elems_per_rank * FLOAT64.itemsize
-
 
 def restart_program(lib: H5Library, vol: VOLConnector, config: RestartConfig):
     """Per-rank coroutine: (restart-read) → [compute → checkpoint]*.

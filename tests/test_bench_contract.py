@@ -241,6 +241,11 @@ DOCTORED = {
                          "check_concurrency 1 is below"),
     "check-parse-ceiling": ("check", _set("check_full", parse_per_file=2.0),
                             "check_parse_per_file 2 is above"),
+    # A lint fan-out that loses to the serial run fails its floor.
+    "check-fanout": ("check", lambda a: _set(
+        "check_concurrency",
+        cold_nw_s=benchlib.find(a["rows"], "check_concurrency")["values"][
+            "cold_1w_s"] * 2)(a), "check_fanout 0.5 is below"),
     # bench_perf_sim: bit-identity, the speedup floors, sweep identity.
     "sim-identity": ("sim", _set("fig3a_4096", identical=False),
                      "diverged"),
@@ -249,6 +254,12 @@ DOCTORED = {
     "sim-sweep": ("sim", _set("sweep_scaling",
                               identical_across_workers=False),
                   "differs across worker counts"),
+    # A sweep fan-out that loses to the serial run fails its floor.
+    "sim-sweep-fanout": ("sim", lambda a: _set(
+        "sweep_scaling",
+        parallel_points_per_sec=benchlib.find(a["rows"], "sweep_scaling")[
+            "values"]["serial_points_per_sec"] / 2)(a),
+        "sweep_fanout 0.5 is below"),
     "sim-cycles": ("sim", _set("vpic_async_gc_on", cyclic_flow_events=3),
                    "3 Flow/SimEvent objects left in reference cycles"),
     "sim-gc-ceiling": ("sim", _set("vpic_async_gc_on", gc_on_s=60.0),

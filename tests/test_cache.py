@@ -10,6 +10,7 @@ placement hints and the sweep/CLI surface.
 
 import json
 import math
+import os
 
 import pytest
 
@@ -533,19 +534,23 @@ def test_cli_single_run_commands_have_no_seed_grid(command, capsys):
     assert "unrecognized arguments: --seeds" in capsys.readouterr().err
 
 
-def test_cli_sweep_cache_axis_is_worker_count_invariant(tmp_path, capsys):
+def test_cli_sweep_cache_axis_is_worker_count_invariant(tmp_path,
+                                                       monkeypatch):
     from repro.cli import main
 
-    outs = []
-    for workers in (1, 2):
-        out = tmp_path / f"cache-{workers}w.json"
+    def sweep(name):
+        out = tmp_path / f"cache-{name}.json"
         assert main(["sweep", "--workload", "bdcats", "--machines",
                      "testbed", "--modes", "async", "--scales", "4",
                      "--seeds", "0", "1", "--cache", "on", "--quiet",
-                     "--workers", str(workers), "--out", str(out)]) == 0
-        outs.append(out.read_text())
-    assert outs[0] == outs[1]
-    points = json.loads(outs[0])["points"]
+                     "--out", str(out)]) == 0
+        return out.read_text()
+
+    every_cpu = sweep("ncpu")
+    # What ``taskset -c 0`` does: the sweep runs serially.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert sweep("1cpu") == every_cpu
+    points = json.loads(every_cpu)["points"]
     assert [p["seed"] for p in points] == [0, 1]
     assert all(p["cache"] == "on" and p["metrics"]["cache_stats"]
                for p in points)

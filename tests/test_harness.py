@@ -299,29 +299,30 @@ def test_resolve_profile():
         resolve_profile("fast")
 
 
-def test_results_save_load_roundtrip(tmp_path):
-    from repro.harness import load_results, save_results
-    results = scale_sweep(
-        MACHINE, "vpic", vpic_program, lambda n: SMALL,
-        scales=[4], modes=("sync",), reps=2,
-    )
-    path = save_results(results, tmp_path / "campaign.json")
-    loaded = load_results(path)
-    assert loaded == results
+def test_recovery_sweep_runs_one_clean_reference_per_mode(monkeypatch):
+    from repro.faults import FaultConfig
+    from repro.harness import recovery
+    from repro.workloads.restart import RestartConfig
 
+    clean_runs = []
+    real = recovery._clean_wall
 
-def test_load_results_rejects_foreign_files(tmp_path):
-    from repro.harness import load_results
-    bad = tmp_path / "x.json"
-    bad.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError):
-        load_results(bad)
-    versioned = tmp_path / "y.json"
-    versioned.write_text(
-        '{"format": "repro-experiment-results", "version": 99, "results": []}'
-    )
-    with pytest.raises(ValueError):
-        load_results(versioned)
+    def counted(machine, mode, *args):
+        clean_runs.append(mode)
+        return real(machine, mode, *args)
+
+    monkeypatch.setattr(recovery, "_clean_wall", counted)
+    cfg = RestartConfig(elems_per_rank=Mi // 16, checkpoints=3,
+                        compute_seconds=5.0)
+    results = recovery.recovery_sweep(MACHINE, 8, fault_rates=(0.0, 0.1, 0.2),
+                                      config=cfg, seed=90)
+    assert clean_runs == ["sync", "async"]
+    # The same results as one run_recovery per point, each with its own
+    # reference run.
+    assert results == [recovery.run_recovery(
+        MACHINE, r.mode, 8, config=cfg,
+        fault_config=(FaultConfig(seed=90, write_error_rate=r.fault_rate)
+                      if r.fault_rate else None)) for r in results]
 
 
 def test_profile_scales_consistent():
