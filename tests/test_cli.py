@@ -87,11 +87,16 @@ def test_sweep_spec_errors_are_usage_errors(argv):
 
 
 @pytest.mark.parametrize("command", ["sweep", "check"])
-def test_workers_is_an_unrecognized_argument(command, tmp_path, capsys):
+@pytest.mark.parametrize("workers", ["0", "-3", "2"])
+def test_workers_below_one_are_usage_errors(command, workers, tmp_path,
+                                            capsys):
+    # The fan-out is fixed by one policy, so --workers is gone: any value,
+    # below one or not, is a usage error.
     argv = ["sweep", "--quiet"] if command == "sweep" else [
         "check", "--cache-dir", str(tmp_path), str(tmp_path)]
-    with pytest.raises(SystemExit):
-        main(argv + ["--workers", "2"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", workers])
+    assert exc.value.code == 2
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
